@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import Dataset
+from .datamodel import Dataset, Person
 from .dates import add_months, window_start_for_end
 from .errors import DegenerateCohortError
-from .phecode import PhecodeMap, map_event, smi_set, substance_set
+from .phecode import TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags
 
 GAP_MIN_DAYS = 14
 GAP_MAX_DAYS = 365
@@ -70,22 +70,20 @@ class CohortBuildStats:
     n_cases_without_controls: int = 0
     n_controls: int = 0
 
-    @property
-    def n_examples(self) -> int:
-        return self.n_cases_retained + self.n_controls
+
+def _first_dates(d: Dataset, m: PhecodeMap, bit: int) -> list[tuple[str, datetime.date]]:
+    """(person_id, date) of each person's first event tagged `bit`, by id."""
+    rows, pos = d.first_events((d.per_code(code_tags, m) & bit) != 0)
+    ids = d.table.ids
+    return [
+        (ids[row], datetime.date.fromordinal(day))
+        for row, day in zip(rows.tolist(), d.table.day[pos].tolist())
+    ]
 
 
 def find_cases(d: Dataset, m: PhecodeMap) -> list[tuple[str, datetime.date]]:
     """All persons with an SMI-mapped diagnosis, with their first onset date."""
-    smi = smi_set()
-    onsets: dict[str, datetime.date] = {}
-    for p in d.persons:
-        for e in d.events_for(p.person_id):
-            code = map_event(e, m)
-            if code is not None and smi.contains(code):
-                onsets[p.person_id] = e.date  # events are date-sorted per person
-                break
-    return sorted(onsets.items())
+    return _first_dates(d, m, TAG_SMI)
 
 
 def first_onset_by_person(d: Dataset, m: PhecodeMap) -> dict[str, datetime.date]:
@@ -131,6 +129,35 @@ def build_case_windows(
     return out, dropped
 
 
+class _ControlPool:
+    """Never-SMI persons of one (birth_year, gender) stratum, in id order,
+    with their enrollment ordinals, tie-break keys and whether a case has
+    taken them yet."""
+
+    def __init__(self, d: Dataset, pids: list[str], seed: int):
+        self.pids = sorted(pids)
+        self.rows = np.array([d.row_of[pid] for pid in self.pids], dtype=np.int64)
+        self.start = d.enroll_start[self.rows]
+        self.end = d.enroll_end[self.rows]
+        self.tie = np.array(
+            [rngmod.stable_seed(seed, "ctl-tie", pid) for pid in self.pids], dtype=np.uint64
+        )
+        self.free = np.ones(len(self.pids), dtype=bool)
+
+    def take(self, d: Dataset, window: ObservationWindow, case_count: int, k: int) -> list[str]:
+        """The k best free candidates for one case window, now taken."""
+        start, end = window.start.toordinal(), window.end.toordinal()
+        cand = np.flatnonzero(self.free & (self.start <= start) & (self.end >= end))
+        rows = self.rows[cand]
+        before = d.dx_counts_before(rows, start)
+        in_window = d.dx_counts_before(rows, end + 1) > before
+        cand, before = cand[in_window], before[in_window]
+        diff = np.abs(before - case_count)
+        chosen = cand[np.lexsort((cand, self.tie[cand], diff))[:k]]
+        self.free[chosen] = False
+        return [self.pids[j] for j in chosen.tolist()]
+
+
 def match_controls(
     case_windows: list[CaseWindow],
     d: Dataset,
@@ -144,9 +171,10 @@ def match_controls(
 
     Matching is exact on (birth_year, gender), nearest on the raw count of
     DX events before the window start, greedy in descending case count so
-    high-utilization cases get first pick of scarce lookalikes. A control
-    serves at most one case and must be observable over the case's whole
-    window with at least one in-window diagnosis.
+    high-utilization cases get first pick of scarce lookalikes; ties break
+    on a per-person seeded key, then on person id. A control serves at most
+    one case and must be observable over the case's whole window with at
+    least one in-window diagnosis.
     """
     smi_pids = {pid for pid, _ in find_cases(d, m)}
     strata: dict[tuple[int, str], list[str]] = {}
@@ -154,32 +182,24 @@ def match_controls(
         if p.person_id in smi_pids or p.person_id in exclude:
             continue
         strata.setdefault((p.birth_year, p.gender), []).append(p.person_id)
-    for pool in strata.values():
-        pool.sort()
+    pools: dict[tuple[int, str], _ControlPool] = {}
 
-    def case_key(cw: CaseWindow) -> tuple[int, str]:
-        return (-d.dx_count_before(cw.person_id, cw.window.start), cw.person_id)
-
-    used: set[str] = set()
+    case_rows = np.array([d.row_of[cw.person_id] for cw in case_windows], dtype=np.int64)
+    case_starts = np.array([cw.window.start.toordinal() for cw in case_windows], dtype=np.int64)
+    case_counts = d.dx_counts_before(case_rows, case_starts).tolist()
+    order = sorted(
+        range(len(case_windows)), key=lambda i: (-case_counts[i], case_windows[i].person_id)
+    )
     examples: list[CohortExample] = []
-    for cw in sorted(case_windows, key=case_key):
+    for i in order:
+        cw = case_windows[i]
         person = d.persons_by_id[cw.person_id]
         window = cw.window
-        case_count = d.dx_count_before(cw.person_id, window.start)
-        ranked: list[tuple[int, int, str]] = []
-        for pid in strata.get((person.birth_year, person.gender), []):
-            if pid in used:
-                continue
-            cand = d.persons_by_id[pid]
-            if cand.enroll_start > window.start or cand.enroll_end < window.end:
-                continue
-            if not d.has_dx_in_window(pid, window.start, window.end):
-                continue
-            diff = abs(d.dx_count_before(pid, window.start) - case_count)
-            ranked.append((diff, rngmod.stable_seed(seed, "ctl-tie", pid), pid))
-        ranked.sort()
-        chosen = [pid for _, _, pid in ranked[:k]]
-        used.update(chosen)
+        stratum = (person.birth_year, person.gender)
+        pool = pools.get(stratum)
+        if pool is None:
+            pool = pools[stratum] = _ControlPool(d, strata.get(stratum, []), seed)
+        chosen = pool.take(d, window, case_counts[i], k)
         examples.append(
             CohortExample(cw.person_id, 1, window, cw.person_id, ALL_AGE, cw.onset)
         )
@@ -228,15 +248,27 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
     target is future risk, not prevalent disease.
     """
     onsets = first_onset_by_person(d, m)
-    out: list[CohortExample] = []
+    spans: dict[int, tuple[datetime.date, datetime.date, datetime.date]] = {}
+    covered: list[tuple[Person, datetime.date, ObservationWindow]] = []
     for p in d.persons:
-        birthday = _eighteenth_birthday(p.birth_year)
-        span_start = add_months(birthday, -12)
-        span_end = add_months(birthday, 12)
+        span = spans.get(p.birth_year)
+        if span is None:
+            birthday = _eighteenth_birthday(p.birth_year)
+            span = spans[p.birth_year] = (
+                birthday, add_months(birthday, -12), add_months(birthday, 12)
+            )
+        birthday, span_start, span_end = span
         if p.enroll_start > span_start or p.enroll_end < span_end:
             continue
-        window = ObservationWindow(span_start, birthday - datetime.timedelta(days=1))
-        if not d.events_in_window(p.person_id, window.start, window.end):
+        covered.append((p, birthday, ObservationWindow(span_start, birthday - datetime.timedelta(days=1))))
+    lo, hi = d.windows(
+        np.array([d.row_of[p.person_id] for p, _, _ in covered], dtype=np.int64),
+        np.array([w.start.toordinal() for _, _, w in covered], dtype=np.int64),
+        np.array([w.end.toordinal() for _, _, w in covered], dtype=np.int64),
+    )
+    out: list[CohortExample] = []
+    for (p, birthday, window), seen in zip(covered, (hi > lo).tolist()):
+        if not seen:
             continue
         onset = onsets.get(p.person_id)
         if onset is not None and onset < birthday:
@@ -250,16 +282,11 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
 def build_substance_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
     """Post-substance-diagnosis cohort: observe the year up to and including
     the first substance-related diagnosis, label by SMI in the year after."""
-    substances = substance_set()
     onsets = first_onset_by_person(d, m)
+    index_dates = dict(_first_dates(d, m, TAG_SUBSTANCE))
     out: list[CohortExample] = []
     for p in d.persons:
-        index_date: datetime.date | None = None
-        for e in d.events_for(p.person_id):
-            code = map_event(e, m)
-            if code is not None and substances.contains(code):
-                index_date = e.date
-                break
+        index_date = index_dates.get(p.person_id)
         if index_date is None:
             continue
         window = ObservationWindow(window_start_for_end(index_date), index_date)

@@ -23,8 +23,3 @@ def add_months(d: datetime.date, months: int) -> datetime.date:
 def window_start_for_end(end: datetime.date) -> datetime.date:
     """Start of the 12-month window ending on `end` (both inclusive)."""
     return add_months(end, -12) + datetime.timedelta(days=1)
-
-
-def parse_iso_date(text: str) -> datetime.date:
-    """Parse a strict YYYY-MM-DD date."""
-    return datetime.date.fromisoformat(text)

@@ -23,7 +23,7 @@ import numpy as np
 from .cohort import CohortExample
 from .datamodel import Dataset
 from .errors import DataError, DegenerateCohortError
-from .phecode import PhecodeMap, axis1_set, map_event, psych_category_set, substance_set
+from .phecode import TAG_AXIS1, TAG_PSYCH, TAG_SUBSTANCE, PhecodeMap, code_tags
 
 
 @dataclass
@@ -133,36 +133,31 @@ def confusion_at(s: ScoredSet, threshold: float) -> tuple[float, float, float]:
     return sens, spec, prev
 
 
+def _window_fires(
+    ex: CohortExample, d: Dataset, m: PhecodeMap, trigger: int, exclude_substance: bool
+) -> int:
+    """1 iff any in-window diagnosis carries the `trigger` tag bit (and,
+    with `exclude_substance`, not the substance bit)."""
+    lo, hi = d.window(ex.person_id, ex.window.start, ex.window.end)
+    tags = d.per_code(code_tags, m)[d.table.code[lo:hi]]
+    fires = (tags & trigger) != 0
+    if exclude_substance:
+        fires &= (tags & TAG_SUBSTANCE) == 0
+    return int(fires.any())
+
+
 def benchmark1(
     ex: CohortExample, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> int:
     """1 iff any in-window diagnosis maps into the psychological category."""
-    trigger = psych_category_set()
-    substances = substance_set() if exclude_substance else None
-    for e in d.events_in_window(ex.person_id, ex.window.start, ex.window.end):
-        code = map_event(e, m)
-        if code is None or not trigger.contains(code):
-            continue
-        if substances is not None and substances.contains(code):
-            continue
-        return 1
-    return 0
+    return _window_fires(ex, d, m, TAG_PSYCH, exclude_substance)
 
 
 def benchmark2(
     ex: CohortExample, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> int:
     """1 iff any in-window diagnosis maps into the axis I set."""
-    trigger = axis1_set()
-    substances = substance_set() if exclude_substance else None
-    for e in d.events_in_window(ex.person_id, ex.window.start, ex.window.end):
-        code = map_event(e, m)
-        if code is None or not trigger.contains(code):
-            continue
-        if substances is not None and substances.contains(code):
-            continue
-        return 1
-    return 0
+    return _window_fires(ex, d, m, TAG_AXIS1, exclude_substance)
 
 
 def evaluate_model(

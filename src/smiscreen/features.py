@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import CohortExample
-from .datamodel import ClinicalEvent, Dataset
+from .datamodel import ClinicalEvent, Code, Dataset
 from .errors import DataError
 
 DEMOGRAPHICS_DIM = 4  # age_norm, gender one-hot F/M/U
 _GENDER_SLOT = {"F": 1, "M": 2, "U": 3}
 
 
-def namespaced_code(e: ClinicalEvent) -> str:
+def namespaced_code(e: ClinicalEvent | Code) -> str:
     return f"{e.kind.lower()}:{e.system}:{e.code}"
 
 
@@ -33,7 +33,6 @@ class Vocabulary:
     rebuild from the same windows is always index-identical."""
 
     entries: tuple[str, ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -72,22 +71,34 @@ class FeatureVector:
         )
 
 
+def _vocab_indices(v: Vocabulary, codes: list[Code]) -> np.ndarray:
+    """Vocabulary index of each code of an event table, -1 if absent."""
+    index = v.index
+    return np.array([index.get(namespaced_code(c), -1) for c in codes], dtype=np.int64)
+
+
 def build_vocabulary(train_examples: list[CohortExample], d: Dataset) -> Vocabulary:
     """Union of namespaced codes inside training windows, sorted."""
     if not train_examples:
         raise DataError("cannot build a vocabulary from an empty training set")
-    codes: set[str] = set()
-    for ex in train_examples:
-        for e in d.events_in_window(ex.person_id, ex.window.start, ex.window.end):
-            codes.add(namespaced_code(e))
-    return Vocabulary(tuple(sorted(codes)), provenance=f"train:{len(train_examples)}")
+    lo, hi = d.windows(
+        np.array([d.row_of[ex.person_id] for ex in train_examples], dtype=np.int64),
+        np.array([ex.window.start.toordinal() for ex in train_examples], dtype=np.int64),
+        np.array([ex.window.end.toordinal() for ex in train_examples], dtype=np.int64),
+    )
+    # event positions covered by at least one window: +1 at each lo, -1 at each hi
+    n = d.n_events
+    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    entries = d.table.codes.entries
+    seen = np.unique(d.table.code[depth[:n] > 0])
+    return Vocabulary(tuple(sorted({namespaced_code(entries[c]) for c in seen.tolist()})))
 
 
 def intersect_vocabularies(a: Vocabulary, b: Vocabulary) -> Vocabulary:
     shared = set(a.entries) & set(b.entries)
     if not shared:
         raise DataError("vocabulary intersection is empty; cross-source evaluation impossible")
-    return Vocabulary(tuple(sorted(shared)), provenance=f"intersect({a.provenance},{b.provenance})")
+    return Vocabulary(tuple(sorted(shared)))
 
 
 def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureVector:
@@ -95,24 +106,14 @@ def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureVector:
     person = d.persons_by_id.get(ex.person_id)
     if person is None:
         raise DataError(f"unknown person_id {ex.person_id!r}")
-    index = v.index
-    hits: set[int] = set()
-    for e in d.events_in_window(ex.person_id, ex.window.start, ex.window.end):
-        idx = index.get(namespaced_code(e))
-        if idx is not None:
-            hits.add(idx)
-    code_indices = np.array(sorted(hits), dtype=np.int64)
+    lo, hi = d.window(ex.person_id, ex.window.start, ex.window.end)
+    hits = d.per_code(_vocab_indices, v)[d.table.code[lo:hi]]
+    code_indices = np.unique(hits[hits >= 0])
     age_norm = (ex.window.end.year - person.birth_year) / 100.0
     demographics = np.zeros(DEMOGRAPHICS_DIM, dtype=np.float64)
     demographics[0] = age_norm
     demographics[_GENDER_SLOT[person.gender]] = 1.0
     return FeatureVector(code_indices, demographics)
-
-
-def featurize_all(
-    examples: list[CohortExample], d: Dataset, v: Vocabulary
-) -> list[FeatureVector]:
-    return [featurize(ex, d, v) for ex in examples]
 
 
 def write_vocabulary(v: Vocabulary, path: str) -> None:
@@ -127,4 +128,4 @@ def load_vocabulary(path: str) -> Vocabulary:
         entries = tuple(line.rstrip("\n") for line in fh if line.strip())
     if not entries:
         raise DataError(f"{path}: empty vocabulary")
-    return Vocabulary(entries, provenance=f"file:{path}")
+    return Vocabulary(entries)

@@ -10,6 +10,10 @@ Four named groups drive the rest of the pipeline:
   axis1:     DSM-IV axis I clinical disorders (benchmark 2)
   substance: substance/alcohol/tobacco conditions (use-case indexing and
              the benchmark exclusion flag)
+
+Scans never map events one by one: `code_tags` maps each distinct code of
+an event table once, into one bit per group, and callers test the bits of
+a person's event range.
 """
 
 from __future__ import annotations
@@ -19,13 +23,21 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .datamodel import ClinicalEvent
+import numpy as np
+
+from .datamodel import ClinicalEvent, Code
 from .errors import DataError
 
 _PHECODE_RE = re.compile(r"^\d{1,4}(\.\d{1,2})?$")
 
 MAP_HEADER = ["icd_version", "icd_code", "phecode"]
 ICD_VERSIONS = frozenset({"ICD9", "ICD10"})
+
+# code_tags bits, one per named group
+TAG_SMI = 1
+TAG_PSYCH = 2
+TAG_AXIS1 = 4
+TAG_SUBSTANCE = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,14 +139,30 @@ def load_default_map() -> PhecodeMap:
         return parse_phecode_map(str(path))
 
 
-def map_event(e: ClinicalEvent, m: PhecodeMap) -> Phecode | None:
-    """Phecode for a DX event with a mapping entry; None otherwise.
+def map_event(e: ClinicalEvent | Code, m: PhecodeMap) -> Phecode | None:
+    """Phecode for a DX event (or code) with a mapping entry; None otherwise.
 
     Medication fills never map: phecodes classify diagnoses only.
     """
     if e.kind != "DX":
         return None
     return m.lookup(e.system, e.code)
+
+
+def code_tags(m: PhecodeMap, codes: list[Code]) -> np.ndarray:
+    """uint8 TAG_* bits of each code under `m`; unmapped codes get 0."""
+    groups = (
+        (TAG_SMI, smi_set()),
+        (TAG_PSYCH, psych_category_set()),
+        (TAG_AXIS1, axis1_set()),
+        (TAG_SUBSTANCE, substance_set()),
+    )
+    tags = np.zeros(len(codes), dtype=np.uint8)
+    for i, c in enumerate(codes):
+        phecode = map_event(c, m)
+        if phecode is not None:
+            tags[i] = sum(bit for bit, group in groups if group.contains(phecode))
+    return tags
 
 
 def _exact(name: str, values: list[str]) -> PhecodeSet:

@@ -18,7 +18,6 @@ import contextlib
 import datetime as _datetime
 import json
 import os
-import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -343,17 +342,6 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def version_string() -> str:
-    try:
-        described = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if described.returncode == 0 and described.stdout.strip():
-            return described.stdout.strip()
-    except OSError:
-        pass
     return f"smiscreen-{__version__}"
 
 
@@ -548,13 +536,13 @@ def run_synth(cfg: RunConfig) -> dict[str, str]:
         "ground_truth": os.path.join(out, "ground_truth.csv"),
     }
     write_persons(dataset.persons, paths["persons"])
-    write_events(dataset.events, paths["events"])
+    write_events(dataset, paths["events"])
     write_ground_truth(truth, paths["ground_truth"])
     n_onsets = sum(1 for v in truth.onset_date.values() if v is not None)
     _write_manifest(
         cfg,
         "synth",
-        {"persons": len(dataset.persons), "events": len(dataset.events), "onsets": n_onsets},
+        {"persons": len(dataset.persons), "events": dataset.n_events, "onsets": n_onsets},
         out,
     )
     return paths

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import ClinicalEvent, Dataset, Person
+from .datamodel import Code, CodeTable, Dataset, EventTable, Person
 from .errors import ConfigError, DataError
 from .phecode import PhecodeMap, axis1_set, load_default_map, psych_category_set, smi_set, substance_set
 
@@ -274,9 +274,21 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     max_span = min(SPAN_DAYS_RANGE[1], total_days + 1)
     min_span = min(SPAN_DAYS_RANGE[0], max_span - 1)
 
+    # code ids: the dx pool, then the rx pool, then the SMI codes
+    codes = CodeTable(
+        [Code("DX", system, code) for system, code in pools.dx_all]
+        + [Code("RX", "NDC", code) for code in pools.rx]
+        + [Code("DX", system, code) for system, code in pools.smi]
+    )
+    code_text = [c.code for c in codes.entries]
+    rx_base = n_dx
+    smi_base = n_dx + n_rx
+
     prefix = "c" if cfg.source == "CLAIMS" else "e"
     persons: list[Person] = []
-    all_events: list[ClinicalEvent] = []
+    person_parts: list[np.ndarray] = []
+    day_parts: list[np.ndarray] = []
+    code_parts: list[np.ndarray] = []
     logits: dict[str, float] = {}
     onsets: dict[str, datetime.date | None] = {}
 
@@ -311,30 +323,23 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         candidate_offset = int(gen.integers(int(CANDIDATE_MIN_FRAC * span), span + 1))
         u_onset = float(gen.random())
 
-        events: list[ClinicalEvent] = []
-        pre_onset_codes: set[str] = set()
-        di = ri = 0
-        for j in range(n_events):
-            off = int(offsets[j])
-            when = enroll_start + datetime.timedelta(days=off)
-            if is_dx[j]:
-                system, code = pools.dx_all[int(dx_picks[di])]
-                di += 1
-                events.append(ClinicalEvent(pid, when, "DX", system, code))
-            else:
-                code = pools.rx[int(rx_picks[ri])]
-                ri += 1
-                events.append(ClinicalEvent(pid, when, "RX", "NDC", code))
-            if off < candidate_offset:
-                pre_onset_codes.add(code)
+        # the j-th dx (rx) event takes the j-th dx (rx) pick
+        event_codes = np.empty(n_events, dtype=np.int64)
+        event_codes[is_dx] = dx_picks
+        event_codes[~is_dx] = rx_base + rx_picks
+        pre_onset_codes = {code_text[c] for c in event_codes[offsets < candidate_offset].tolist()}
 
         logit = cfg.base_logit + AGE_COEF * (age_at_start + candidate_offset / 365.25) / 100.0
         logit += GENDER_COEF[gender]
-        for code in pre_onset_codes:
+        for code in sorted(pre_onset_codes):
             logit += cfg.risk_weights.get(code, 0.0)
         p_annual = cfg.smi_annual_rate_cap * _sigmoid_scalar(LINK_STEEPNESS * logit)
         p_onset = 1.0 - (1.0 - p_annual) ** span_years
 
+        day0 = enroll_start.toordinal()
+        day_parts.append(day0 + offsets)
+        code_parts.append(event_codes)
+        n_person_events = n_events
         onset_date: datetime.date | None = None
         if u_onset < p_onset:
             onset_date = enroll_start + datetime.timedelta(days=candidate_offset)
@@ -345,18 +350,23 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
                     int(x) for x in gen.integers(candidate_offset, span + 1, size=n_smi - 1)
                 ]
             smi_picks = gen.integers(0, len(pools.smi), size=len(smi_offsets))
-            for off, pick in zip(smi_offsets, smi_picks):
-                system, code = pools.smi[int(pick)]
-                when = enroll_start + datetime.timedelta(days=off)
-                events.append(ClinicalEvent(pid, when, "DX", system, code))
+            day_parts.append(day0 + np.array(smi_offsets, dtype=np.int64))
+            code_parts.append(smi_base + smi_picks)
+            n_person_events += len(smi_offsets)
+        person_parts.append(np.full(n_person_events, i))
 
         persons.append(Person(pid, birth_year, gender, enroll_start, enroll_end, cfg.source))
-        all_events.extend(events)
         logits[pid] = logit
         onsets[pid] = onset_date
 
-    dataset = Dataset(persons, all_events, cfg.source)
-    return dataset, GroundTruth(logits, onsets)
+    table = EventTable.build(
+        persons,
+        np.concatenate(person_parts),
+        np.concatenate(day_parts),
+        np.concatenate(code_parts),
+        codes,
+    )
+    return Dataset(persons, table, cfg.source), GroundTruth(logits, onsets)
 
 
 def ground_truth_auc(gt: GroundTruth, labels: dict[str, int]) -> float:

@@ -1,11 +1,14 @@
 """Ingestion, validation, and round-trip behavior of the core tables."""
 
+import re
 import time
 
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
+from smiscreen.cli import main
 from smiscreen.datamodel import (
+    BLOCK_BYTES,
     Dataset,
     load_events,
     load_persons,
@@ -138,17 +141,17 @@ class TestDatasetAndValidation:
         ]
         ds = make_dataset(persons, events)
         write_persons(ds.persons, str(tmp_path / "p.csv"))
-        write_events(ds.events, str(tmp_path / "e.csv"))
+        write_events(ds, str(tmp_path / "e.csv"))
         again = Dataset.from_files(str(tmp_path / "p.csv"), str(tmp_path / "e.csv"))
         assert again == ds
 
     def test_synth_round_trip_bytes(self, tmp_path, pop5k):
         dataset, _ = pop5k
         write_persons(dataset.persons, str(tmp_path / "p.csv"))
-        write_events(dataset.events, str(tmp_path / "e.csv"))
+        write_events(dataset, str(tmp_path / "e.csv"))
         again = Dataset.from_files(str(tmp_path / "p.csv"), str(tmp_path / "e.csv"))
         write_persons(again.persons, str(tmp_path / "p2.csv"))
-        write_events(again.events, str(tmp_path / "e2.csv"))
+        write_events(again, str(tmp_path / "e2.csv"))
         assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e2.csv").read_bytes()
 
@@ -185,3 +188,94 @@ class TestDatasetAndValidation:
         small = max(build(2000), 1e-4)
         large = build(20000)
         assert large <= 12 * small
+
+
+GOOD_ROW = b"p1,2012-03-04,dx,ICD10,F20.0"
+
+# (case, offending events.csv line, message after "path:line: ")
+BAD_ROWS = [
+    ("4 columns", b"p1,2012-03-04,dx,ICD10", "expected 5 columns, got 4"),
+    ("6 columns", b"p1,2012-03-04,dx,ICD10,F20.0,x", "expected 5 columns, got 6"),
+    ("unknown person", b"zz,2012-03-04,dx,ICD10,F20.0", "unknown person_id 'zz'"),
+    ("bad kind", b"p1,2012-03-04,lab,ICD10,F20.0", "unknown event kind 'lab'"),
+    ("rx with ICD10", b"p1,2012-03-04,rx,ICD10,F20.0", "kind 'rx' inconsistent with system 'ICD10'"),
+    ("bad date", b"p1,2010-13-01,dx,ICD10,F20.0", "unparseable date '2010-13-01'"),
+    (
+        "outside enrollment",
+        b"p1,2016-01-01,dx,ICD10,F20.0",
+        "event for 'p1' dated 2016-01-01 outside enrollment [2010-01-01, 2015-06-30]",
+    ),
+    ("quoted field", b'p1,2012-03-04,dx,ICD10,"F20.0"', "quoted field; events.csv does not support quoting"),
+    ("invalid UTF-8", b"p1,2012-03-04,dx,ICD10,F2\xff0", "invalid UTF-8"),
+]
+BAD_IDS = [case for case, _, _ in BAD_ROWS]
+
+
+class TestLoadErrors:
+    """Every malformed events.csv is a DataError naming path:line of the
+    first offending physical line, and the CLI exits 3 on it."""
+
+    @pytest.fixture
+    def persons_csv(self, tmp_path):
+        return write(tmp_path / "p.csv", PERSONS_HEADER + "p1,1980,F,2010-01-01,2015-06-30,CLAIMS\n")
+
+    @staticmethod
+    def events_csv(tmp_path, *rows: bytes, header: bytes = EVENTS_HEADER.encode()) -> str:
+        path = tmp_path / "e.csv"
+        path.write_bytes(header + b"".join(row + b"\n" for row in rows))
+        return str(path)
+
+    @pytest.mark.parametrize("case,row,message", BAD_ROWS, ids=BAD_IDS)
+    def test_error_names_path_and_line(self, tmp_path, persons_csv, case, row, message):
+        path = self.events_csv(tmp_path, GOOD_ROW, row)
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
+            load_events(path, load_persons(persons_csv))
+
+    def test_bad_header(self, tmp_path, persons_csv):
+        path = self.events_csv(tmp_path, GOOD_ROW, header=b"person_id,date,kind,code\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: expected header")):
+            load_events(path, load_persons(persons_csv))
+
+    @pytest.mark.parametrize("case,row,message", BAD_ROWS, ids=BAD_IDS)
+    def test_train_exits_3_without_traceback(self, tmp_path, persons_csv, capsys, case, row, message):
+        events = self.events_csv(tmp_path, GOOD_ROW, row)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data.persons={persons_csv}\ndata.events={events}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{events}:3: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("later", BAD_ROWS, ids=BAD_IDS)
+    @pytest.mark.parametrize("earlier", BAD_ROWS, ids=BAD_IDS)
+    def test_earlier_line_wins(self, tmp_path, persons_csv, earlier, later):
+        path = self.events_csv(tmp_path, GOOD_ROW, earlier[1], GOOD_ROW, later[1])
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: {earlier[2]}")):
+            load_events(path, load_persons(persons_csv))
+
+    @pytest.mark.parametrize("shift", [0, 10], ids=["past-boundary", "straddling-boundary"])
+    def test_bad_row_past_first_block(self, tmp_path, persons_csv, shift):
+        # blocks start after the header; with shift 10 the bad row spans the first block's end
+        n_good = BLOCK_BYTES // (len(GOOD_ROW) + 1) + 10 - shift
+        path = self.events_csv(tmp_path, *[GOOD_ROW] * n_good, b"zz,2012-03-04,dx,ICD10,F20.0")
+        with pytest.raises(DataError, match=re.escape(f"{path}:{n_good + 2}: unknown person_id 'zz'")):
+            load_events(path, load_persons(persons_csv))
+
+    def test_blank_lines_crlf_and_missing_final_newline_load(self, tmp_path, persons_csv):
+        persons = load_persons(persons_csv)
+        plain = self.events_csv(tmp_path, GOOD_ROW, b"p1,2013-01-01,rx,NDC,123")
+        expected = list(load_events(plain, persons))
+        variants = [
+            b"person_id,date,kind,system,code\r\n" + GOOD_ROW + b"\r\n\r\np1,2013-01-01,rx,NDC,123\r\n",
+            EVENTS_HEADER.encode() + b"\n" + GOOD_ROW + b"\n\np1,2013-01-01,rx,NDC,123",
+            EVENTS_HEADER.encode() + GOOD_ROW + b"\r\np1,2013-01-01,rx,NDC,123",
+        ]
+        for i, content in enumerate(variants):
+            path = tmp_path / f"v{i}.csv"
+            path.write_bytes(content)
+            assert list(load_events(str(path), persons)) == expected
+
+    def test_blank_lines_still_count(self, tmp_path, persons_csv):
+        path = self.events_csv(tmp_path, GOOD_ROW, b"", b"\r", b"zz,2012-03-04,dx,ICD10,F20.0")
+        with pytest.raises(DataError, match=re.escape(f"{path}:5: unknown person_id 'zz'")):
+            load_events(path, load_persons(persons_csv))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import d, make_event, make_person
+from conftest import d, make_dataset, make_event, make_person
 from smiscreen.cli import main
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import ConfigError, DegenerateCohortError
@@ -223,6 +223,21 @@ class TestTrainCommand:
         assert (out / "model.bin").read_bytes() == (workspace["train"] / "model.bin").read_bytes()
         assert (out / "report.csv").read_bytes() == (workspace["train"] / "report.csv").read_bytes()
 
+    def test_version_ignores_git_repo_in_working_directory(self, workspace, tmp_path, monkeypatch):
+        from smiscreen import __version__
+
+        repo = tmp_path / "elsewhere"
+        repo.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], cwd=repo, check=True)
+        monkeypatch.chdir(repo)
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", workspace["train_cfg"], "--out", str(out)]) == 0
+        expected = f"smiscreen-{__version__}"
+        assert json.loads((out / "manifest.json").read_text())["version"] == expected
+        assert {r["version"] for r in read_report(out / "report.json")["reports"]} == {expected}
+
     def test_missing_data_is_data_error(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.cfg",
@@ -395,7 +410,7 @@ class TestDegenerateCohortExit:
         from smiscreen.datamodel import write_events, write_persons
 
         write_persons(persons, str(tmp_path / "p.csv"))
-        write_events(events, str(tmp_path / "e.csv"))
+        write_events(make_dataset(persons, events), str(tmp_path / "e.csv"))
         cfg = write_config(
             tmp_path / "c.cfg",
             {"data.persons": str(tmp_path / "p.csv"), "data.events": str(tmp_path / "e.csv"), "seed": "1"},
@@ -463,7 +478,7 @@ class TestStageTagging:
         from smiscreen.datamodel import write_events, write_persons
 
         write_persons(persons, str(tmp_path / "p.csv"))
-        write_events(events, str(tmp_path / "e.csv"))
+        write_events(make_dataset(persons, events), str(tmp_path / "e.csv"))
         cfg = RunConfig.from_mapping(
             {"data.persons": str(tmp_path / "p.csv"), "data.events": str(tmp_path / "e.csv")}
         )

@@ -1,6 +1,10 @@
 """Generator contracts: determinism, temporal consistency, and the
 Monte-Carlo prevalence oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,9 +79,28 @@ class TestGeneration:
             dataset, truth = generate_population(cfg)
             p, e, g = (tmp_path / n for n in ("p.csv", "e.csv", "g.csv"))
             write_persons(dataset.persons, str(p))
-            write_events(dataset.events, str(e))
+            write_events(dataset, str(e))
             write_ground_truth(truth, str(g))
             outputs.append((p.read_bytes(), e.read_bytes(), g.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_cli_outputs_independent_of_string_hash_seed(self, tmp_path):
+        """Set iteration order follows PYTHONHASHSEED; no output may."""
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("synth.n_persons=400\nsynth.source=CLAIMS\nseed=3\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            out = tmp_path / f"hash{hash_seed}"
+            subprocess.run(
+                [sys.executable, "-m", "smiscreen.cli", "synth", "--config", str(cfg), "--out", str(out)],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            outputs.append([(out / n).read_bytes() for n in ("persons.csv", "events.csv", "ground_truth.csv")])
         assert outputs[0] == outputs[1]
 
     def test_no_smi_code_before_onset(self, pop5k, phemap):
