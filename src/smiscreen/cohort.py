@@ -260,7 +260,8 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
         birthday, span_start, span_end = span
         if p.enroll_start > span_start or p.enroll_end < span_end:
             continue
-        covered.append((p, birthday, ObservationWindow(span_start, birthday - datetime.timedelta(days=1))))
+        window = ObservationWindow(span_start, birthday - datetime.timedelta(days=1))
+        covered.append((p, birthday, window))
     lo, hi = d.windows(
         np.array([d.row_of[p.person_id] for p, _, _ in covered], dtype=np.int64),
         np.array([w.start.toordinal() for _, _, w in covered], dtype=np.int64),

@@ -22,7 +22,8 @@ dates are ISO YYYY-MM-DD; kind is written lowercase (dx/rx) on disk.
 events.csv is parsed in fixed-size blocks. A load error names path:line of
 the first offending physical line in file order, whichever check it
 fails; blank lines are skipped but still counted. A `"` anywhere in a data
-line is an error, as is invalid UTF-8.
+line is an error, as are a carriage return not ending a line and invalid
+UTF-8.
 """
 
 from __future__ import annotations
@@ -149,9 +150,6 @@ class CodeTable:
         if len(self._ids) != len(self.entries):
             raise ValueError("duplicate entries in a code table")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def id(self, c: Code) -> int:
         """Id of `c`, appending it when new."""
         cid = self._ids.get(c)
@@ -179,7 +177,12 @@ class EventTable(Sequence):
     """
 
     def __init__(
-        self, ids: list[str], offsets: np.ndarray, day: np.ndarray, code: np.ndarray, codes: CodeTable
+        self,
+        ids: list[str],
+        offsets: np.ndarray,
+        day: np.ndarray,
+        code: np.ndarray,
+        codes: CodeTable,
     ):
         self.ids = ids
         self.offsets = offsets
@@ -301,6 +304,8 @@ def _row_problem(line: str, by_id: dict[str, Person]) -> str | None:
     """
     if '"' in line:
         return "quoted field; events.csv does not support quoting"
+    if "\r" in line:
+        return "carriage return inside a line"
     row = line.split(",")
     if len(row) != 5:
         return f"expected 5 columns, got {len(row)}"
@@ -379,6 +384,9 @@ class _EventParser:
         bad = ~blank & (commas != 4)
         if b'"' in raw:
             bad[np.searchsorted(ends, np.flatnonzero(a == 34))] = True
+        cr = np.flatnonzero(a == 13)
+        lone_cr = cr[a[cr + 1] != 10]  # raw ends with a newline, so cr + 1 is in range
+        bad[np.searchsorted(ends, lone_cr)] = True
         stop = int(np.argmax(bad)) if bad.any() else n
         head = raw[: int(starts[stop])] if stop < n else raw
         try:
@@ -426,7 +434,7 @@ def _read_header(fh, path: str) -> list[str] | None:
     if not raw:
         return None
     try:
-        line = raw.decode("utf-8").rstrip("\n").removesuffix("\r")
+        line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError:
         raise DataError(f"{path}:1: invalid UTF-8") from None
     return line.split(",") if line else []
@@ -475,7 +483,9 @@ def _plain(text: str) -> str:
 def write_events(d: "Dataset", path: str) -> None:
     """events.csv from the columns, CRLF line ends, ordered like `d.events`."""
     t = d.table
-    suffix = [f"{_plain(c.kind.lower())},{_plain(c.system)},{_plain(c.code)}" for c in t.codes.entries]
+    suffix = [
+        f"{_plain(c.kind.lower())},{_plain(c.system)},{_plain(c.code)}" for c in t.codes.entries
+    ]
     days, day_index = np.unique(t.day, return_inverse=True)
     date_text = [datetime.date.fromordinal(day).isoformat() for day in days.tolist()]
     day_index = day_index.tolist()
@@ -580,9 +590,8 @@ class Dataset:
     def window(self, person_id: str, start: datetime.date, end: datetime.date) -> tuple[int, int]:
         """Position range of one person's events dated within [start, end]."""
         base = self.row_of[person_id] * DAY_SPAN
-        lo, hi = np.searchsorted(
-            self.key, [base + start.toordinal(), base + end.toordinal() + 1], side="left"
-        )
+        lo = self.key.searchsorted(base + start.toordinal())
+        hi = self.key.searchsorted(base + end.toordinal() + 1)
         return int(lo), int(hi)
 
     def events_in_window(
@@ -616,7 +625,9 @@ class Dataset:
         first[1:] = rows[1:] != rows[:-1]
         return rows[first], hits[first]
 
-    def per_code(self, build: Callable[[object, list[Code]], np.ndarray], owner: object) -> np.ndarray:
+    def per_code(
+        self, build: Callable[[object, list[Code]], np.ndarray], owner: object
+    ) -> np.ndarray:
         """`build(owner, codes)` over this dataset's code table, computed
         once per owner: a phecode map's tag bits, a vocabulary's indices."""
         slot = (build, id(owner))
@@ -651,6 +662,14 @@ class Dataset:
         )
 
 
+def _code_problem(c: Code) -> str | None:
+    if c.kind not in EVENT_KINDS:
+        return f"unknown event kind {c.kind!r}"
+    if c.system not in SYSTEMS_FOR_KIND[c.kind]:
+        return f"kind {c.kind} inconsistent with system {c.system}"
+    return None
+
+
 def validate_dataset(d: Dataset) -> ValidationReport:
     """Check every dataset invariant; violations are reported, not raised.
 
@@ -674,14 +693,7 @@ def validate_dataset(d: Dataset) -> ValidationReport:
             violations.append(f"{p.person_id}: source {p.source!r} != dataset source {d.source!r}")
     t = d.table
     entries = t.codes.entries
-    code_problem = [
-        f"unknown event kind {c.kind!r}"
-        if c.kind not in EVENT_KINDS
-        else f"kind {c.kind} inconsistent with system {c.system}"
-        if c.system not in SYSTEMS_FOR_KIND[c.kind]
-        else None
-        for c in entries
-    ]
+    code_problem = [_code_problem(c) for c in entries]
     bad_code = np.array([problem is not None for problem in code_problem], dtype=bool)
     counts = np.bincount(t.code, minlength=len(entries))
     kind_counts = {"DX": 0, "RX": 0}

@@ -86,11 +86,11 @@ def build_vocabulary(train_examples: list[CohortExample], d: Dataset) -> Vocabul
         np.array([ex.window.start.toordinal() for ex in train_examples], dtype=np.int64),
         np.array([ex.window.end.toordinal() for ex in train_examples], dtype=np.int64),
     )
-    # event positions covered by at least one window: +1 at each lo, -1 at each hi
-    n = d.n_events
-    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    counts = hi - lo
+    # positions lo..hi-1 of every window, concatenated
+    positions = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     entries = d.table.codes.entries
-    seen = np.unique(d.table.code[depth[:n] > 0])
+    seen = np.unique(d.table.code[positions])
     return Vocabulary(tuple(sorted({namespaced_code(entries[c]) for c in seen.tolist()})))
 
 
@@ -107,8 +107,10 @@ def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureVector:
     if person is None:
         raise DataError(f"unknown person_id {ex.person_id!r}")
     lo, hi = d.window(ex.person_id, ex.window.start, ex.window.end)
-    hits = d.per_code(_vocab_indices, v)[d.table.code[lo:hi]]
-    code_indices = np.unique(hits[hits >= 0])
+    # a set beats np.unique on windows of a few dozen events
+    hits = set(d.per_code(_vocab_indices, v)[d.table.code[lo:hi]].tolist())
+    hits.discard(-1)
+    code_indices = np.array(sorted(hits), dtype=np.int64)
     age_norm = (ex.window.end.year - person.birth_year) / 100.0
     demographics = np.zeros(DEMOGRAPHICS_DIM, dtype=np.float64)
     demographics[0] = age_norm

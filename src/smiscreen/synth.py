@@ -331,6 +331,7 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
         logit = cfg.base_logit + AGE_COEF * (age_at_start + candidate_offset / 365.25) / 100.0
         logit += GENDER_COEF[gender]
+        # sorted: a set's order follows the per-process string hash seed
         for code in sorted(pre_onset_codes):
             logit += cfg.risk_weights.get(code, 0.0)
         p_annual = cfg.smi_annual_rate_cap * _sigmoid_scalar(LINK_STEEPNESS * logit)

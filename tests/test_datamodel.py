@@ -207,6 +207,7 @@ BAD_ROWS = [
     ),
     ("quoted field", b'p1,2012-03-04,dx,ICD10,"F20.0"', "quoted field; events.csv does not support quoting"),
     ("invalid UTF-8", b"p1,2012-03-04,dx,ICD10,F2\xff0", "invalid UTF-8"),
+    ("lone carriage return", b"p1,2012-03-04,dx,ICD10,F20\r0", "carriage return inside a line"),
 ]
 BAD_IDS = [case for case, _, _ in BAD_ROWS]
 
