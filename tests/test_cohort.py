@@ -58,6 +58,25 @@ class TestFindCases:
         ds = make_dataset([make_person("p1")], [make_event("p1", "2013-05-01", code="E11.9")])
         assert find_cases(ds, phemap) == []
 
+    def test_tag_scans_match_per_event_mapping(self, pop5k, phemap):
+        from smiscreen.phecode import map_event, smi_set, substance_set
+
+        dataset, _ = pop5k
+        smi, substances = smi_set(), substance_set()
+        first_smi, first_substance = {}, {}
+        for p in dataset.persons:
+            for e in dataset.events_for(p.person_id):
+                code = map_event(e, phemap)
+                if code is not None and smi.contains(code):
+                    first_smi.setdefault(p.person_id, e.date)
+                if code is not None and substances.contains(code):
+                    first_substance.setdefault(p.person_id, e.date)
+        assert find_cases(dataset, phemap) == sorted(first_smi.items())
+        cohort = build_substance_cohort(dataset, phemap)
+        assert cohort
+        for ex in cohort:
+            assert ex.index_date == first_substance[ex.person_id]
+
     def test_recovers_ground_truth_onsets(self, pop5k, phemap):
         dataset, truth = pop5k
         got = dict(find_cases(dataset, phemap))

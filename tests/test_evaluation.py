@@ -179,6 +179,29 @@ class TestBenchmarks:
         assert benchmark2(ex, dataset, phemap, exclude_substance=True) == 0
         assert benchmark1(ex, dataset, phemap, exclude_substance=True) == 0
 
+    def test_matches_per_event_reference(self, pop5k, phemap):
+        from smiscreen.cohort import build_all_age_cohort
+        from smiscreen.phecode import axis1_set, map_event, psych_category_set, substance_set
+
+        dataset, _ = pop5k
+        examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
+        substances = substance_set()
+
+        def reference(ex, trigger, exclude_substance):
+            for e in dataset.events_in_window(ex.person_id, ex.window.start, ex.window.end):
+                code = map_event(e, phemap)
+                if code is None or not trigger.contains(code):
+                    continue
+                if exclude_substance and substances.contains(code):
+                    continue
+                return 1
+            return 0
+
+        for ex in examples[:600]:
+            for flag in (False, True):
+                assert benchmark1(ex, dataset, phemap, flag) == reference(ex, psych_category_set(), flag)
+                assert benchmark2(ex, dataset, phemap, flag) == reference(ex, axis1_set(), flag)
+
     def test_window_bounded_mutation(self, dataset, phemap):
         ex = example_for("p0")
         before = (benchmark1(ex, dataset, phemap), benchmark2(ex, dataset, phemap))

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
-from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow
+from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import DataError
 from smiscreen.features import (
     Vocabulary,
@@ -128,6 +128,22 @@ class TestFeaturize:
         vocab = Vocabulary(("dx:ICD10:B20",))
         with pytest.raises(DataError, match="ghost"):
             featurize(example("ghost"), dataset, vocab)
+
+    def test_matches_per_event_reference(self, pop5k, phemap):
+        dataset, _ = pop5k
+        examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
+        train = examples[::2]
+
+        def window_codes(ex):
+            events = dataset.events_in_window(ex.person_id, ex.window.start, ex.window.end)
+            return {namespaced_code(e) for e in events}
+
+        vocab = build_vocabulary(train, dataset)
+        assert vocab.entries == tuple(sorted(set().union(*map(window_codes, train))))
+        index = vocab.index
+        for ex in examples[:800]:
+            expected = sorted(index[c] for c in window_codes(ex) if c in index)
+            assert featurize(ex, dataset, vocab).code_indices.tolist() == expected
 
     def test_post_window_mutation_leaves_features_identical(self, dataset):
         vocab = build_vocabulary([example("p1")], dataset)
