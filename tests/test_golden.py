@@ -1,12 +1,19 @@
 """Golden artifacts: seeded CLI runs must reproduce these exact bytes.
 
-Two runs are pinned, each in a child process with every BLAS pool held to
-one thread:
+Every subcommand that writes a model or cohort artifact is pinned, each in
+a child process with every BLAS pool held to one thread:
 
 * `train`: a 1,200-person CLAIMS population (seed 42), two epochs.
+* `cohort` and `bench`: the same population and seed.
+* `cross-eval`: a 1,200-person EHR population (seed 42) scored with the
+  `train` run's model.
+* `two-step`: pretrained on the EHR population, fine-tuned on the CLAIMS
+  one, two epochs each.
 * `use-case`: the SUBSTANCE cohort of a 6,000-person population (seed 42),
   fine-tuned from the `train` run's model. At 1,200 persons the SUBSTANCE
   splits hold no cases, so this run needs the larger population.
+
+Each run pins exactly the artifacts it writes; the others must be absent.
 
 A change that alters any of these bytes must say which bits changed and
 why, and update the hashes in the same change.
@@ -33,6 +40,24 @@ GOLDEN = {
         "report.csv": "2c6a5f4d56bfc11ae094b32ce7b3a12534ac001742c29c6a4e229b831ce021ca",
         "model.bin": "8d8374260a62132af1c9e758ceef19427d670b82670a75f1a52ada5b0b967e1b",
     },
+    "cohort": {
+        "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
+    },
+    "bench": {
+        "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
+        "report.csv": "b8bd0096e496a82a08189ec3aea863b82b707e4c26a84df02d3db2cc106a8c98",
+    },
+    "cross-eval": {
+        "cohort.csv": "d7f68ebe0972ef169b310005971eb2ee303c82a2317515193744adca4298a3f1",
+        "vocabulary.txt": "a60e5ffbd7a822fcb2f2e25d29395f957477a7a6e41a833fa99a220c60d9506b",
+        "report.csv": "2a1a48f7b448a38e92117c9d8ed8cd3a60d3c1a71b7073bfdd29f7a081e4dd05",
+    },
+    "two-step": {
+        "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
+        "vocabulary.txt": "a54ec65c3b1c40873b0804bd185b2b5f163cd414c590f264db4382eb99812499",
+        "report.csv": "9b3605eed63f3c6337cd2de3f3c55be2fd2d2d6d4beb736e244a5c8112979be0",
+        "model.bin": "2973b9b031929b827d815db404c900af699707fdd11e2c03d493c1f386d760bb",
+    },
     "use-case": {
         "cohort.csv": "5b6d9c5912c8df09822d6c23745631e50e0307c1eebd6b41b34886110be52925",
         "vocabulary.txt": "85fd2953de90aba3956f44991e05a3d53abe10651921d50cb51a02696604ff36",
@@ -57,36 +82,43 @@ def _config(path: Path, values: dict[str, object]) -> str:
     return str(path)
 
 
-def _synth(root: Path, name: str, persons: int) -> Path:
+def _synth(root: Path, name: str, persons: int, source: str = "CLAIMS") -> Path:
     out = root / name
-    cfg = _config(root / f"{name}.cfg", {"synth.n_persons": persons, "synth.source": "CLAIMS", "seed": 42})
+    cfg = _config(root / f"{name}.cfg", {"synth.n_persons": persons, "synth.source": source, "seed": 42})
     _cli("synth", "--config", cfg, "--out", str(out))
     return out
+
+
+def _data(pop: Path) -> dict[str, object]:
+    return {"data.persons": pop / "persons.csv", "data.events": pop / "events.csv"}
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     small = _synth(root, "pop1200", 1200)
+    ehr = _synth(root, "ehr1200", 1200, source="EHR")
+    two_epochs = {"seed": 42, "nnet.max_epochs": 2, "nnet.patience": 2}
     train_out = root / "train"
-    cfg = _config(
-        root / "train.cfg",
-        {
-            "data.persons": small / "persons.csv",
-            "data.events": small / "events.csv",
-            "seed": 42,
-            "nnet.max_epochs": 2,
-            "nnet.patience": 2,
-        },
-    )
+    cfg = _config(root / "train.cfg", {**_data(small), **two_epochs})
     _cli("train", "--config", cfg, "--out", str(train_out))
+    outs = {"train": train_out}
+    for mode in ("cohort", "bench"):
+        outs[mode] = root / mode
+        _cli(mode, "--config", cfg, "--out", str(outs[mode]))
+    outs["cross-eval"] = root / "cross-eval"
+    cfg = _config(root / "cross-eval.cfg", {**_data(ehr), **two_epochs})
+    _cli("cross-eval", "--config", cfg, "--out", str(outs["cross-eval"]), "--model-dir", str(train_out))
+    outs["two-step"] = root / "two-step"
+    pretrain = {"pretrain.persons": ehr / "persons.csv", "pretrain.events": ehr / "events.csv"}
+    cfg = _config(root / "two-step.cfg", {**pretrain, **_data(small), **two_epochs})
+    _cli("two-step", "--config", cfg, "--out", str(outs["two-step"]))
     large = _synth(root, "pop6000", 6000)
     use_out = root / "use-case"
     cfg = _config(
         root / "use-case.cfg",
         {
-            "data.persons": large / "persons.csv",
-            "data.events": large / "events.csv",
+            **_data(large),
             "seed": 42,
             "cohort.kind": "SUBSTANCE",
             "split.train": 0.34,
@@ -97,12 +129,15 @@ def runs(tmp_path_factory):
         },
     )
     _cli("use-case", "--config", cfg, "--out", str(use_out), "--model-dir", str(train_out))
-    return {"train": train_out, "use-case": use_out}
+    outs["use-case"] = use_out
+    return outs
 
 
 @pytest.mark.parametrize("run", sorted(GOLDEN))
 def test_artifacts_match_golden_hashes(runs, run):
     got = {
-        name: hashlib.sha256((runs[run] / name).read_bytes()).hexdigest() for name in ARTIFACTS
+        name: hashlib.sha256((runs[run] / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+        if (runs[run] / name).exists()
     }
     assert got == GOLDEN[run]
