@@ -23,7 +23,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="global seed (overrides config)")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, help="worker threads (results identical for any value)")
+    parser.add_argument("--threads", type=int, help="accepted so existing configs run; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

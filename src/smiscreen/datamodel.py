@@ -22,8 +22,8 @@ dates are ISO YYYY-MM-DD; kind is written lowercase (dx/rx) on disk.
 events.csv is parsed in fixed-size blocks. A load error names path:line of
 the first offending physical line in file order, whichever check it
 fails; blank lines are skipped but still counted. A `"` anywhere in a data
-line is an error, as are a carriage return not ending a line and invalid
-UTF-8.
+line of either file is an error; so are, in events.csv, a carriage return
+not ending a line and invalid UTF-8.
 """
 
 from __future__ import annotations
@@ -104,16 +104,25 @@ def _parse_date(text: str, where: str) -> datetime.date:
         raise DataError(f"{where}: unparseable date {text!r}") from exc
 
 
+def _persons_rows(lines: Iterable[str], path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each persons.csv line; a `"` is an error."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.rstrip("\r\n")
+        if '"' in text:
+            raise DataError(f"{path}:{lineno}: quoted field; persons.csv does not support quoting")
+        yield lineno, text.split(",") if text else []
+
+
 def load_persons(path: str) -> list[Person]:
     """Parse persons.csv, rejecting malformed rows and duplicate ids."""
     persons: list[Person] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _persons_rows(fh, path)
+        _, header = next(rows, (1, None))
         if header != PERSONS_HEADER:
             raise DataError(f"{path}: expected header {','.join(PERSONS_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 6:
@@ -469,14 +478,14 @@ def write_persons(persons: list[Person], path: str) -> None:
         writer.writerow(PERSONS_HEADER)
         for p in persons:
             writer.writerow(
-                [p.person_id, p.birth_year, p.gender,
+                [_plain(p.person_id, "persons.csv"), p.birth_year, p.gender,
                  p.enroll_start.isoformat(), p.enroll_end.isoformat(), p.source]
             )
 
 
-def _plain(text: str) -> str:
+def _plain(text: str, name: str = "events.csv") -> str:
     if any(ch in text for ch in _CSV_SPECIAL):
-        raise DataError(f"cannot write {text!r} to events.csv, which has no quoting")
+        raise DataError(f"cannot write {text!r} to {name}, which has no quoting")
     return text
 
 

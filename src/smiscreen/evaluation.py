@@ -238,6 +238,49 @@ def write_report_json(
         fh.write("\n")
 
 
+# report.json row key -> (EvalReport field, accepted JSON types)
+_REPORT_FIELDS = {
+    "method": ("method", (str,)),
+    "dataset": ("dataset", (str,)),
+    "cohort": ("cohort_kind", (str,)),
+    "auc": ("auc", (int, float, type(None))),
+    "threshold": ("threshold", (int, float, type(None))),
+    "sensitivity": ("sensitivity", (int, float)),
+    "specificity": ("specificity", (int, float)),
+    "prevalence": ("prevalence", (int, float)),
+    "n_pos": ("n_pos", (int,)),
+    "n_neg": ("n_neg", (int,)),
+}
+
+
+def read_report_json(path: str) -> list[EvalReport]:
+    """The rows of a report.json. A malformed file is a DataError naming
+    the file and, for a bad row, its index."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read report {path}: {exc}") from exc
+    rows = payload.get("reports", []) if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise DataError(f"{path}: expected a JSON object with a 'reports' list")
+    reports = []
+    for i, row in enumerate(rows):
+        where = f"{path}: reports[{i}]"
+        if not isinstance(row, dict):
+            raise DataError(f"{where} is not a JSON object")
+        fields = {}
+        for key, (name, types) in _REPORT_FIELDS.items():
+            if key not in row:
+                raise DataError(f"{where} lacks {key!r}")
+            value = row[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DataError(f"{where}: {key} has the wrong type ({value!r})")
+            fields[name] = value
+        reports.append(EvalReport(**fields))
+    return reports
+
+
 def write_report_csv(reports: list[EvalReport], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -62,8 +63,8 @@ class Hyperparams:
         for name in ("embedding_dim", "hidden1", "hidden2", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"hyperparameter {name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # also refuses NaN
+            raise ConfigError("learning_rate must be positive and finite")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
 
@@ -338,15 +339,41 @@ def train(
     return best, log
 
 
+def _reseat(
+    m: ModelParams,
+    vocab: Vocabulary,
+    target: Vocabulary,
+    fresh_rows: Callable[[int, int], np.ndarray] | None,
+) -> ModelParams:
+    """Copy of `m` bound to `target`. Embedding rows of codes in both
+    vocabularies are copied; the rows of target codes foreign to `vocab`
+    come from `fresh_rows(n, d)` in target order, or are a DataError when
+    there is no `fresh_rows`. Dense layers are copied verbatim: mean
+    pooling keeps their input width independent of V."""
+    index = vocab.index
+    rows = np.array([index.get(code, -1) for code in target.entries], dtype=np.int64)
+    foreign = rows < 0
+    n_foreign = int(foreign.sum())
+    if n_foreign and fresh_rows is None:
+        raise DataError(f"restricted vocabulary has {n_foreign} codes foreign to the model")
+    embedding = m.embedding[np.where(foreign, 0, rows)]
+    if n_foreign:
+        embedding[foreign] = fresh_rows(n_foreign, m.embedding_dim)
+    dense = {name: getattr(m, name).copy() for name in _PARAM_FIELDS[1:]}
+    return ModelParams(embedding, **dense, vocab_fingerprint=target.fingerprint())
+
+
+def restrict_model(m: ModelParams, vocab: Vocabulary, shared: Vocabulary) -> ModelParams:
+    """Project a model onto a sub-vocabulary: keep the embedding rows of
+    shared codes, dense layers unchanged."""
+    return _reseat(m, vocab, shared, None)
+
+
 def transfer_init(
     pre: ModelParams, pre_vocab: Vocabulary, target_vocab: Vocabulary, hp: Hyperparams
 ) -> ModelParams:
-    """Re-seat a trained model onto a new vocabulary.
-
-    Embedding rows for codes present in both vocabularies are copied; rows
-    for target-only codes are freshly initialized. Dense layers transfer
-    verbatim: mean pooling keeps their input width independent of V.
-    """
+    """Re-seat a trained model onto a new vocabulary; rows for target-only
+    codes are freshly initialized like `init_model` does."""
     if (pre.embedding_dim, pre.hidden1, pre.hidden2) != (
         hp.embedding_dim,
         hp.hidden1,
@@ -357,25 +384,8 @@ def transfer_init(
             f"h1={pre.hidden1}, h2={pre.hidden2}) vs requested "
             f"(d={hp.embedding_dim}, h1={hp.hidden1}, h2={hp.hidden2})"
         )
-    src_index = pre_vocab.index
     gen = rngmod.stream(hp.seed, "transfer")
-    embedding = np.empty((len(target_vocab), pre.embedding_dim))
-    for i, code in enumerate(target_vocab.entries):
-        j = src_index.get(code)
-        if j is None:
-            embedding[i] = gen.uniform(-0.05, 0.05, size=pre.embedding_dim)
-        else:
-            embedding[i] = pre.embedding[j]
-    return ModelParams(
-        embedding=embedding,
-        w1=pre.w1.copy(),
-        b1=pre.b1.copy(),
-        w2=pre.w2.copy(),
-        b2=pre.b2.copy(),
-        w_out=pre.w_out.copy(),
-        b_out=pre.b_out.copy(),
-        vocab_fingerprint=target_vocab.fingerprint(),
-    )
+    return _reseat(pre, pre_vocab, target_vocab, lambda n, d: gen.uniform(-0.05, 0.05, size=(n, d)))
 
 
 def check_fingerprint(m: ModelParams, vocab: Vocabulary) -> None:
@@ -426,6 +436,33 @@ def _expected_shapes(v: int, d: int, h1: int, h2: int) -> dict[str, tuple[int, .
     }
 
 
+def _check_header(header: object, path: str) -> Hyperparams:
+    """Hyperparams of a model header whose checksum passed; a missing,
+    unknown or mistyped key is a ModelCorruptError."""
+    if not isinstance(header, dict):
+        raise ModelCorruptError(f"{path}: header is not a JSON object")
+    missing = [k for k in ("V", "d", "h1", "h2", "hyperparams", "vocab_fingerprint") if k not in header]
+    if missing:
+        raise ModelCorruptError(f"{path}: header lacks {', '.join(missing)}")
+    for key in ("V", "d", "h1", "h2"):
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ModelCorruptError(f"{path}: header {key}={value!r} is not a positive integer")
+    if not isinstance(header["vocab_fingerprint"], str):
+        raise ModelCorruptError(f"{path}: header vocab_fingerprint is not a string")
+    raw = header["hyperparams"]
+    if not isinstance(raw, dict):
+        raise ModelCorruptError(f"{path}: header hyperparams is not a JSON object")
+    names = {f.name for f in fields(Hyperparams)}
+    for what, keys in (("unknown", set(raw) - names), ("missing", names - set(raw))):
+        if keys:
+            raise ModelCorruptError(f"{path}: {what} hyperparams in header: {', '.join(sorted(keys))}")
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ModelCorruptError(f"{path}: header hyperparam {key}={value!r} is not a number")
+    return Hyperparams(**raw)
+
+
 def load_model(path: str) -> tuple[ModelParams, Hyperparams]:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -447,6 +484,7 @@ def load_model(path: str) -> tuple[ModelParams, Hyperparams]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelCorruptError(f"{path}: unreadable header") from exc
     offset += header_len
+    hp = _check_header(header, path)
     shapes = _expected_shapes(header["V"], header["d"], header["h1"], header["h2"])
     arrays: dict[str, np.ndarray] = {}
     for name in _PARAM_FIELDS:
@@ -463,7 +501,6 @@ def load_model(path: str) -> tuple[ModelParams, Hyperparams]:
         offset += nbytes
     if offset != len(body):
         raise ModelCorruptError(f"{path}: {len(body) - offset} trailing bytes")
-    hp = Hyperparams(**header["hyperparams"])
     model = ModelParams(**arrays, vocab_fingerprint=header["vocab_fingerprint"])
     if not all(np.all(np.isfinite(a)) for a in arrays.values()):
         raise ModelCorruptError(f"{path}: non-finite parameter values")

@@ -6,6 +6,14 @@ would leak across the train/test boundary. The vocabulary is built from
 the training split only, and the decision threshold is chosen on the
 validation split, so nothing downstream of TRAIN/VAL ever sees test data.
 
+Every mode except `synth` and `cohort` starts from `prepare` (cohort,
+split, per-split labels). The training modes add `fit` (train-split
+vocabulary, features, training from `init(vocab)`): scratch `init_model`
+for `train`, `transfer_init` from a pretrained or base model for
+`two-step` and `use-case`. Featurization is serial: it is GIL-bound
+Python, where threads only add overhead. The `threads` setting is
+accepted and has no effect.
+
 Every run writes its artifacts under one output directory: cohort.csv,
 vocabulary.txt, model.bin, report.json, report.csv, manifest.json. Reruns
 with the same config and seed are byte-identical except for the manifest
@@ -17,9 +25,11 @@ from __future__ import annotations
 import contextlib
 import datetime as _datetime
 import json
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +54,7 @@ from .evaluation import (
     benchmark2,
     evaluate_benchmark,
     evaluate_model,
+    read_report_json,
     write_report_csv,
     write_report_json,
 )
@@ -63,6 +74,7 @@ from .nnet import (
     check_fingerprint,
     init_model,
     load_model,
+    restrict_model,
     save_model,
     score_batch,
     train,
@@ -98,14 +110,6 @@ def _limit_blas_threads():
         return contextlib.nullcontext()
 
 
-def parallel_map(fn, items, threads: int):
-    """Order-preserving map; results are independent of `threads`."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass
 class SplitFractions:
     train: float = 0.60
@@ -114,8 +118,8 @@ class SplitFractions:
 
     def validate(self) -> None:
         parts = (self.train, self.val, self.test)
-        if any(f <= 0 for f in parts):
-            raise ConfigError("split fractions must be positive")
+        if not all(0 < f < 1 for f in parts):  # also refuses NaN
+            raise ConfigError("split fractions must each lie in (0, 1)")
         if abs(sum(parts) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {sum(parts)}")
 
@@ -168,6 +172,15 @@ def split_cohort(
     return assignment
 
 
+def _finite_float(text: str) -> float:
+    """float(text), refusing NaN and +-inf: every comparison with NaN is
+    False, so range checks downstream would let it through."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 @dataclass
 class RunConfig:
     persons_path: str = ""
@@ -213,7 +226,7 @@ class RunConfig:
             "nnet.embedding_dim": ("embedding_dim", int),
             "nnet.hidden1": ("hidden1", int),
             "nnet.hidden2": ("hidden2", int),
-            "nnet.learning_rate": ("learning_rate", float),
+            "nnet.learning_rate": ("learning_rate", _finite_float),
             "nnet.batch_size": ("batch_size", int),
             "nnet.max_epochs": ("max_epochs", int),
             "nnet.patience": ("patience", int),
@@ -221,9 +234,9 @@ class RunConfig:
         synth_keys = {
             "synth.n_persons": int,
             "synth.source": str,
-            "synth.event_rate": float,
-            "synth.base_logit": float,
-            "synth.rate_cap": float,
+            "synth.event_rate": _finite_float,
+            "synth.base_logit": _finite_float,
+            "synth.rate_cap": _finite_float,
             "synth.n_shared_dx": int,
             "synth.n_specific_dx": int,
             "synth.n_rx": int,
@@ -237,7 +250,7 @@ class RunConfig:
                     attr, typ = known[key]
                     setattr(cfg, attr, typ(value))
                 elif key in split_keys:
-                    setattr(cfg.fractions, split_keys[key], float(value))
+                    setattr(cfg.fractions, split_keys[key], _finite_float(value))
                 elif key in nnet_keys:
                     attr, typ = nnet_keys[key]
                     setattr(cfg.hp, attr, typ(value))
@@ -386,110 +399,111 @@ def _write_manifest(cfg: RunConfig, mode: str, counts: dict[str, object], out_di
         fh.write("\n")
 
 
-def _write_reports(cfg: RunConfig, reports: list[EvalReport], out_dir: str) -> None:
-    write_report_json(
-        reports,
-        os.path.join(out_dir, "report.json"),
-        seed=cfg.seed,
-        version=version_string(),
-        timestamp=_timestamp(),
-    )
-    write_report_csv(reports, os.path.join(out_dir, "report.csv"))
-
-
 @dataclass
-class FittedSource:
-    """Everything produced by cohort building plus training on one dataset."""
+class Prepared:
+    """A cohort and its splits: what every run mode starts from."""
 
     dataset: Dataset
     phemap: PhecodeMap
     examples: list[CohortExample]
     stats: CohortBuildStats
     splits: dict[str, list[CohortExample]]
+    labels: dict[str, np.ndarray]
+
+    @property
+    def cohort_kind(self) -> str:
+        return self.examples[0].cohort_kind
+
+
+@dataclass
+class FittedSource(Prepared):
+    """A prepared cohort plus its train-split vocabulary, features and model."""
+
     vocab: Vocabulary
     features: dict[str, list[FeatureVector]]
-    labels: dict[str, np.ndarray]
     model: ModelParams
     log: TrainingLog
 
 
-def _featurize_split(
-    splits: dict[str, list[CohortExample]], d: Dataset, vocab: Vocabulary, threads: int
-) -> tuple[dict[str, list[FeatureVector]], dict[str, np.ndarray]]:
-    features = {
-        name: parallel_map(lambda ex: featurize(ex, d, vocab), splits[name], threads)
-        for name in SPLITS
-    }
+def prepare(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> Prepared:
+    """Cohort -> match-group split -> per-split labels."""
+    with stage("cohort"):
+        examples, stats = build_cohort(
+            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
+        )
+    with stage("split"):
+        splits = split_cohort(examples, cfg.fractions, cfg.seed).split_examples(examples)
     labels = {
         name: np.array([ex.label for ex in splits[name]], dtype=np.float64) for name in SPLITS
     }
-    return features, labels
+    return Prepared(dataset, phemap, examples, stats, splits, labels)
+
+
+def _featurize(
+    prepared: Prepared, vocab: Vocabulary, names: tuple[str, ...]
+) -> dict[str, list[FeatureVector]]:
+    d = prepared.dataset
+    return {name: [featurize(ex, d, vocab) for ex in prepared.splits[name]] for name in names}
 
 
 def _auc_eval(scores: np.ndarray, labels: np.ndarray) -> float:
     return auc(ScoredSet(scores, labels.astype(np.int64)))
 
 
-def fit_source(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> FittedSource:
-    """Cohort -> split -> train-split vocabulary -> train from scratch."""
-    with stage("cohort"):
-        examples, stats = build_cohort(
-            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
-        )
-    with stage("split"):
-        assignment = split_cohort(examples, cfg.fractions, cfg.seed)
-        splits = assignment.split_examples(examples)
+def fit(
+    cfg: RunConfig, prepared: Prepared, init: Callable[[Vocabulary], ModelParams]
+) -> FittedSource:
+    """Train-split vocabulary -> features -> train from `init(vocab)`."""
     with stage("features"):
-        vocab = build_vocabulary(splits[TRAIN], dataset)
-        features, labels = _featurize_split(splits, dataset, vocab, cfg.threads)
+        vocab = build_vocabulary(prepared.splits[TRAIN], prepared.dataset)
+        features = _featurize(prepared, vocab, SPLITS)
+    labels = prepared.labels
     with stage("train"):
-        model0 = init_model(len(vocab), cfg.hp, vocab.fingerprint())
+        model0 = init(vocab)
         with _limit_blas_threads():
             model, log = train(
-                model0,
-                features[TRAIN],
-                labels[TRAIN],
-                features[VAL],
-                labels[VAL],
-                cfg.hp,
-                _auc_eval,
+                model0, features[TRAIN], labels[TRAIN], features[VAL], labels[VAL], cfg.hp, _auc_eval
             )
-    return FittedSource(
-        dataset, phemap, examples, stats, splits, vocab, features, labels, model, log
+    return FittedSource(**vars(prepared), vocab=vocab, features=features, model=model, log=log)
+
+
+def fit_source(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> FittedSource:
+    """Cohort -> split -> train-split vocabulary -> train from scratch."""
+    return fit(
+        cfg,
+        prepare(cfg, dataset, phemap),
+        lambda vocab: init_model(len(vocab), cfg.hp, vocab.fingerprint()),
     )
 
 
-def _benchmark_reports(
-    fitted: FittedSource, dataset_tag: str, exclude_substance: bool
-) -> list[EvalReport]:
-    test_examples = fitted.splits[TEST]
-    labels = fitted.labels[TEST]
+def _benchmark_reports(prepared: Prepared) -> list[EvalReport]:
+    """BENCH1/BENCH2 on the test split; substance cohorts drop substance
+    codes from the trigger sets."""
+    kind, d, m = prepared.cohort_kind, prepared.dataset, prepared.phemap
+    exclude_substance = kind == SUBSTANCE
+    labels = prepared.labels[TEST]
     reports = []
     for method, fn in (("BENCH1", benchmark1), ("BENCH2", benchmark2)):
         preds = np.array(
-            [fn(ex, fitted.dataset, fitted.phemap, exclude_substance) for ex in test_examples],
-            dtype=np.float64,
+            [fn(ex, d, m, exclude_substance) for ex in prepared.splits[TEST]], dtype=np.float64
         )
-        reports.append(
-            evaluate_benchmark(
-                preds, labels, method=method, dataset=dataset_tag, cohort_kind=fitted.examples[0].cohort_kind
-            )
-        )
+        reports.append(evaluate_benchmark(preds, labels, method=method, dataset=d.source, cohort_kind=kind))
     return reports
 
 
 def _model_report(
-    fitted: FittedSource, method: str, dataset_tag: str
+    prepared: Prepared, model: ModelParams, features: dict[str, list[FeatureVector]], method: str
 ) -> EvalReport:
+    """Threshold on VAL, metrics on TEST."""
     with _limit_blas_threads():
-        val_scores = score_batch(fitted.model, fitted.features[VAL])
-        test_scores = score_batch(fitted.model, fitted.features[TEST])
+        val_scores = score_batch(model, features[VAL])
+        test_scores = score_batch(model, features[TEST])
     return evaluate_model(
-        ScoredSet(val_scores, fitted.labels[VAL].astype(np.int64)),
-        ScoredSet(test_scores, fitted.labels[TEST].astype(np.int64)),
+        ScoredSet(val_scores, prepared.labels[VAL].astype(np.int64)),
+        ScoredSet(test_scores, prepared.labels[TEST].astype(np.int64)),
         method=method,
-        dataset=dataset_tag,
-        cohort_kind=fitted.examples[0].cohort_kind,
+        dataset=prepared.dataset.source,
+        cohort_kind=prepared.cohort_kind,
     )
 
 
@@ -512,14 +526,43 @@ def _counts(fitted: FittedSource) -> dict[str, object]:
     }
 
 
-def _emit_fitted(cfg: RunConfig, fitted: FittedSource, reports: list[EvalReport], mode: str) -> None:
+def _emit(
+    cfg: RunConfig,
+    mode: str,
+    counts: dict[str, object],
+    *,
+    examples: list[CohortExample] | None = None,
+    vocab: Vocabulary | None = None,
+    model: ModelParams | None = None,
+    reports: list[EvalReport] | None = None,
+) -> None:
+    """Write the given artifacts, then manifest.json, under cfg.out_dir."""
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    write_cohort(fitted.examples, os.path.join(out, "cohort.csv"))
-    write_vocabulary(fitted.vocab, os.path.join(out, VOCAB_FILE))
-    save_model(fitted.model, cfg.hp, os.path.join(out, MODEL_FILE))
-    _write_reports(cfg, reports, out)
-    _write_manifest(cfg, mode, _counts(fitted), out)
+    if examples is not None:
+        write_cohort(examples, os.path.join(out, "cohort.csv"))
+    if vocab is not None:
+        write_vocabulary(vocab, os.path.join(out, VOCAB_FILE))
+    if model is not None:
+        save_model(model, cfg.hp, os.path.join(out, MODEL_FILE))
+    if reports is not None:
+        json_path, version = os.path.join(out, "report.json"), version_string()
+        write_report_json(reports, json_path, seed=cfg.seed, version=version, timestamp=_timestamp())
+        write_report_csv(reports, os.path.join(out, "report.csv"))
+    _write_manifest(cfg, mode, counts, out)
+
+
+def _report_fitted(
+    cfg: RunConfig, fitted: FittedSource, mode: str, method: str = "MODEL", benchmarks: bool = True
+) -> list[EvalReport]:
+    """Evaluate a fitted model (plus the benchmarks) and write every artifact."""
+    with stage("evaluate"):
+        reports = [_model_report(fitted, fitted.model, fitted.features, method)]
+        if benchmarks:
+            reports.extend(_benchmark_reports(fitted))
+    _emit(cfg, mode, _counts(fitted), examples=fitted.examples, vocab=fitted.vocab,
+          model=fitted.model, reports=reports)
+    return reports
 
 
 def run_synth(cfg: RunConfig) -> dict[str, str]:
@@ -539,83 +582,47 @@ def run_synth(cfg: RunConfig) -> dict[str, str]:
     write_events(dataset, paths["events"])
     write_ground_truth(truth, paths["ground_truth"])
     n_onsets = sum(1 for v in truth.onset_date.values() if v is not None)
-    _write_manifest(
-        cfg,
-        "synth",
-        {"persons": len(dataset.persons), "events": dataset.n_events, "onsets": n_onsets},
-        out,
-    )
+    _emit(cfg, "synth", {"persons": len(dataset.persons), "events": dataset.n_events, "onsets": n_onsets})
     return paths
 
 
 def run_cohort(cfg: RunConfig) -> list[CohortExample]:
-    """Build and write the configured cohort without training anything."""
+    """Build and write the configured cohort without splitting or training:
+    a valid cohort may be too small for two-class splits."""
     dataset, phemap = load_inputs(cfg)
     with stage("cohort"):
         examples, stats = build_cohort(
             dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
         )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_cohort(examples, os.path.join(cfg.out_dir, "cohort.csv"))
-    _write_manifest(
-        cfg,
-        "cohort",
-        {
-            "persons": len(dataset.persons),
-            "examples": len(examples),
-            "cases": stats.n_cases_retained,
-            "controls": stats.n_controls,
-            "prevalence": prevalence(examples),
-        },
-        cfg.out_dir,
-    )
+    counts = {
+        "persons": len(dataset.persons),
+        "examples": len(examples),
+        "cases": stats.n_cases_retained,
+        "controls": stats.n_controls,
+        "prevalence": prevalence(examples),
+    }
+    _emit(cfg, "cohort", counts, examples=examples)
     return examples
 
 
 def run_single_source(cfg: RunConfig) -> list[EvalReport]:
     """Train and evaluate one source: model row plus both benchmark rows."""
     dataset, phemap = load_inputs(cfg)
-    fitted = fit_source(cfg, dataset, phemap)
-    tag = dataset.source
-    flag = cfg.cohort_kind == SUBSTANCE
-    with stage("evaluate"):
-        reports = [_model_report(fitted, "MODEL", tag)]
-        reports.extend(_benchmark_reports(fitted, tag, flag))
-    _emit_fitted(cfg, fitted, reports, "train")
-    return reports
+    return _report_fitted(cfg, fit_source(cfg, dataset, phemap), "train")
 
 
 def run_bench(cfg: RunConfig) -> list[EvalReport]:
     """Benchmarks only, on the test split of the configured cohort."""
-    dataset, phemap = load_inputs(cfg)
-    with stage("cohort"):
-        examples, stats = build_cohort(
-            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
-        )
-    with stage("split"):
-        splits = split_cohort(examples, cfg.fractions, cfg.seed).split_examples(examples)
-    flag = cfg.cohort_kind == SUBSTANCE
-    labels = np.array([ex.label for ex in splits[TEST]], dtype=np.float64)
-    reports = []
+    prepared = prepare(cfg, *load_inputs(cfg))
     with stage("evaluate"):
-        for method, fn in (("BENCH1", benchmark1), ("BENCH2", benchmark2)):
-            preds = np.array(
-                [fn(ex, dataset, phemap, flag) for ex in splits[TEST]], dtype=np.float64
-            )
-            reports.append(
-                evaluate_benchmark(
-                    preds, labels, method=method, dataset=dataset.source, cohort_kind=cfg.cohort_kind
-                )
-            )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_cohort(examples, os.path.join(cfg.out_dir, "cohort.csv"))
-    _write_reports(cfg, reports, cfg.out_dir)
-    _write_manifest(
-        cfg,
-        "bench",
-        {"examples": len(examples), "cases": stats.n_cases_retained, "prevalence": prevalence(examples)},
-        cfg.out_dir,
-    )
+        reports = _benchmark_reports(prepared)
+    examples = prepared.examples
+    counts = {
+        "examples": len(examples),
+        "cases": prepared.stats.n_cases_retained,
+        "prevalence": prevalence(examples),
+    }
+    _emit(cfg, "bench", counts, examples=examples, reports=reports)
     return reports
 
 
@@ -627,73 +634,28 @@ def load_model_dir(model_dir: str) -> tuple[ModelParams, Hyperparams, Vocabulary
     return model, hp, vocab
 
 
-def restrict_model(model: ModelParams, vocab: Vocabulary, shared: Vocabulary) -> ModelParams:
-    """Project a model onto a sub-vocabulary: keep the embedding rows of
-    shared codes, dense layers unchanged."""
-    index = vocab.index
-    missing = [c for c in shared.entries if c not in index]
-    if missing:
-        raise DataError(f"restricted vocabulary has {len(missing)} codes foreign to the model")
-    rows = np.array([index[c] for c in shared.entries], dtype=np.int64)
-    return ModelParams(
-        embedding=model.embedding[rows].copy(),
-        w1=model.w1.copy(),
-        b1=model.b1.copy(),
-        w2=model.w2.copy(),
-        b2=model.b2.copy(),
-        w_out=model.w_out.copy(),
-        b_out=model.b_out.copy(),
-        vocab_fingerprint=shared.fingerprint(),
-    )
-
-
 def run_cross_eval(cfg: RunConfig, model_dir: str) -> list[EvalReport]:
     """Score a foreign dataset with a trained model, restricted to the
-    overlap of the two vocabularies."""
+    overlap of the two vocabularies. Only VAL and TEST are featurized."""
     model, model_hp, model_vocab = load_model_dir(model_dir)
-    dataset, phemap = load_inputs(cfg)
-    with stage("cohort"):
-        examples, stats = build_cohort(
-            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
-        )
-    with stage("split"):
-        splits = split_cohort(examples, cfg.fractions, cfg.seed).split_examples(examples)
+    prepared = prepare(cfg, *load_inputs(cfg))
     with stage("features"):
-        target_vocab = build_vocabulary(splits[TRAIN], dataset)
+        target_vocab = build_vocabulary(prepared.splits[TRAIN], prepared.dataset)
         shared = intersect_vocabularies(model_vocab, target_vocab)
         restricted = restrict_model(model, model_vocab, shared)
-        feats = {
-            name: parallel_map(lambda ex: featurize(ex, dataset, shared), splits[name], cfg.threads)
-            for name in (VAL, TEST)
-        }
-    with stage("evaluate"), _limit_blas_threads():
-        val = ScoredSet(
-            score_batch(restricted, feats[VAL]),
-            np.array([ex.label for ex in splits[VAL]], dtype=np.int64),
-        )
-        test = ScoredSet(
-            score_batch(restricted, feats[TEST]),
-            np.array([ex.label for ex in splits[TEST]], dtype=np.int64),
-        )
-        report = evaluate_model(val, test, method="MODEL", dataset=dataset.source, cohort_kind=cfg.cohort_kind)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_cohort(examples, os.path.join(cfg.out_dir, "cohort.csv"))
-    write_vocabulary(shared, os.path.join(cfg.out_dir, VOCAB_FILE))
-    _write_reports(cfg, [report], cfg.out_dir)
-    _write_manifest(
-        cfg,
-        "cross-eval",
-        {
-            "examples": len(examples),
-            "cases": stats.n_cases_retained,
-            "model_vocabulary": len(model_vocab),
-            "target_vocabulary": len(target_vocab),
-            "shared_vocabulary": len(shared),
-            "model_hyperparams": asdict(model_hp),
-        },
-        cfg.out_dir,
-    )
-    return [report]
+        features = _featurize(prepared, shared, (VAL, TEST))
+    with stage("evaluate"):
+        reports = [_model_report(prepared, restricted, features, "MODEL")]
+    counts = {
+        "examples": len(prepared.examples),
+        "cases": prepared.stats.n_cases_retained,
+        "model_vocabulary": len(model_vocab),
+        "target_vocabulary": len(target_vocab),
+        "shared_vocabulary": len(shared),
+        "model_hyperparams": asdict(model_hp),
+    }
+    _emit(cfg, "cross-eval", counts, examples=prepared.examples, vocab=shared, reports=reports)
+    return reports
 
 
 def run_two_step(cfg: RunConfig) -> list[EvalReport]:
@@ -704,98 +666,27 @@ def run_two_step(cfg: RunConfig) -> list[EvalReport]:
     pre_cfg = replace(
         cfg, persons_path=cfg.pretrain_persons_path, events_path=cfg.pretrain_events_path
     )
-    pre_dataset, pre_map = load_inputs(pre_cfg)
-    pretrained = fit_source(pre_cfg, pre_dataset, pre_map)
-
-    dataset, phemap = load_inputs(cfg)
-    with stage("cohort"):
-        examples, stats = build_cohort(
-            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
-        )
-    with stage("split"):
-        assignment = split_cohort(examples, cfg.fractions, cfg.seed)
-        splits = assignment.split_examples(examples)
-    with stage("features"):
-        vocab = build_vocabulary(splits[TRAIN], dataset)
-        features, labels = _featurize_split(splits, dataset, vocab, cfg.threads)
-    with stage("train"):
-        seeded = transfer_init(pretrained.model, pretrained.vocab, vocab, cfg.hp)
-        with _limit_blas_threads():
-            model, log = train(
-                seeded, features[TRAIN], labels[TRAIN], features[VAL], labels[VAL], cfg.hp, _auc_eval
-            )
-    fitted = FittedSource(
-        dataset, phemap, examples, stats, splits, vocab, features, labels, model, log
-    )
-    with stage("evaluate"):
-        reports = [_model_report(fitted, "TWO_STEP", dataset.source)]
-    _emit_fitted(cfg, fitted, reports, "two-step")
-    return reports
+    pretrained = fit_source(pre_cfg, *load_inputs(pre_cfg))
+    prepared = prepare(cfg, *load_inputs(cfg))
+    fitted = fit(cfg, prepared, partial(transfer_init, pretrained.model, pretrained.vocab, hp=cfg.hp))
+    return _report_fitted(cfg, fitted, "two-step", method="TWO_STEP", benchmarks=False)
 
 
 def run_use_case(cfg: RunConfig, model_dir: str) -> list[EvalReport]:
     """Fine-tune a trained base model on a use-case cohort and evaluate it
-    against both benchmarks (substance runs drop substance codes from the
-    benchmark trigger sets)."""
+    against both benchmarks. `transfer_init` rejects a base model whose
+    layer sizes differ from the configured ones."""
     if cfg.cohort_kind == ALL_AGE:
         raise ConfigError("use-case mode needs cohort.kind=AGE18 or SUBSTANCE")
-    base_model, base_hp, base_vocab = load_model_dir(model_dir)
-    if (base_hp.embedding_dim, base_hp.hidden1, base_hp.hidden2) != (
-        cfg.hp.embedding_dim,
-        cfg.hp.hidden1,
-        cfg.hp.hidden2,
-    ):
-        raise ConfigError("use-case hyperparams must match the base model's layer sizes")
-    dataset, phemap = load_inputs(cfg)
-    with stage("cohort"):
-        examples, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed)
-    with stage("split"):
-        assignment = split_cohort(examples, cfg.fractions, cfg.seed)
-        splits = assignment.split_examples(examples)
-    with stage("features"):
-        vocab = build_vocabulary(splits[TRAIN], dataset)
-        features, labels = _featurize_split(splits, dataset, vocab, cfg.threads)
-    with stage("train"):
-        seeded = transfer_init(base_model, base_vocab, vocab, cfg.hp)
-        with _limit_blas_threads():
-            model, log = train(
-                seeded, features[TRAIN], labels[TRAIN], features[VAL], labels[VAL], cfg.hp, _auc_eval
-            )
-    fitted = FittedSource(
-        dataset, phemap, examples, stats, splits, vocab, features, labels, model, log
-    )
-    flag = cfg.cohort_kind == SUBSTANCE
-    with stage("evaluate"):
-        reports = [_model_report(fitted, "MODEL", dataset.source)]
-        reports.extend(_benchmark_reports(fitted, dataset.source, flag))
-    _emit_fitted(cfg, fitted, reports, "use-case")
-    return reports
+    base_model, _, base_vocab = load_model_dir(model_dir)
+    prepared = prepare(cfg, *load_inputs(cfg))
+    fitted = fit(cfg, prepared, partial(transfer_init, base_model, base_vocab, hp=cfg.hp))
+    return _report_fitted(cfg, fitted, "use-case")
 
 
 def run_report_merge(inputs: list[str], out_dir: str) -> str:
     """Combine one or more report.json files into a single report.csv."""
-    rows: list[EvalReport] = []
-    for path in inputs:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read report {path}: {exc}") from exc
-        for row in payload.get("reports", []):
-            rows.append(
-                EvalReport(
-                    method=row["method"],
-                    dataset=row["dataset"],
-                    cohort_kind=row["cohort"],
-                    auc=row["auc"],
-                    threshold=row["threshold"],
-                    sensitivity=row["sensitivity"],
-                    specificity=row["specificity"],
-                    prevalence=row["prevalence"],
-                    n_pos=row["n_pos"],
-                    n_neg=row["n_neg"],
-                )
-            )
+    rows = [row for path in inputs for row in read_report_json(path)]
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "report.csv")
     write_report_csv(rows, out_path)

@@ -1,6 +1,10 @@
-"""Finite-difference machinery shared by the unit and acceptance suites."""
+"""Finite-difference machinery shared by the unit and acceptance suites,
+and model-file header surgery for the load tests."""
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -55,3 +59,16 @@ def finite_difference_check(m, batch, labels, h=1e-5):
             denom = max(abs(numeric), abs(g[ix]), 1e-5)
             worst = max(worst, abs(numeric - g[ix]) / denom)
     return worst
+
+
+def rewrite_header(path, edit, out):
+    """Copy of a model file with `edit` applied to its JSON header and the
+    checksum recomputed, so only the header check can catch the damage."""
+    blob = open(path, "rb").read()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + header_len : -32]
+    open(out, "wb").write(body + hashlib.sha256(body).digest())
+    return out

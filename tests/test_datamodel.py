@@ -232,6 +232,25 @@ class TestLoadErrors:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
             load_events(path, load_persons(persons_csv))
 
+    @pytest.mark.parametrize("pid,year", [('"p,1"', "1980"), ("p1", '"1980"')], ids=["id", "birth_year"])
+    def test_quoted_persons_field_rejected(self, tmp_path, capsys, pid, year):
+        rows = f"p0,1980,F,2010-01-01,2015-06-30,CLAIMS\n{pid},{year},F,2010-01-01,2015-06-30,CLAIMS\n"
+        persons = write(tmp_path / "p.csv", PERSONS_HEADER + rows)
+        message = f"{persons}:3: quoted field; persons.csv does not support quoting"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_persons(persons)
+        events = self.events_csv(tmp_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data.persons={persons}\ndata.events={events}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{persons}:3: quoted field" in err and "Traceback" not in err
+
+    def test_person_id_needing_quotes_is_not_written(self, tmp_path):
+        person = make_person("p,1")
+        with pytest.raises(DataError, match=re.escape("cannot write 'p,1' to persons.csv, which has no quoting")):
+            write_persons([person], str(tmp_path / "p.csv"))
+
     def test_bad_header(self, tmp_path, persons_csv):
         path = self.events_csv(tmp_path, GOOD_ROW, header=b"person_id,date,kind,code\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: expected header")):

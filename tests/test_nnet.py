@@ -1,11 +1,12 @@
 """Network math against finite differences and hand arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from nnet_checks import finite_difference_check, kink_distance, random_model_and_batch
+from nnet_checks import finite_difference_check, kink_distance, random_model_and_batch, rewrite_header
 from smiscreen.errors import ConfigError, DataError, DegenerateCohortError
 from smiscreen.evaluation import ScoredSet, auc
 from smiscreen.features import FeatureVector, Vocabulary
@@ -25,6 +26,7 @@ from smiscreen.nnet import (
     forward,
     init_model,
     load_model,
+    restrict_model,
     save_model,
     score_batch,
     train,
@@ -277,6 +279,18 @@ class TestTransfer:
         assert np.array_equal(out.embedding[1], pre.embedding[2])  # C
         assert not np.array_equal(out.embedding[2], pre.embedding[0])
 
+    def test_restrict_keeps_shared_rows_and_rejects_foreign_codes(self):
+        a = Vocabulary(("dx:ICD10:A", "dx:ICD10:B", "dx:ICD10:C"))
+        shared = Vocabulary(("dx:ICD10:A", "dx:ICD10:C"))
+        hp = Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=2)
+        pre = init_model(len(a), hp, a.fingerprint())
+        out = restrict_model(pre, a, shared)
+        assert np.array_equal(out.embedding, pre.embedding[[0, 2]])
+        assert np.array_equal(out.w1, pre.w1) and out.w1 is not pre.w1
+        assert out.vocab_fingerprint == shared.fingerprint()
+        with pytest.raises(DataError, match="1 codes foreign to the model"):
+            restrict_model(pre, a, Vocabulary(("dx:ICD10:A", "dx:ICD10:Z")))
+
     def test_dimension_mismatch_rejected(self):
         vocab = Vocabulary(("dx:ICD10:A",))
         pre = init_model(1, Hyperparams(embedding_dim=4, hidden1=3, hidden2=2, seed=1))
@@ -345,3 +359,26 @@ class TestSerialization:
         other = Vocabulary(("dx:ICD10:OTHER",))
         with pytest.raises(FingerprintMismatchError):
             check_fingerprint(m, other)
+
+
+HEADER_DAMAGE = [
+    ("no V", lambda h: h.pop("V"), "header lacks V"),
+    (
+        "unknown hyperparam",
+        lambda h: h["hyperparams"].update(dropout=0.5),
+        "unknown hyperparams in header: dropout",
+    ),
+    ("missing hyperparam", lambda h: h["hyperparams"].pop("seed"), "missing hyperparams in header: seed"),
+    ("V not an int", lambda h: h.update(V="7"), "header V='7' is not a positive integer"),
+    ("hyperparams a list", lambda h: h.update(hyperparams=[]), "header hyperparams is not a JSON object"),
+]
+
+
+@pytest.mark.parametrize("case,edit,message", HEADER_DAMAGE, ids=[c for c, _, _ in HEADER_DAMAGE])
+def test_checksummed_bad_header_is_corrupt(tmp_path, case, edit, message):
+    hp = Hyperparams(embedding_dim=5, hidden1=4, hidden2=3, seed=33)
+    path = str(tmp_path / "model.bin")
+    save_model(init_model(7, hp), hp, path)
+    bad = rewrite_header(path, edit, str(tmp_path / "bad.bin"))
+    with pytest.raises(ModelCorruptError, match=re.escape(f"{bad}: {message}")):
+        load_model(bad)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
+from nnet_checks import rewrite_header
 from smiscreen.cli import main
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import ConfigError, DegenerateCohortError
@@ -26,6 +27,17 @@ SMALL_NNET = {
     "nnet.max_epochs": "4",
     "nnet.patience": "4",
 }
+
+
+FLOAT_KEYS = [
+    "split.train",
+    "split.val",
+    "split.test",
+    "nnet.learning_rate",
+    "synth.event_rate",
+    "synth.base_logit",
+    "synth.rate_cap",
+]
 
 
 def write_config(path, mapping):
@@ -134,6 +146,16 @@ class TestConfig:
         assert cfg.synth.smi_annual_rate_cap == 0.4
         assert cfg.synth.seed == 3
         assert cfg.synth.risk_weights  # planted defaults resolved
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", key: value})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}: bad value {value!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_synth_needs_source_and_count(self):
         with pytest.raises(ConfigError, match="synth"):
@@ -308,6 +330,28 @@ class TestCrossEval:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda h: h.pop("V"), "header lacks V"),
+            (lambda h: h["hyperparams"].update(dropout=0.5), "unknown hyperparams in header: dropout"),
+        ],
+        ids=["no V", "unknown hyperparam"],
+    )
+    def test_checksummed_bad_header_exits_3(self, workspace, tmp_path, capsys, edit, message):
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        rewrite_header(str(workspace["train"] / "model.bin"), edit, str(bad_dir / "model.bin"))
+        (bad_dir / "vocabulary.txt").write_bytes((workspace["train"] / "vocabulary.txt").read_bytes())
+        code = main(
+            ["cross-eval", "--config", workspace["train_cfg"], "--out", str(tmp_path / "o"),
+             "--model-dir", str(bad_dir)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{bad_dir / 'model.bin'}: {message}" in err
+        assert "Traceback" not in err
+
     def test_foreign_vocabulary_is_data_error(self, workspace, tmp_path):
         bad_dir = tmp_path / "badvocab"
         bad_dir.mkdir()
@@ -392,6 +436,24 @@ class TestTwoStepAndUseCase:
         assert [r["method"] for r in rows] == ["MODEL", "BENCH1", "BENCH2"]
         assert all(r["cohort"] == "SUBSTANCE" for r in rows)
 
+    def test_use_case_layer_mismatch_exits_2(self, boosted_claims, workspace, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "uc.cfg",
+            {
+                "data.persons": str(boosted_claims / "persons.csv"),
+                "data.events": str(boosted_claims / "events.csv"),
+                "cohort.kind": "SUBSTANCE",
+                "seed": "42",
+                **SMALL_NNET,
+                "nnet.hidden1": "17",
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["use-case", "--config", cfg, "--out", str(out), "--model-dir", str(workspace["train"])]) == 2
+        err = capsys.readouterr().err
+        assert "transfer dimension mismatch" in err and "h1=16" in err and "h1=17" in err
+        assert not out.exists()
+
     def test_use_case_rejects_all_age(self, workspace, tmp_path):
         code = main(
             ["use-case", "--config", workspace["train_cfg"], "--out", str(tmp_path / "o"),
@@ -429,6 +491,36 @@ class TestReportMerge:
         lines = (out / "report.csv").read_text().splitlines()
         assert lines[0] == "method,dataset,cohort,auc,sensitivity,specificity,prevalence"
         assert len(lines) == 7  # header + 2 x 3 rows
+
+
+REPORT_ROW = {
+    "method": "MODEL", "dataset": "CLAIMS", "cohort": "ALL_AGE", "auc": 0.7, "threshold": 0.4,
+    "sensitivity": 0.6, "specificity": 0.7, "prevalence": 0.1, "n_pos": 3, "n_neg": 27,
+}
+BAD_REPORTS = [
+    ("top-level list", [REPORT_ROW], "expected a JSON object with a 'reports' list"),
+    ("reports not a list", {"reports": {"0": REPORT_ROW}}, "expected a JSON object with a 'reports' list"),
+    ("row not an object", {"reports": [REPORT_ROW, ["MODEL"]]}, "reports[1] is not a JSON object"),
+    (
+        "row missing dataset",
+        {"reports": [{k: v for k, v in REPORT_ROW.items() if k != "dataset"}]},
+        "reports[0] lacks 'dataset'",
+    ),
+    ("auc not a number", {"reports": [dict(REPORT_ROW, auc="high")]}, "reports[0]: auc has the wrong type"),
+    ("not JSON", "{", "cannot read report"),
+]
+
+
+class TestReportMergeErrors:
+    @pytest.mark.parametrize("case,payload,message", BAD_REPORTS, ids=[c for c, _, _ in BAD_REPORTS])
+    def test_malformed_report_exits_3_naming_file(self, workspace, tmp_path, capsys, case, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+        good = str(workspace["train"] / "report.json")
+        assert main(["report", good, str(bad), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+        assert "Traceback" not in err
 
 
 class TestNoTestLeakage:
