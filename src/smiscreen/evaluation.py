@@ -212,33 +212,7 @@ def evaluate_benchmark(
     )
 
 
-def write_report_json(
-    reports: list[EvalReport], path: str, *, seed: int, version: str, timestamp: str
-) -> None:
-    rows = [
-        {
-            "method": r.method,
-            "dataset": r.dataset,
-            "cohort": r.cohort_kind,
-            "auc": r.auc,
-            "threshold": r.threshold,
-            "sensitivity": r.sensitivity,
-            "specificity": r.specificity,
-            "prevalence": r.prevalence,
-            "n_pos": r.n_pos,
-            "n_neg": r.n_neg,
-            "seed": seed,
-            "version": version,
-        }
-        for r in reports
-    ]
-    payload = {"timestamp": timestamp, "reports": rows}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# report.json row key -> (EvalReport field, accepted JSON types)
+# report.json row key -> (EvalReport field, JSON types accepted on reading)
 _REPORT_FIELDS = {
     "method": ("method", (str,)),
     "dataset": ("dataset", (str,)),
@@ -251,6 +225,19 @@ _REPORT_FIELDS = {
     "n_pos": ("n_pos", (int,)),
     "n_neg": ("n_neg", (int,)),
 }
+
+
+def write_report_json(
+    reports: list[EvalReport], path: str, *, seed: int, version: str, timestamp: str
+) -> None:
+    rows = []
+    for r in reports:
+        row = {key: getattr(r, name) for key, (name, _) in _REPORT_FIELDS.items()}
+        rows.append({**row, "seed": seed, "version": version})
+    payload = {"timestamp": timestamp, "reports": rows}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_report_json(path: str) -> list[EvalReport]:
