@@ -6,8 +6,8 @@ Subcommands: synth, cohort, train, cross-eval, two-step, use-case, bench,
 report. Config files are flat key=value (e.g. split.train=0.6,
 nnet.embedding_dim=300); --seed/--out/--threads override the file.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 degenerate cohort
-or single-class split.
+Exit codes: 0 success, 2 config error, 3 data error or a file that cannot
+be read or written, 4 degenerate cohort or single-class split.
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # names the file: missing input, unwritable --out, ...
+        print(f"file error: {exc}", file=sys.stderr)
         return 3
     except DegenerateCohortError as exc:
         print(f"degenerate cohort: {exc}", file=sys.stderr)

@@ -49,6 +49,9 @@ SYSTEMS_FOR_KIND = {"DX": frozenset({"ICD9", "ICD10"}), "RX": frozenset({"NDC"})
 PERSONS_HEADER = ["person_id", "birth_year", "gender", "enroll_start", "enroll_end", "source"]
 EVENTS_HEADER = ["person_id", "date", "kind", "system", "code"]
 
+# The AGE18 cohort dates Jan 1 of birth_year + 17 through birth_year + 19.
+BIRTH_YEARS = (datetime.MINYEAR - 17, datetime.MAXYEAR - 19)
+
 BLOCK_BYTES = 1 << 20  # events.csv is read and parsed this many bytes at a time
 
 # Exceeds every date ordinal (9999-12-31 is 3,652,059), so the per-event
@@ -136,6 +139,8 @@ def load_persons(path: str) -> list[Person]:
                 birth_year = int(birth_raw)
             except ValueError as exc:
                 raise DataError(f"{where}: unparseable birth_year {birth_raw!r}") from exc
+            if not BIRTH_YEARS[0] <= birth_year <= BIRTH_YEARS[1]:
+                raise DataError(f"{where}: birth_year {birth_year} outside {BIRTH_YEARS[0]}..{BIRTH_YEARS[1]}")
             if gender not in GENDERS:
                 raise DataError(f"{where}: unknown gender token {gender!r}")
             if source not in SOURCES:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-DegenerateCohortError -> 4. Anything else is a plain crash (1).
+DegenerateCohortError -> 4. An OSError (a file that cannot be read or
+written) is also 3. Anything else is a plain crash (1).
 """
 
 

@@ -246,7 +246,7 @@ def read_report_json(path: str) -> list[EvalReport]:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:  # a missing file is an OSError, which names the path
         raise DataError(f"cannot read report {path}: {exc}") from exc
     rows = payload.get("reports", []) if isinstance(payload, dict) else None
     if not isinstance(rows, list):

@@ -369,21 +369,22 @@ def restrict_model(m: ModelParams, vocab: Vocabulary, shared: Vocabulary) -> Mod
     return _reseat(m, vocab, shared, None)
 
 
-def transfer_init(
-    pre: ModelParams, pre_vocab: Vocabulary, target_vocab: Vocabulary, hp: Hyperparams
-) -> ModelParams:
-    """Re-seat a trained model onto a new vocabulary; rows for target-only
-    codes are freshly initialized like `init_model` does."""
-    if (pre.embedding_dim, pre.hidden1, pre.hidden2) != (
-        hp.embedding_dim,
-        hp.hidden1,
-        hp.hidden2,
-    ):
+def check_transfer_dims(pre: ModelParams, hp: Hyperparams) -> None:
+    """Refuse to transfer a model whose layer sizes differ from `hp`."""
+    if (pre.embedding_dim, pre.hidden1, pre.hidden2) != (hp.embedding_dim, hp.hidden1, hp.hidden2):
         raise ConfigError(
             f"transfer dimension mismatch: pretrained (d={pre.embedding_dim}, "
             f"h1={pre.hidden1}, h2={pre.hidden2}) vs requested "
             f"(d={hp.embedding_dim}, h1={hp.hidden1}, h2={hp.hidden2})"
         )
+
+
+def transfer_init(
+    pre: ModelParams, pre_vocab: Vocabulary, target_vocab: Vocabulary, hp: Hyperparams
+) -> ModelParams:
+    """Re-seat a trained model onto a new vocabulary; rows for target-only
+    codes are freshly initialized like `init_model` does."""
+    check_transfer_dims(pre, hp)
     gen = rngmod.stream(hp.seed, "transfer")
     return _reseat(pre, pre_vocab, target_vocab, lambda n, d: gen.uniform(-0.05, 0.05, size=(n, d)))
 

@@ -27,7 +27,7 @@ import datetime as _datetime
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -37,6 +37,7 @@ from . import __version__
 from . import rng as rngmod
 from .cohort import (
     ALL_AGE,
+    COHORT_KINDS,
     SUBSTANCE,
     CohortBuildStats,
     CohortExample,
@@ -44,7 +45,7 @@ from .cohort import (
     prevalence,
     write_cohort,
 )
-from .datamodel import Dataset, validate_dataset, write_events, write_persons
+from .datamodel import SOURCES, Dataset, validate_dataset, write_events, write_persons
 from .errors import ConfigError, DataError, DegenerateCohortError
 from .evaluation import (
     EvalReport,
@@ -72,6 +73,7 @@ from .nnet import (
     ModelParams,
     TrainingLog,
     check_fingerprint,
+    check_transfer_dims,
     init_model,
     load_model,
     restrict_model,
@@ -81,7 +83,7 @@ from .nnet import (
     transfer_init,
 )
 from .phecode import PhecodeMap, load_default_map, parse_phecode_map
-from .synth import SynthConfig, VocabConfig, default_risk_weights, generate_population, write_ground_truth
+from .synth import SynthConfig, default_risk_weights, generate_population, write_ground_truth
 
 TRAIN, VAL, TEST = "TRAIN", "VAL", "TEST"
 SPLITS = (TRAIN, VAL, TEST)
@@ -181,6 +183,68 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _one_of(choices: Collection[str]) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{text!r} is not one of {sorted(choices)}")
+        return text
+
+    return parse
+
+
+# Every config key: the parser of its text value, then the RunConfig
+# attribute path it sets (an int indexes a tuple). `from_mapping` parses
+# through this table and `flat` echoes it into manifest.json.
+CONFIG_KEYS: dict[str, tuple] = {
+    "data.persons": (str, "persons_path"),
+    "data.events": (str, "events_path"),
+    "data.phecode_map": (str, "phecode_map_path"),
+    "pretrain.persons": (str, "pretrain_persons_path"),
+    "pretrain.events": (str, "pretrain_events_path"),
+    "out": (str, "out_dir"),
+    "cohort.kind": (_one_of(COHORT_KINDS), "cohort_kind"),
+    "cohort.controls_per_case": (int, "controls_per_case"),
+    "split.train": (_finite_float, "fractions", "train"),
+    "split.val": (_finite_float, "fractions", "val"),
+    "split.test": (_finite_float, "fractions", "test"),
+    "nnet.embedding_dim": (int, "hp", "embedding_dim"),
+    "nnet.hidden1": (int, "hp", "hidden1"),
+    "nnet.hidden2": (int, "hp", "hidden2"),
+    "nnet.learning_rate": (_finite_float, "hp", "learning_rate"),
+    "nnet.batch_size": (int, "hp", "batch_size"),
+    "nnet.max_epochs": (int, "hp", "max_epochs"),
+    "nnet.patience": (int, "hp", "patience"),
+    "synth.n_persons": (int, "synth", "n_persons"),
+    "synth.source": (_one_of(SOURCES), "synth", "source"),
+    "synth.event_rate": (_finite_float, "synth", "event_rate"),
+    "synth.base_logit": (_finite_float, "synth", "base_logit"),
+    "synth.rate_cap": (_finite_float, "synth", "smi_annual_rate_cap"),
+    "synth.n_shared_dx": (int, "synth", "vocab", "n_shared_dx"),
+    "synth.n_specific_dx": (int, "synth", "vocab", "n_specific_dx"),
+    "synth.n_rx": (int, "synth", "vocab", "n_rx"),
+    "synth.year_min": (int, "synth", "year_range", 0),
+    "synth.year_max": (int, "synth", "year_range", 1),
+    "seed": (int, "seed"),
+    "threads": (int, "threads"),
+}
+
+
+def _get_path(obj: object, path: Sequence[str | int]) -> object:
+    for name in path:
+        obj = obj[name] if isinstance(name, int) else getattr(obj, name)
+    return obj
+
+
+def _set_path(obj: object, path: Sequence[str | int], value: object) -> None:
+    *head, name = path
+    if isinstance(name, int):  # an item of a tuple field: rebuild the tuple
+        items = list(_get_path(obj, head))
+        items[name] = value
+        *head, name = head
+        value = tuple(items)
+    setattr(_get_path(obj, head), name, value)
+
+
 @dataclass
 class RunConfig:
     persons_path: str = ""
@@ -199,71 +263,33 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | None, overrides: dict[str, str] | None = None) -> "RunConfig":
-        flat: dict[str, str] = {}
-        if path:
-            flat.update(parse_config_file(path))
-        if overrides:
-            flat.update(overrides)
-        return cls.from_mapping(flat)
+        flat = parse_config_file(path) if path else {}
+        return cls.from_mapping({**flat, **(overrides or {})})
 
     @classmethod
     def from_mapping(cls, flat: dict[str, str]) -> "RunConfig":
         cfg = cls()
-        known = {
-            "data.persons": ("persons_path", str),
-            "data.events": ("events_path", str),
-            "data.phecode_map": ("phecode_map_path", str),
-            "pretrain.persons": ("pretrain_persons_path", str),
-            "pretrain.events": ("pretrain_events_path", str),
-            "out": ("out_dir", str),
-            "cohort.kind": ("cohort_kind", str),
-            "cohort.controls_per_case": ("controls_per_case", int),
-            "seed": ("seed", int),
-            "threads": ("threads", int),
-        }
-        split_keys = {"split.train": "train", "split.val": "val", "split.test": "test"}
-        nnet_keys = {
-            "nnet.embedding_dim": ("embedding_dim", int),
-            "nnet.hidden1": ("hidden1", int),
-            "nnet.hidden2": ("hidden2", int),
-            "nnet.learning_rate": ("learning_rate", _finite_float),
-            "nnet.batch_size": ("batch_size", int),
-            "nnet.max_epochs": ("max_epochs", int),
-            "nnet.patience": ("patience", int),
-        }
-        synth_keys = {
-            "synth.n_persons": int,
-            "synth.source": str,
-            "synth.event_rate": _finite_float,
-            "synth.base_logit": _finite_float,
-            "synth.rate_cap": _finite_float,
-            "synth.n_shared_dx": int,
-            "synth.n_specific_dx": int,
-            "synth.n_rx": int,
-            "synth.year_min": int,
-            "synth.year_max": int,
-        }
-        synth_raw: dict[str, str] = {}
-        for key, value in flat.items():
+        if any(key.startswith("synth.") for key in flat):
+            # None marks the fields that must be given or get a per-source default
+            cfg.synth = SynthConfig(n_persons=None, source=None, event_rate=None)
+        for key, text in flat.items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            parse, *path = CONFIG_KEYS[key]
             try:
-                if key in known:
-                    attr, typ = known[key]
-                    setattr(cfg, attr, typ(value))
-                elif key in split_keys:
-                    setattr(cfg.fractions, split_keys[key], _finite_float(value))
-                elif key in nnet_keys:
-                    attr, typ = nnet_keys[key]
-                    setattr(cfg.hp, attr, typ(value))
-                elif key in synth_keys:
-                    synth_keys[key](value)  # type check now, apply below
-                    synth_raw[key] = value
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
+                value = parse(text)
             except ValueError as exc:
-                raise ConfigError(f"config key {key}: bad value {value!r}") from exc
-        if synth_raw:
-            cfg.synth = _build_synth_config(synth_raw, cfg.seed)
+                raise ConfigError(f"config key {key}: bad value {text!r}") from exc
+            _set_path(cfg, path, value)
         cfg.hp.seed = cfg.seed
+        if (synth := cfg.synth) is not None:
+            if synth.n_persons is None or synth.source is None:
+                raise ConfigError("synth runs need synth.n_persons and synth.source")
+            if synth.event_rate is None:  # the CLI's EHR rate differs from SynthConfig's
+                synth.event_rate = 6.5 if synth.source == "EHR" else SynthConfig.event_rate
+            synth.seed = cfg.seed
+            synth.validate()
+            synth.risk_weights = default_risk_weights(synth)
         cfg.fractions.validate()
         cfg.hp.validate()
         if cfg.threads < 1:
@@ -273,67 +299,18 @@ class RunConfig:
         return cfg
 
     def flat(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "data.persons": self.persons_path,
-            "data.events": self.events_path,
-            "data.phecode_map": self.phecode_map_path or "<packaged>",
-            "out": self.out_dir,
-            "cohort.kind": self.cohort_kind,
-            "cohort.controls_per_case": self.controls_per_case,
-            "split.train": self.fractions.train,
-            "split.val": self.fractions.val,
-            "split.test": self.fractions.test,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
-        if self.pretrain_persons_path:
-            out["pretrain.persons"] = self.pretrain_persons_path
-            out["pretrain.events"] = self.pretrain_events_path
-        for key, value in asdict(self.hp).items():
-            out[f"nnet.{key}"] = value
-        if self.synth is not None:
-            out["synth.n_persons"] = self.synth.n_persons
-            out["synth.source"] = self.synth.source
-            out["synth.event_rate"] = self.synth.event_rate
-            out["synth.base_logit"] = self.synth.base_logit
-            out["synth.rate_cap"] = self.synth.smi_annual_rate_cap
-            out["synth.year_min"] = self.synth.year_range[0]
-            out["synth.year_max"] = self.synth.year_range[1]
-            out["synth.n_shared_dx"] = self.synth.vocab.n_shared_dx
-            out["synth.n_specific_dx"] = self.synth.vocab.n_specific_dx
-            out["synth.n_rx"] = self.synth.vocab.n_rx
+        """The config echoed into manifest.json: every key, with an empty
+        phecode map shown as <packaged>, plus `nnet.seed`; the pretrain.*
+        keys only when set and the synth.* keys only when synth is."""
+        out: dict[str, object] = {"nnet.seed": self.hp.seed}
+        for key, (_, *path) in CONFIG_KEYS.items():
+            if key.startswith("synth.") and self.synth is None:
+                continue
+            value = _get_path(self, path)
+            if key.startswith("pretrain.") and not value:
+                continue
+            out[key] = (value or "<packaged>") if path == ["phecode_map_path"] else value
         return out
-
-
-def _build_synth_config(raw: dict[str, str], seed: int) -> SynthConfig:
-    if "synth.n_persons" not in raw or "synth.source" not in raw:
-        raise ConfigError("synth runs need synth.n_persons and synth.source")
-    vocab = VocabConfig(
-        n_shared_dx=int(raw.get("synth.n_shared_dx", VocabConfig.n_shared_dx)),
-        n_specific_dx=int(raw.get("synth.n_specific_dx", VocabConfig.n_specific_dx)),
-        n_rx=int(raw.get("synth.n_rx", VocabConfig.n_rx)),
-    )
-    cfg = SynthConfig(
-        n_persons=int(raw["synth.n_persons"]),
-        source=raw["synth.source"],
-        vocab=vocab,
-        seed=seed,
-    )
-    if "synth.event_rate" in raw:
-        cfg.event_rate = float(raw["synth.event_rate"])
-    elif cfg.source == "EHR":
-        cfg.event_rate = 6.5
-    if "synth.base_logit" in raw:
-        cfg.base_logit = float(raw["synth.base_logit"])
-    if "synth.rate_cap" in raw:
-        cfg.smi_annual_rate_cap = float(raw["synth.rate_cap"])
-    if "synth.year_min" in raw or "synth.year_max" in raw:
-        cfg.year_range = (
-            int(raw.get("synth.year_min", cfg.year_range[0])),
-            int(raw.get("synth.year_max", cfg.year_range[1])),
-        )
-    cfg.risk_weights = default_risk_weights(cfg)
-    return cfg
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -362,27 +339,19 @@ def _timestamp() -> str:
     return _datetime.datetime.now(_datetime.timezone.utc).isoformat()
 
 
-def load_phecode_map(cfg: RunConfig) -> PhecodeMap:
-    if cfg.phecode_map_path:
-        return parse_phecode_map(cfg.phecode_map_path)
-    return load_default_map()
-
-
 def load_inputs(cfg: RunConfig) -> tuple[Dataset, PhecodeMap]:
     with stage("load"):
         if not cfg.persons_path or not cfg.events_path:
             raise ConfigError("data.persons and data.events are required")
-        try:
-            dataset = Dataset.from_files(cfg.persons_path, cfg.events_path)
-        except OSError as exc:
-            raise DataError(f"cannot read input: {exc}") from exc
+        dataset = Dataset.from_files(cfg.persons_path, cfg.events_path)
         report = validate_dataset(dataset)
         if not report.ok:
             raise DataError(
                 f"dataset failed validation with {len(report.violations)} violations; "
                 f"first: {report.violations[0]}"
             )
-        return dataset, load_phecode_map(cfg)
+        path = cfg.phecode_map_path
+        return dataset, parse_phecode_map(path) if path else load_default_map()
 
 
 def _write_manifest(cfg: RunConfig, mode: str, counts: dict[str, object], out_dir: str) -> None:
@@ -428,9 +397,7 @@ class FittedSource(Prepared):
 def prepare(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> Prepared:
     """Cohort -> match-group split -> per-split labels."""
     with stage("cohort"):
-        examples, stats = build_cohort(
-            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
-        )
+        examples, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
     with stage("split"):
         splits = split_cohort(examples, cfg.fractions, cfg.seed).split_examples(examples)
     labels = {
@@ -591,9 +558,7 @@ def run_cohort(cfg: RunConfig) -> list[CohortExample]:
     a valid cohort may be too small for two-class splits."""
     dataset, phemap = load_inputs(cfg)
     with stage("cohort"):
-        examples, stats = build_cohort(
-            dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case
-        )
+        examples, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
     counts = {
         "persons": len(dataset.persons),
         "examples": len(examples),
@@ -674,11 +639,12 @@ def run_two_step(cfg: RunConfig) -> list[EvalReport]:
 
 def run_use_case(cfg: RunConfig, model_dir: str) -> list[EvalReport]:
     """Fine-tune a trained base model on a use-case cohort and evaluate it
-    against both benchmarks. `transfer_init` rejects a base model whose
-    layer sizes differ from the configured ones."""
+    against both benchmarks. A base model whose layer sizes differ from the
+    configured ones is rejected before the data is read."""
     if cfg.cohort_kind == ALL_AGE:
         raise ConfigError("use-case mode needs cohort.kind=AGE18 or SUBSTANCE")
     base_model, _, base_vocab = load_model_dir(model_dir)
+    check_transfer_dims(base_model, cfg.hp)
     prepared = prepare(cfg, *load_inputs(cfg))
     fitted = fit(cfg, prepared, partial(transfer_init, base_model, base_vocab, hp=cfg.hp))
     return _report_fitted(cfg, fitted, "use-case")

@@ -67,7 +67,7 @@ LINK_STEEPNESS = 2.0
 _SPECIFIC_PREFIX = {"CLAIMS": "CSP", "EHR": "ESP"}
 
 
-@dataclass(frozen=True)
+@dataclass
 class VocabConfig:
     n_shared_dx: int = 180  # includes the mapped psychiatric/chronic codes
     n_specific_dx: int = 60  # per-source synthetic dx codes
@@ -95,8 +95,8 @@ class SynthConfig:
             raise ConfigError("synth: event_rate must be positive")
         if not 0.0 < self.smi_annual_rate_cap < 1.0:
             raise ConfigError("synth: smi_annual_rate_cap must be in (0, 1)")
-        if self.year_range[0] > self.year_range[1]:
-            raise ConfigError("synth: year_range min > max")
+        if not 1 <= self.year_range[0] <= self.year_range[1] <= 9999:  # datetime's range
+            raise ConfigError(f"synth: need 1 <= year_min <= year_max <= 9999, got {self.year_range}")
         mapped = len(_mapped_base_codes(load_default_map()))
         if self.vocab.n_shared_dx < mapped:
             raise ConfigError(

@@ -246,6 +246,21 @@ class TestLoadErrors:
         err = capsys.readouterr().err
         assert f"{persons}:3: quoted field" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "year,start,end", [(-20, "2010-01-01", "2015-06-30"), (9990, "9995-01-01", "9999-06-30")]
+    )
+    def test_undatable_birth_year_rejected(self, tmp_path, capsys, year, start, end):
+        rows = f"p0,1980,F,2010-01-01,2015-06-30,CLAIMS\np1,{year},F,{start},{end},CLAIMS\n"
+        persons = write(tmp_path / "p.csv", PERSONS_HEADER + rows)
+        message = f"{persons}:3: birth_year {year} outside -16..9980"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_persons(persons)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data.persons={persons}\ndata.events={self.events_csv(tmp_path)}\ncohort.kind=AGE18\n")
+        assert main(["cohort", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_person_id_needing_quotes_is_not_written(self, tmp_path):
         person = make_person("p,1")
         with pytest.raises(DataError, match=re.escape("cannot write 'p,1' to persons.csv, which has no quoting")):

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from smiscreen.cli import main
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import ConfigError, DegenerateCohortError
 from smiscreen.pipeline import (
+    CONFIG_KEYS,
     RunConfig,
     SplitFractions,
     parse_config_file,
@@ -38,6 +41,20 @@ FLOAT_KEYS = [
     "synth.base_logit",
     "synth.rate_cap",
 ]
+
+
+# every config key, each away from its default
+EVERY_KEY = {
+    "data.persons": "p.csv", "data.events": "e.csv", "data.phecode_map": "map.csv",
+    "pretrain.persons": "pp.csv", "pretrain.events": "pe.csv", "out": "runs/x",
+    "cohort.kind": "AGE18", "cohort.controls_per_case": "7",
+    "split.train": "0.5", "split.val": "0.2", "split.test": "0.3",
+    "nnet.embedding_dim": "12", "nnet.hidden1": "9", "nnet.hidden2": "5", "nnet.learning_rate": "0.01",
+    "nnet.batch_size": "32", "nnet.max_epochs": "3", "nnet.patience": "2",
+    "synth.n_persons": "77", "synth.source": "EHR", "synth.event_rate": "4.5", "synth.base_logit": "-3.5",
+    "synth.rate_cap": "0.3", "synth.n_shared_dx": "150", "synth.n_specific_dx": "10", "synth.n_rx": "20",
+    "synth.year_min": "2001", "synth.year_max": "2010", "seed": "9", "threads": "2",
+}
 
 
 def write_config(path, mapping):
@@ -160,6 +177,39 @@ class TestConfig:
     def test_synth_needs_source_and_count(self):
         with pytest.raises(ConfigError, match="synth"):
             RunConfig.from_mapping({"synth.n_persons": "100"})
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [EVERY_KEY, {}, {"synth.n_persons": "5", "synth.source": "CLAIMS", "pretrain.events": "pe.csv"}],
+        ids=["every key", "defaults", "claims synth"],
+    )
+    def test_flat_round_trips_through_from_mapping(self, mapping):
+        assert set(EVERY_KEY) == set(CONFIG_KEYS)
+        flat = RunConfig.from_mapping(mapping).flat()
+        text = {k: "" if v == "<packaged>" else str(v) for k, v in flat.items() if k != "nnet.seed"}
+        assert RunConfig.from_mapping(text).flat() == flat
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Config keys", 1)[1].split("\n### ", 1)[0]
+        assert set(re.findall(r"`([\w.]+)`", table)) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("cohort.kind", "FOO", "config key cohort.kind: bad value 'FOO'"),
+            ("synth.source", "FOO", "config key synth.source: bad value 'FOO'"),
+            ("synth.year_max", "99999", "year_max <= 9999, got (2008, 99999)"),
+            ("synth.year_min", "0", "need 1 <= year_min"),
+            ("synth.year_min", "2020", "got (2020, 2019)"),
+        ],
+    )
+    def test_bad_enum_or_year_exits_2(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", key: value})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -454,12 +504,47 @@ class TestTwoStepAndUseCase:
         assert "transfer dimension mismatch" in err and "h1=16" in err and "h1=17" in err
         assert not out.exists()
 
+    def test_use_case_layer_mismatch_fails_before_reading_data(self, workspace, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        cfg = write_config(
+            tmp_path / "uc.cfg",
+            {"data.persons": missing, "data.events": missing, "cohort.kind": "SUBSTANCE",
+             **SMALL_NNET, "nnet.hidden1": "17"},
+        )
+        assert main(["use-case", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--model-dir", str(workspace["train"])]) == 2
+        assert "transfer dimension mismatch" in capsys.readouterr().err
+
     def test_use_case_rejects_all_age(self, workspace, tmp_path):
         code = main(
             ["use-case", "--config", workspace["train_cfg"], "--out", str(tmp_path / "o"),
              "--model-dir", str(workspace["train"])]
         )
         assert code == 2
+
+
+# (arguments after the subcommand's --config/--out, extra config, path named)
+MISSING_FILES = {
+    "phecode map": (["cohort"], {"data.phecode_map": "{tmp}/nope.csv"}, "{tmp}/nope.csv"),
+    "cross-eval model": (["cross-eval", "--model-dir", "{tmp}"], {}, "{tmp}/model.bin"),
+    "use-case model": (["use-case", "--model-dir", "{tmp}"], {"cohort.kind": "SUBSTANCE"}, "{tmp}/model.bin"),
+    "out is a file": (["cohort", "--out", "{tmp}/c.cfg"], {}, "{tmp}/c.cfg"),
+}
+
+
+class TestMissingFiles:
+    @pytest.mark.parametrize("case", list(MISSING_FILES))
+    def test_exits_3_naming_path(self, workspace, tmp_path, capsys, case):
+        (command, *rest), extra, named = MISSING_FILES[case]
+        tmp = str(tmp_path)
+        data = {"data.persons": str(workspace["data"] / "persons.csv"),
+                "data.events": str(workspace["data"] / "events.csv")}
+        extra = {k: v.format(tmp=tmp) for k, v in extra.items()}
+        cfg = write_config(tmp_path / "c.cfg", {**data, **extra})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), *(a.format(tmp=tmp) for a in rest)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert named.format(tmp=tmp) in err and "Traceback" not in err
 
 
 class TestDegenerateCohortExit:
