@@ -54,13 +54,6 @@ class CohortExample:
     index_date: datetime.date | None
 
 
-@dataclass(frozen=True, slots=True)
-class MatchKey:
-    birth_year: int
-    gender: str
-    pre_window_dx_count: int
-
-
 @dataclass
 class CohortBuildStats:
     n_cases_found: int = 0

@@ -248,7 +248,7 @@ def read_report_json(path: str) -> list[EvalReport]:
             payload = json.load(fh)
     except ValueError as exc:  # a missing file is an OSError, which names the path
         raise DataError(f"cannot read report {path}: {exc}") from exc
-    rows = payload.get("reports", []) if isinstance(payload, dict) else None
+    rows = payload.get("reports") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise DataError(f"{path}: expected a JSON object with a 'reports' list")
     reports = []

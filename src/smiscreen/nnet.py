@@ -100,38 +100,19 @@ class ModelParams:
         return {name: getattr(self, name) for name in _PARAM_FIELDS}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            *(getattr(self, name).copy() for name in _PARAM_FIELDS),
-            vocab_fingerprint=self.vocab_fingerprint,
-        )
-
-
-@dataclass
-class Gradients:
-    embedding: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _PARAM_FIELDS}
+        arrays = (a.copy() for a in self.arrays().values())
+        return ModelParams(*arrays, vocab_fingerprint=self.vocab_fingerprint)
 
 
 @dataclass
 class OptimizerState:
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: ModelParams
+    second_moment: ModelParams
     step: int = 0
 
     @classmethod
     def zeros_like(cls, m: ModelParams) -> "OptimizerState":
-        return cls(
-            first_moment={k: np.zeros_like(v) for k, v in m.arrays().items()},
-            second_moment={k: np.zeros_like(v) for k, v in m.arrays().items()},
-        )
+        return cls(*(ModelParams(*map(np.zeros_like, m.arrays().values())) for _ in range(2)))
 
 
 @dataclass
@@ -173,19 +154,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool(embedding: np.ndarray, x: FeatureVector) -> np.ndarray:
-    if x.code_indices.size == 0:
-        return np.zeros(embedding.shape[1])
-    idx = np.sort(x.code_indices)  # fixed summation order: permutation-proof
-    if idx[-1] >= embedding.shape[0] or idx[0] < 0:
-        raise DataError(f"feature index {int(idx[-1])} out of range for V={embedding.shape[0]}")
-    return embedding[idx].mean(axis=0)
+def _gather(batch: list[FeatureVector], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each example's code indices sorted (a fixed summation order: permutation-proof)
+    and bounds-checked, as one flat `codes` array and per-example `counts`."""
+    counts = np.array([x.code_indices.size for x in batch], dtype=np.int64)
+    codes = np.concatenate([np.sort(x.code_indices) for x in batch])
+    bad = codes[(codes < 0) | (codes >= vocab_size)]
+    if bad.size:
+        raise DataError(f"feature index {int(bad[0])} out of range for V={vocab_size}")
+    return codes, counts
 
 
-def _forward_batch(m: ModelParams, batch: list[FeatureVector]):
-    pooled = np.stack([_pool(m.embedding, x) for x in batch])
-    demo = np.stack([x.demographics for x in batch])
-    inputs = np.concatenate([pooled, demo], axis=1)
+def _forward(m: ModelParams, batch: list[FeatureVector], codes: np.ndarray, counts: np.ndarray):
+    pooled = np.zeros((counts.size, m.embedding_dim))  # an empty code set pools to zero
+    for i, (hi, k) in enumerate(zip(np.cumsum(counts).tolist(), counts.tolist())):
+        if k:
+            pooled[i] = m.embedding[codes[hi - k : hi]].mean(axis=0)
+    inputs = np.concatenate([pooled, np.stack([x.demographics for x in batch])], axis=1)
     z1 = inputs @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ m.w2 + m.b2
@@ -195,13 +180,8 @@ def _forward_batch(m: ModelParams, batch: list[FeatureVector]):
     return p, (inputs, z1, a1, z2, a2)
 
 
-def forward(m: ModelParams, x: FeatureVector) -> float:
-    """Probability of the positive class for one example."""
-    p, _ = _forward_batch(m, [x])
-    out = float(p[0])
-    if not np.isfinite(out):
-        raise DataError("non-finite model output")
-    return out
+def _forward_batch(m: ModelParams, batch: list[FeatureVector]):
+    return _forward(m, batch, *_gather(batch, m.vocab_size))
 
 
 def score_batch(m: ModelParams, batch: list[FeatureVector]) -> np.ndarray:
@@ -213,12 +193,6 @@ def score_batch(m: ModelParams, batch: list[FeatureVector]) -> np.ndarray:
     return p
 
 
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy with probabilities clamped away from 0 and 1."""
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return -(y * np.log(p) + (1 - y) * np.log1p(-p))
-
-
 def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
     q = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(np.mean(-(y * np.log(q) + (1 - y) * np.log1p(-q))))
@@ -226,12 +200,13 @@ def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
 
 def backward(
     m: ModelParams, batch: list[FeatureVector], labels: np.ndarray
-) -> tuple[Gradients, float]:
-    """Analytic gradients of the mean BCE loss over the batch."""
+) -> tuple[ModelParams, float]:
+    """Analytic gradients, as ModelParams, of the mean BCE loss over the batch."""
     if not batch:
         raise DataError("backward requires a non-empty batch")
     y = np.asarray(labels, dtype=np.float64)
-    p, (inputs, z1, a1, z2, a2) = _forward_batch(m, batch)
+    codes, counts = _gather(batch, m.vocab_size)
+    p, (inputs, z1, a1, z2, a2) = _forward(m, batch, codes, counts)
     n = len(batch)
     loss = _batch_loss(p, y)
 
@@ -250,38 +225,25 @@ def backward(
 
     d_embedding = np.zeros_like(m.embedding)
     d_pooled = d_inputs[:, : m.embedding_dim]
-    rows = []
-    index_runs = []
-    for i, x in enumerate(batch):
-        k = x.code_indices.size
-        if k == 0:
-            continue
-        index_runs.append(np.sort(x.code_indices))
-        rows.append(np.repeat(d_pooled[i : i + 1] / k, k, axis=0))
-    if rows:
-        np.add.at(d_embedding, np.concatenate(index_runs), np.concatenate(rows))
+    np.add.at(d_embedding, codes, np.repeat(d_pooled / np.maximum(counts, 1)[:, None], counts, axis=0))
 
-    grads = Gradients(d_embedding, d_w1, d_b1, d_w2, d_b2, d_w_out, d_b_out)
-    return grads, loss
+    return ModelParams(d_embedding, d_w1, d_b1, d_w2, d_b2, d_w_out, d_b_out), loss
 
 
-def adam_step(m: ModelParams, grads: Gradients, state: OptimizerState, lr: float) -> None:
+def adam_step(m: ModelParams, grads: ModelParams, state: OptimizerState, lr: float) -> None:
     """In-place adaptive-moment update with bias correction."""
     state.step += 1
     t = state.step
     scale1 = 1.0 - ADAM_BETA1**t
     scale2 = 1.0 - ADAM_BETA2**t
-    params = m.arrays()
-    grad_arrays = grads.arrays()
     for name in _PARAM_FIELDS:
-        g = grad_arrays[name]
-        mom = state.first_moment[name]
-        vel = state.second_moment[name]
+        param, g = getattr(m, name), getattr(grads, name)
+        mom, vel = getattr(state.first_moment, name), getattr(state.second_moment, name)
         mom *= ADAM_BETA1
         mom += (1.0 - ADAM_BETA1) * g
         vel *= ADAM_BETA2
         vel += (1.0 - ADAM_BETA2) * np.square(g)
-        params[name] -= lr * (mom / scale1) / (np.sqrt(vel / scale2) + ADAM_EPS)
+        param -= lr * (mom / scale1) / (np.sqrt(vel / scale2) + ADAM_EPS)
 
 
 def train(

@@ -85,6 +85,11 @@ from .nnet import (
 from .phecode import PhecodeMap, load_default_map, parse_phecode_map
 from .synth import SynthConfig, default_risk_weights, generate_population, write_ground_truth
 
+try:  # optional; when absent, BLAS pinning relies on the *_NUM_THREADS variables
+    from threadpoolctl import threadpool_limits
+except ImportError:
+    threadpool_limits = None
+
 TRAIN, VAL, TEST = "TRAIN", "VAL", "TEST"
 SPLITS = (TRAIN, VAL, TEST)
 
@@ -103,13 +108,8 @@ def stage(name: str):
 
 def _limit_blas_threads():
     """Pin BLAS pools to one thread while training so numeric results do
-    not depend on the host's core count."""
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=1)
-    except ImportError:
-        return contextlib.nullcontext()
+    not depend on the host's core count; a no-op without threadpoolctl."""
+    return threadpool_limits(limits=1) if threadpool_limits else contextlib.nullcontext()
 
 
 @dataclass
@@ -362,6 +362,7 @@ def _write_manifest(cfg: RunConfig, mode: str, counts: dict[str, object], out_di
         "version": version_string(),
         "counts": counts,
         "timestamp": _timestamp(),
+        "blas_pinned": threadpool_limits is not None,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -490,6 +491,8 @@ def _counts(fitted: FittedSource) -> dict[str, object]:
         "epochs_run": fitted.log.epochs_run,
         "best_epoch": fitted.log.best_epoch,
         "best_val_auc": fitted.log.best_val_auc,
+        "train_loss": fitted.log.train_loss,
+        "val_auc": fitted.log.val_auc,
     }
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import Code, CodeTable, Dataset, EventTable, Person
+from .datamodel import BIRTH_YEARS, Code, CodeTable, Dataset, EventTable, Person
 from .errors import ConfigError, DataError
 from .phecode import PhecodeMap, axis1_set, load_default_map, psych_category_set, smi_set, substance_set
 
@@ -97,6 +97,11 @@ class SynthConfig:
             raise ConfigError("synth: smi_annual_rate_cap must be in (0, 1)")
         if not 1 <= self.year_range[0] <= self.year_range[1] <= 9999:  # datetime's range
             raise ConfigError(f"synth: need 1 <= year_min <= year_max <= 9999, got {self.year_range}")
+        # birth year = enrollment start year - AGE_AT_START_RANGE, and persons.csv must load it back
+        lo, hi = BIRTH_YEARS[0] + AGE_AT_START_RANGE[1] - 1, BIRTH_YEARS[1] + AGE_AT_START_RANGE[0]
+        if not lo <= self.year_range[0] <= self.year_range[1] <= hi:
+            raise ConfigError(f"synth: need {lo} <= year_min <= year_max <= {hi} for loadable birth years, "
+                              f"got {self.year_range}")
         mapped = len(_mapped_base_codes(load_default_map()))
         if self.vocab.n_shared_dx < mapped:
             raise ConfigError(

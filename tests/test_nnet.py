@@ -21,9 +21,7 @@ from smiscreen.nnet import (
     _forward_batch,
     adam_step,
     backward,
-    bce_loss,
     check_fingerprint,
-    forward,
     init_model,
     load_model,
     restrict_model,
@@ -69,7 +67,7 @@ class TestForward:
         m = init_model(4, hp)
         for arr in m.arrays().values():
             arr[...] = 0.0
-        assert forward(m, fv([0, 2])) == 0.5
+        assert score_batch(m, [fv([0, 2])])[0] == 0.5
 
     def test_hand_computed_toy(self):
         # V=2, d=2, h1=h2=1; scalar arithmetic written out is the oracle
@@ -90,12 +88,12 @@ class TestForward:
         a2 = max(z2, 0.0)
         z3 = a2 * -1.0 + 0.2
         expected = 1.0 / (1.0 + math.exp(-z3))
-        assert abs(forward(m, x) - expected) < 1e-12
+        assert abs(score_batch(m, [x])[0] - expected) < 1e-12
 
     def test_empty_code_set_pools_to_zero(self):
         m = init_model(6, Hyperparams(embedding_dim=3, hidden1=4, hidden2=2, seed=5))
         demo = np.array([0.4, 0.0, 1.0, 0.0])
-        got = forward(m, FeatureVector(np.array([], dtype=np.int64), demo))
+        got = score_batch(m, [FeatureVector(np.array([], dtype=np.int64), demo)])[0]
         z1 = np.maximum(demo @ m.w1[3:] + m.b1, 0.0)
         z2 = np.maximum(z1 @ m.w2 + m.b2, 0.0)
         expected = 1.0 / (1.0 + math.exp(-(z2 @ m.w_out + m.b_out[0])))
@@ -104,17 +102,21 @@ class TestForward:
     def test_index_out_of_range(self):
         m = init_model(3, Hyperparams(embedding_dim=2, hidden1=2, hidden2=2, seed=1))
         with pytest.raises(DataError, match="out of range"):
-            forward(m, fv([5]))
+            score_batch(m, [fv([5])])
+        with pytest.raises(DataError, match="feature index -1 out of range"):
+            score_batch(m, [fv([0]), fv([2, -1])])
+        with pytest.raises(DataError, match="out of range"):
+            backward(m, [fv([-1])], np.array([1.0]))
 
     def test_permutation_invariance_bitwise(self):
         m = init_model(30, Hyperparams(embedding_dim=5, hidden1=4, hidden2=3, seed=2))
         rng = np.random.default_rng(0)
         idx = rng.choice(30, size=9, replace=False).astype(np.int64)
         demo = rng.random(4)
-        base = forward(m, FeatureVector(idx.copy(), demo))
+        base = score_batch(m, [FeatureVector(idx.copy(), demo)])[0]
         for _ in range(5):
             rng.shuffle(idx)
-            assert forward(m, FeatureVector(idx.copy(), demo)) == base
+            assert score_batch(m, [FeatureVector(idx.copy(), demo)])[0] == base
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(17)
@@ -126,20 +128,55 @@ class TestForward:
 
 class TestLoss:
     def test_half_prediction(self):
-        assert bce_loss(0.5, 1) == pytest.approx(math.log(2), rel=1e-12)
+        assert _batch_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_confident_correct(self):
-        assert 0.0 <= bce_loss(1.0 - 1e-12, 1) < 2e-12
+        assert 0.0 <= _batch_loss(np.array([1.0 - 1e-12]), np.array([1.0])) < 2e-12
 
     def test_confident_wrong(self):
-        assert bce_loss(0.9, 0) == pytest.approx(-math.log(0.1), rel=1e-12)
+        assert _batch_loss(np.array([0.9]), np.array([0.0])) == pytest.approx(-math.log(0.1), rel=1e-12)
 
     def test_clamping_keeps_loss_finite(self):
-        assert math.isfinite(bce_loss(0.0, 1))
-        assert math.isfinite(bce_loss(1.0, 0))
+        assert math.isfinite(_batch_loss(np.array([0.0]), np.array([1.0])))
+        assert math.isfinite(_batch_loss(np.array([1.0]), np.array([0.0])))
+
+
+def loop_embedding_grad(m, batch, labels):
+    """Embedding gradient by a per-example loop: each example's sorted codes
+    get its pooled gradient over k repeated rows, then one np.add.at."""
+    p, (_, z1, _, z2, _) = _forward_batch(m, batch)
+    dz3 = (p - labels) / len(batch)
+    dz2 = np.outer(dz3, m.w_out) * (z2 > 0.0)
+    dz1 = (dz2 @ m.w2.T) * (z1 > 0.0)
+    d_pooled = (dz1 @ m.w1.T)[:, : m.embedding_dim]
+    d_embedding = np.zeros_like(m.embedding)
+    index_runs, rows = [], []
+    for i, x in enumerate(batch):
+        k = x.code_indices.size
+        if k:
+            index_runs.append(np.sort(x.code_indices))
+            rows.append(np.repeat(d_pooled[i : i + 1] / k, k, axis=0))
+    if rows:
+        np.add.at(d_embedding, np.concatenate(index_runs), np.concatenate(rows))
+    return d_embedding
 
 
 class TestBackward:
+    def test_embedding_scatter_matches_per_example_loop_bitwise(self):
+        rng = np.random.default_rng(404)
+        empty = shared = unsorted = 0
+        for _ in range(300):
+            m, batch, labels = random_model_and_batch(rng, v_max=6, batch_max=12)
+            for x in batch:
+                rng.shuffle(x.code_indices)
+                unsorted += bool(np.any(np.diff(x.code_indices) < 0))
+            empty += any(x.code_indices.size == 0 for x in batch)
+            codes = np.concatenate([x.code_indices for x in batch])
+            shared += np.unique(codes).size < codes.size
+            grads, _ = backward(m, batch, labels)
+            assert np.array_equal(grads.embedding, loop_embedding_grad(m, batch, labels))
+        assert min(empty, shared, unsorted) > 0
+
     def test_empty_code_set_leaves_embedding_grad_zero(self):
         m = init_model(4, Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=8))
         grads, _ = backward(m, [FeatureVector(np.array([], dtype=np.int64), np.ones(4))], np.array([1.0]))

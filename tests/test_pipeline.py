@@ -202,10 +202,13 @@ class TestConfig:
             ("synth.year_max", "99999", "year_max <= 9999, got (2008, 99999)"),
             ("synth.year_min", "0", "need 1 <= year_min"),
             ("synth.year_min", "2020", "got (2020, 2019)"),
+            # birth years down to 1 - 49, below what persons.csv loads
+            ("synth.year_min,synth.year_max", "1,3", "year_max <= 9992 for loadable birth years, got (1, 3)"),
         ],
     )
     def test_bad_enum_or_year_exits_2(self, tmp_path, capsys, key, value, message):
-        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", key: value})
+        overrides = dict(zip(key.split(","), value.split(",")))
+        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", **overrides})
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
@@ -273,6 +276,19 @@ class TestTrainCommand:
             assert r["n_pos"] + r["n_neg"] == test_size
             assert r["seed"] == 42 and r["version"]
         assert "timestamp" in payload
+
+    def test_manifest_records_training_log_and_blas_pinning(self, workspace):
+        manifest = json.loads((workspace["train"] / "manifest.json").read_text())
+        counts = manifest["counts"]
+        assert len(counts["train_loss"]) == len(counts["val_auc"]) == counts["epochs_run"]
+        assert counts["val_auc"][counts["best_epoch"] - 1] == counts["best_val_auc"]
+        try:
+            import threadpoolctl  # noqa: F401
+
+            importable = True
+        except ImportError:
+            importable = False
+        assert manifest["blas_pinned"] is importable
 
     def test_artifacts_written(self, workspace):
         out = workspace["train"]
@@ -593,6 +609,7 @@ BAD_REPORTS = [
     ),
     ("auc not a number", {"reports": [dict(REPORT_ROW, auc="high")]}, "reports[0]: auc has the wrong type"),
     ("not JSON", "{", "cannot read report"),
+    ("no reports key", {"timestamp": "x"}, "expected a JSON object with a 'reports' list"),
 ]
 
 
