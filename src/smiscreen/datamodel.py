@@ -6,6 +6,17 @@ clinical events (diagnoses and medication fills). Events outside a person's
 enrollment are hard errors rather than silent drops, since downstream
 matching counts would be corrupted by quiet data loss.
 
+A `Dataset` checks its invariants when it is built, and there is no
+separate validation pass. Each rule has one predicate, which the CSV
+loaders call too, so a file and an in-memory dataset are refused with the
+same text, after `path:line` or after the person id:
+  _person_problem      birth year in BIRTH_YEARS, gender, source,
+                       enroll_start <= enroll_end, birth year <= end year
+  _kind_problem        known kind (any case) with a system allowed for it
+  _enrollment_problem  event date within the person's enrollment
+`load_persons` and `Dataset` refuse a repeated person id; `Dataset` also
+refuses a person whose source is not the dataset's.
+
 Events are held as columns, never as one object per event. An
 `EventTable` keeps int arrays of date ordinals and code ids, sorted by
 (person_id, date) with ties in input order, plus per-person offsets into
@@ -32,7 +43,7 @@ import csv
 import datetime
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +52,8 @@ from .errors import DataError
 
 GENDERS = frozenset({"F", "M", "U"})
 SOURCES = frozenset({"CLAIMS", "EHR"})
-EVENT_KINDS = frozenset({"DX", "RX"})
 
-# kind=DX carries an ICD code, kind=RX an NDC fill
+# The event kinds: kind=DX carries an ICD code, kind=RX an NDC fill
 SYSTEMS_FOR_KIND = {"DX": frozenset({"ICD9", "ICD10"}), "RX": frozenset({"NDC"})}
 
 PERSONS_HEADER = ["person_id", "birth_year", "gender", "enroll_start", "enroll_end", "source"]
@@ -88,16 +98,37 @@ class Code(NamedTuple):
     code: str
 
 
-@dataclass
-class ValidationReport:
-    n_persons: int
-    n_events: int
-    n_events_by_kind: dict[str, int]
-    violations: list[str] = field(default_factory=list)
+def _person_problem(p: Person) -> str | None:
+    """Why a person record is refused, or None if it is accepted."""
+    if not BIRTH_YEARS[0] <= p.birth_year <= BIRTH_YEARS[1]:
+        return f"birth_year {p.birth_year} outside {BIRTH_YEARS[0]}..{BIRTH_YEARS[1]}"
+    if p.gender not in GENDERS:
+        return f"unknown gender token {p.gender!r}"
+    if p.source not in SOURCES:
+        return f"unknown source token {p.source!r}"
+    if p.enroll_start > p.enroll_end:
+        return f"enroll_start {p.enroll_start} after enroll_end {p.enroll_end}"
+    if p.birth_year > p.enroll_end.year:
+        return f"birth_year {p.birth_year} after enrollment end {p.enroll_end}"
+    return None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+def _kind_problem(kind: str, system: str) -> str | None:
+    """Why an event's kind (as written, in any case) and system are refused,
+    or None if they are accepted."""
+    systems = SYSTEMS_FOR_KIND.get(kind.upper())
+    if systems is None:
+        return f"unknown event kind {kind!r}"
+    if system not in systems:
+        return f"kind {kind!r} inconsistent with system {system!r}"
+    return None
+
+
+def _enrollment_problem(p: Person, date: datetime.date) -> str | None:
+    """Why an event of `p` on `date` is refused, or None if it is accepted."""
+    if p.enroll_start <= date <= p.enroll_end:
+        return None
+    return f"event for {p.person_id!r} dated {date} outside enrollment [{p.enroll_start}, {p.enroll_end}]"
 
 
 def _parse_date(text: str, where: str) -> datetime.date:
@@ -139,19 +170,13 @@ def load_persons(path: str) -> list[Person]:
                 birth_year = int(birth_raw)
             except ValueError as exc:
                 raise DataError(f"{where}: unparseable birth_year {birth_raw!r}") from exc
-            if not BIRTH_YEARS[0] <= birth_year <= BIRTH_YEARS[1]:
-                raise DataError(f"{where}: birth_year {birth_year} outside {BIRTH_YEARS[0]}..{BIRTH_YEARS[1]}")
-            if gender not in GENDERS:
-                raise DataError(f"{where}: unknown gender token {gender!r}")
-            if source not in SOURCES:
-                raise DataError(f"{where}: unknown source token {source!r}")
             start = _parse_date(start_raw, where)
             end = _parse_date(end_raw, where)
-            if start > end:
-                raise DataError(f"{where}: enroll_start {start} after enroll_end {end}")
-            if birth_year > end.year:
-                raise DataError(f"{where}: birth_year {birth_year} after enrollment end {end}")
-            persons.append(Person(sys.intern(pid), birth_year, gender, start, end, source))
+            person = Person(sys.intern(pid), birth_year, gender, start, end, source)
+            problem = _person_problem(person)
+            if problem:
+                raise DataError(f"{where}: {problem}")
+            persons.append(person)
     return persons
 
 
@@ -229,8 +254,7 @@ class EventTable(Sequence):
 
     @classmethod
     def from_events(cls, persons: list[Person], events: Iterable[ClinicalEvent]) -> "EventTable":
-        """Convert event objects to columns; kinds and systems are kept as
-        given, so `validate_dataset` can report bad ones."""
+        """Convert event objects to columns; kinds are stored upper case."""
         pos = {p.person_id: i for i, p in enumerate(persons)}
         codes = CodeTable()
         person_pos: list[int] = []
@@ -242,7 +266,7 @@ class EventTable(Sequence):
                 raise DataError(f"events reference unknown person_id {e.person_id!r}")
             person_pos.append(i)
             days.append(e.date.toordinal())
-            ids.append(codes.id(Code(e.kind, e.system, e.code)))
+            ids.append(codes.id(Code(e.kind.upper(), e.system, e.code)))
         return cls.build(
             persons,
             np.array(person_pos, dtype=np.int64),
@@ -281,7 +305,7 @@ class EventTable(Sequence):
         """Copy with one row's events swapped; new codes extend a copied code table."""
         codes = CodeTable(self.codes.entries)
         pairs = sorted(
-            ((e.date.toordinal(), codes.id(Code(e.kind, e.system, e.code))) for e in events),
+            ((e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code))) for e in events),
             key=lambda pair: pair[0],
         )
         lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
@@ -323,25 +347,18 @@ def _row_problem(line: str, by_id: dict[str, Person]) -> str | None:
     row = line.split(",")
     if len(row) != 5:
         return f"expected 5 columns, got {len(row)}"
-    pid, date_raw, kind_raw, system, _ = row
+    pid, date_raw, kind, system, _ = row
     person = by_id.get(pid)
     if person is None:
         return f"unknown person_id {pid!r}"
-    kind = kind_raw.upper()
-    if kind not in EVENT_KINDS:
-        return f"unknown event kind {kind_raw!r}"
-    if system not in SYSTEMS_FOR_KIND[kind]:
-        return f"kind {kind_raw!r} inconsistent with system {system!r}"
+    problem = _kind_problem(kind, system)
+    if problem:
+        return problem
     try:
         date = datetime.date.fromisoformat(date_raw)
     except ValueError:
         return f"unparseable date {date_raw!r}"
-    if not person.enroll_start <= date <= person.enroll_end:
-        return (
-            f"event for {pid!r} dated {date} outside enrollment "
-            f"[{person.enroll_start}, {person.enroll_end}]"
-        )
-    return None
+    return _enrollment_problem(person, date)
 
 
 class _EventParser:
@@ -361,11 +378,10 @@ class _EventParser:
         self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def _code_id(self, key: tuple[str, str, str]) -> int:
-        kind_raw, system, code = key
-        kind = kind_raw.upper()
-        if kind not in EVENT_KINDS or system not in SYSTEMS_FOR_KIND[kind]:
+        kind, system, code = key
+        if _kind_problem(kind, system):
             return -1
-        return self.codes.id(Code(kind, system, sys.intern(code)))
+        return self.codes.id(Code(kind.upper(), system, sys.intern(code)))
 
     @staticmethod
     def _ordinal(text: str) -> int:
@@ -522,8 +538,10 @@ class Dataset:
     """Immutable person table plus its columnar events.
 
     `table` holds every event (see `EventTable`); `row_of` maps a person id
-    to its row. Treat instances as frozen after construction: derived
-    datasets come from `replace_person_events`.
+    to its row. Construction refuses, with a `DataError` naming the person,
+    any record that breaks an invariant listed in the module docstring.
+    Treat instances as frozen after construction: derived datasets come
+    from `replace_person_events`, which checks its new events the same way.
     """
 
     def __init__(
@@ -537,6 +555,11 @@ class Dataset:
         for p in persons:
             if p.person_id in self.persons_by_id:
                 raise DataError(f"duplicate person_id {p.person_id!r}")
+            problem = _person_problem(p)
+            if problem is None and p.source != source:
+                problem = f"source {p.source!r} != dataset source {source!r}"
+            if problem:
+                raise DataError(f"person {p.person_id!r}: {problem}")
             self.persons_by_id[p.person_id] = p
         if not isinstance(events, EventTable):
             events = EventTable.from_events(persons, events)
@@ -550,6 +573,17 @@ class Dataset:
         by_row = [self.persons_by_id[pid] for pid in table.ids]
         self.enroll_start = np.array([p.enroll_start.toordinal() for p in by_row], dtype=np.int64)
         self.enroll_end = np.array([p.enroll_end.toordinal() for p in by_row], dtype=np.int64)
+        entries = table.codes.entries
+        bad_code = np.array([_kind_problem(c.kind, c.system) is not None for c in entries], dtype=bool)
+        rows = np.repeat(np.arange(len(by_row)), np.diff(table.offsets))
+        bad = bad_code[table.code] | (table.day < self.enroll_start[rows]) | (table.day > self.enroll_end[rows])
+        if bad.any():
+            i = int(np.argmax(bad))
+            person, c = by_row[rows[i]], entries[table.code[i]]
+            problem = _kind_problem(c.kind, c.system) or _enrollment_problem(
+                person, datetime.date.fromordinal(int(table.day[i]))
+            )
+            raise DataError(f"person {person.person_id!r}: {problem}")
         self._key: np.ndarray | None = None
         self._dx_key: np.ndarray | None = None
         self._per_code: dict[tuple[Callable, int], tuple[object, np.ndarray]] = {}
@@ -674,59 +708,3 @@ class Dataset:
             and self.persons == other.persons
             and self.events == other.events
         )
-
-
-def _code_problem(c: Code) -> str | None:
-    if c.kind not in EVENT_KINDS:
-        return f"unknown event kind {c.kind!r}"
-    if c.system not in SYSTEMS_FOR_KIND[c.kind]:
-        return f"kind {c.kind} inconsistent with system {c.system}"
-    return None
-
-
-def validate_dataset(d: Dataset) -> ValidationReport:
-    """Check every dataset invariant; violations are reported, not raised.
-
-    Per-person date order and known person ids hold by construction of the
-    event table, so only kinds, systems and enrollment bounds are checked
-    per event.
-    """
-    violations: list[str] = []
-    seen_ids: set[str] = set()
-    for p in d.persons:
-        if p.person_id in seen_ids:
-            violations.append(f"duplicate person_id {p.person_id!r}")
-        seen_ids.add(p.person_id)
-        if p.enroll_start > p.enroll_end:
-            violations.append(f"{p.person_id}: enroll_start after enroll_end")
-        if p.birth_year > p.enroll_end.year:
-            violations.append(f"{p.person_id}: birth_year {p.birth_year} after enrollment end")
-        if p.gender not in GENDERS:
-            violations.append(f"{p.person_id}: unknown gender {p.gender!r}")
-        if p.source != d.source:
-            violations.append(f"{p.person_id}: source {p.source!r} != dataset source {d.source!r}")
-    t = d.table
-    entries = t.codes.entries
-    code_problem = [_code_problem(c) for c in entries]
-    bad_code = np.array([problem is not None for problem in code_problem], dtype=bool)
-    counts = np.bincount(t.code, minlength=len(entries))
-    kind_counts = {"DX": 0, "RX": 0}
-    for c, n, problem in zip(entries, counts.tolist(), code_problem):
-        if problem is None:
-            kind_counts[c.kind] += n
-    rows = np.repeat(np.arange(len(t.ids)), np.diff(t.offsets))
-    outside = (t.day < d.enroll_start[rows]) | (t.day > d.enroll_end[rows])
-    for i in np.flatnonzero(bad_code[t.code] | outside).tolist():
-        pid = t.ids[rows[i]]
-        problem = code_problem[t.code[i]]
-        if problem is not None:
-            violations.append(f"{pid}: {problem}")
-        if outside[i]:
-            date = datetime.date.fromordinal(int(t.day[i]))
-            violations.append(f"{pid}: event dated {date} outside enrollment")
-    return ValidationReport(
-        n_persons=len(d.persons),
-        n_events=len(t),
-        n_events_by_kind=kind_counts,
-        violations=violations,
-    )

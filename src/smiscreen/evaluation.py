@@ -68,18 +68,18 @@ class EvalReport:
     n_neg: int
 
 
+def _tie_ends(sorted_vals: np.ndarray) -> np.ndarray:
+    """End (exclusive) of each run of equal values in a sorted array."""
+    return np.append(np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1, sorted_vals.size)
+
+
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their group."""
     order = np.argsort(values, kind="mergesort")
+    ends = _tie_ends(values[order])
+    starts = np.concatenate(([0], ends[:-1]))
     ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i + 1
-        while j < values.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # mean of ranks i+1..j
-        i = j
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)  # mean of ranks start+1..end
     return ranks
 
 
@@ -97,28 +97,14 @@ def youden_threshold(s: ScoredSet) -> tuple[float, float, float]:
     s.require_both_classes("Youden threshold")
     order = np.argsort(-s.scores, kind="mergesort")
     scores = s.scores[order]
-    labels = s.labels[order]
-    n_pos, n_neg = s.n_pos, s.n_neg
-    best = None
-    tp = 0
-    fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i + 1
-        while j < n and scores[j] == scores[i]:
-            j += 1
-        tp += int(labels[i:j].sum())
-        fp += (j - i) - int(labels[i:j].sum())
-        sens = tp / n_pos
-        spec = (n_neg - fp) / n_neg
-        j_stat = sens + spec - 1.0
-        # strictly greater keeps the largest threshold on J ties
-        if best is None or j_stat > best[0]:
-            best = (j_stat, float(scores[i]), sens, spec)
-        i = j
-    assert best is not None
-    return best[1], best[2], best[3]
+    ends = _tie_ends(scores)
+    tp = np.cumsum(s.labels[order])[ends - 1]
+    sens = tp / s.n_pos
+    spec = (s.n_neg - (ends - tp)) / s.n_neg
+    # argmax takes the first maximum: the largest threshold on J ties
+    best = int(np.argmax(sens + spec - 1.0))
+    start = int(ends[best - 1]) if best else 0
+    return float(scores[start]), float(sens[best]), float(spec[best])
 
 
 def confusion_at(s: ScoredSet, threshold: float) -> tuple[float, float, float]:

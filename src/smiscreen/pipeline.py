@@ -45,7 +45,7 @@ from .cohort import (
     prevalence,
     write_cohort,
 )
-from .datamodel import SOURCES, Dataset, validate_dataset, write_events, write_persons
+from .datamodel import SOURCES, Dataset, write_events, write_persons
 from .errors import ConfigError, DataError, DegenerateCohortError
 from .evaluation import (
     EvalReport,
@@ -344,12 +344,6 @@ def load_inputs(cfg: RunConfig) -> tuple[Dataset, PhecodeMap]:
         if not cfg.persons_path or not cfg.events_path:
             raise ConfigError("data.persons and data.events are required")
         dataset = Dataset.from_files(cfg.persons_path, cfg.events_path)
-        report = validate_dataset(dataset)
-        if not report.ok:
-            raise DataError(
-                f"dataset failed validation with {len(report.violations)} violations; "
-                f"first: {report.violations[0]}"
-            )
         path = cfg.phecode_map_path
         return dataset, parse_phecode_map(path) if path else load_default_map()
 

@@ -242,7 +242,8 @@ class TestAge18Cohort:
         assert build_age18_cohort(make_dataset(persons, events), phemap) == []
 
     def test_needs_enrollment_coverage(self, phemap):
-        persons, events = self.person_with_history("p1", smi_date="2013-07-01", start="2012-06-01")
+        persons, events = self.person_with_history("p1", smi_date="2013-07-01", pre_event=False, start="2012-06-01")
+        events.append(make_event("p1", "2012-07-01", code="E11.9"))  # enrolled, inside the 2012 window
         assert build_age18_cohort(make_dataset(persons, events), phemap) == []
 
 

@@ -1,4 +1,4 @@
-"""Ingestion, validation, and round-trip behavior of the core tables."""
+"""Ingestion, construction-time checks, and round-trip behavior of the core tables."""
 
 import re
 import time
@@ -12,7 +12,6 @@ from smiscreen.datamodel import (
     Dataset,
     load_events,
     load_persons,
-    validate_dataset,
     write_events,
     write_persons,
 )
@@ -115,22 +114,19 @@ class TestLoadEvents:
 class TestDatasetAndValidation:
     def test_validate_clean(self):
         persons = [make_person(f"p{i}") for i in range(3)]
-        events = [make_event("p0", "2012-01-01"), make_event("p1", "2012-02-01", kind="RX", system="NDC", code="1")]
-        report = validate_dataset(make_dataset(persons, events))
-        assert report.ok
-        assert report.n_persons == 3
-        assert report.n_events == 2
-        assert report.n_events_by_kind == {"DX": 1, "RX": 1}
+        events = [make_event("p0", "2012-01-01"), make_event("p1", "2012-02-01", kind="rx", system="NDC", code="1")]
+        ds = make_dataset(persons, events)
+        assert len(ds.persons) == 3
+        assert ds.n_events == 2
+        assert [e.kind for e in ds.events] == ["DX", "RX"]  # kinds are stored upper case
 
     def test_event_before_enrollment_is_violation(self):
-        ds = make_dataset([make_person("p1", start="2010-01-01")], [make_event("p1", "2009-01-01")])
-        report = validate_dataset(ds)
-        assert any("outside enrollment" in v for v in report.violations)
+        with pytest.raises(DataError, match="'p1'.*outside enrollment"):
+            make_dataset([make_person("p1", start="2010-01-01")], [make_event("p1", "2009-01-01")])
 
     def test_synthetic_population_validates(self, pop50k):
         dataset, _, _ = pop50k
-        report = validate_dataset(dataset)
-        assert report.violations == []
+        Dataset(dataset.persons, dataset.table, dataset.source)  # raises on any violation
 
     def test_round_trip(self, tmp_path):
         persons = [make_person("p1"), make_person("p2", gender="M", source="CLAIMS")]
@@ -188,6 +184,62 @@ class TestDatasetAndValidation:
         small = max(build(2000), 1e-4)
         large = build(20000)
         assert large <= 12 * small
+
+
+P1 = make_person("p1", start="2010-01-01", end="2015-06-30")
+OUTSIDE = "event for 'p1' dated {} outside enrollment [2010-01-01, 2015-06-30]"
+
+# (case, persons, events, problem text, persons.csv line load_persons reports
+# it on, or None when the rule is not one of load_persons'); the dataset
+# source is CLAIMS
+VIOLATIONS = [
+    ("duplicate id", [P1, P1], [], "duplicate person_id 'p1'", 3),
+    (
+        "enroll order",
+        [make_person("p1", start="2016-01-01", end="2015-06-30")],
+        [],
+        "enroll_start 2016-01-01 after enroll_end 2015-06-30",
+        2,
+    ),
+    ("birth year out of range", [make_person("p1", birth_year=-20)], [], "birth_year -20 outside -16..9980", 2),
+    (
+        "born after enrollment",
+        [make_person("p1", birth_year=2016, end="2015-06-30")],
+        [],
+        "birth_year 2016 after enrollment end 2015-06-30",
+        2,
+    ),
+    ("unknown gender", [make_person("p1", gender="X")], [], "unknown gender token 'X'", 2),
+    ("source mismatch", [make_person("p1", source="EHR")], [], "source 'EHR' != dataset source 'CLAIMS'", None),
+    ("unknown kind", [P1], [make_event("p1", "2012-03-04", kind="LAB")], "unknown event kind 'LAB'", None),
+    (
+        "kind/system mismatch",
+        [P1],
+        [make_event("p1", "2012-03-04", kind="RX", system="ICD10")],
+        "kind 'RX' inconsistent with system 'ICD10'",
+        None,
+    ),
+    ("event before enrollment", [P1], [make_event("p1", "2009-12-31")], OUTSIDE.format("2009-12-31"), None),
+    ("event after enrollment", [P1], [make_event("p1", "2015-07-01")], OUTSIDE.format("2015-07-01"), None),
+]
+
+
+@pytest.mark.parametrize("case,persons,events,problem,line", VIOLATIONS, ids=[v[0] for v in VIOLATIONS])
+def test_construction_refuses_violation(tmp_path, case, persons, events, problem, line):
+    named = (problem, f"person 'p1': {problem}")
+    with pytest.raises(DataError) as exc:
+        make_dataset(persons, events)
+    assert str(exc.value) in named
+    if events:
+        clean = make_dataset([P1], [make_event("p1", "2012-01-01")])
+        with pytest.raises(DataError) as exc:
+            clean.replace_person_events("p1", events)
+        assert str(exc.value) in named
+    if line is not None:
+        path = str(tmp_path / "p.csv")
+        write_persons(persons, path)
+        with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {problem}")):
+            load_persons(path)
 
 
 GOOD_ROW = b"p1,2012-03-04,dx,ICD10,F20.0"

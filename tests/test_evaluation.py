@@ -8,6 +8,7 @@ from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow
 from smiscreen.errors import DegenerateCohortError
 from smiscreen.evaluation import (
     ScoredSet,
+    _tied_ranks,
     auc,
     benchmark1,
     benchmark2,
@@ -124,6 +125,55 @@ class TestYouden:
             t, sens, spec = youden_threshold(s)
             c_sens, c_spec, _ = confusion_at(s, t)
             assert (sens, spec) == (c_sens, c_spec)
+
+
+def loop_tied_ranks(values):
+    """Tie-group scan one score at a time: the reference for `_tied_ranks`."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i + 1
+        while j < values.size and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = (i + j + 1) / 2.0
+        i = j
+    return ranks
+
+
+def loop_youden(s):
+    """Tie-group scan from the top score down: the reference for `youden_threshold`."""
+    order = np.argsort(-s.scores, kind="mergesort")
+    scores, labels = s.scores[order], s.labels[order]
+    best, tp, fp, i = None, 0, 0, 0
+    while i < scores.size:
+        j = i + 1
+        while j < scores.size and scores[j] == scores[i]:
+            j += 1
+        tp += int(labels[i:j].sum())
+        fp += (j - i) - int(labels[i:j].sum())
+        sens, spec = tp / s.n_pos, (s.n_neg - fp) / s.n_neg
+        if best is None or sens + spec - 1.0 > best[0]:
+            best = (sens + spec - 1.0, float(scores[i]), sens, spec)
+        i = j
+    return best[1:]
+
+
+def test_tie_groups_match_loop_reference_bitwise():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        n = int(rng.integers(2, 400))
+        scores = rng.integers(0, int(rng.integers(1, 12)), size=n) / 4.0  # heavy ties
+        if trial % 3 == 0:
+            scores[rng.random(n) < 0.2] = np.inf
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        s = ScoredSet(scores, labels)
+        assert _tied_ranks(s.scores).tobytes() == loop_tied_ranks(s.scores).tobytes()
+        pos = loop_tied_ranks(s.scores)[s.labels == 1].sum()
+        assert auc(s) == (pos - s.n_pos * (s.n_pos + 1) / 2.0) / (s.n_pos * s.n_neg)
+        assert youden_threshold(s) == loop_youden(s)
 
 
 class TestConfusion:

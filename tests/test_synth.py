@@ -11,7 +11,7 @@ import pytest
 
 from mc_oracle import mc_prevalence
 from smiscreen.cohort import build_all_age_cohort
-from smiscreen.datamodel import validate_dataset, write_events, write_persons
+from smiscreen.datamodel import Dataset, write_events, write_persons
 from smiscreen.errors import ConfigError, DataError
 from smiscreen.evaluation import benchmark2
 from smiscreen.phecode import map_event, smi_set
@@ -70,7 +70,8 @@ class TestGeneration:
         assert all(v is None for v in truth.onset_date.values())
 
     def test_dataset_passes_validation(self, pop5k):
-        assert validate_dataset(pop5k[0]).violations == []
+        dataset = pop5k[0]
+        Dataset(dataset.persons, dataset.table, dataset.source)  # raises on any violation
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = SynthConfig.default("EHR", 800, seed=31)
