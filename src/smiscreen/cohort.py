@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import Dataset, Person
+from .datamodel import Dataset
 from .dates import add_months, window_start_for_end
-from .errors import DegenerateCohortError
+from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags
 
 GAP_MIN_DAYS = 14
@@ -79,8 +79,16 @@ def find_cases(d: Dataset, m: PhecodeMap) -> list[tuple[str, datetime.date]]:
     return _first_dates(d, m, TAG_SMI)
 
 
-def first_onset_by_person(d: Dataset, m: PhecodeMap) -> dict[str, datetime.date]:
-    return dict(find_cases(d, m))
+def example_windows(examples: list[CohortExample], d: Dataset) -> tuple[np.ndarray, ...]:
+    """(rows, start, end) of the examples' windows as arrays of dataset rows
+    and date ordinals; an example of an unknown person is a DataError."""
+    try:
+        rows = np.array([d.row_of[ex.person_id] for ex in examples], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"unknown person_id {exc.args[0]!r}") from None
+    start = np.array([ex.window.start.toordinal() for ex in examples], dtype=np.int64)
+    end = np.array([ex.window.end.toordinal() for ex in examples], dtype=np.int64)
+    return rows, start, end
 
 
 def gap_stream(seed: int, person_id: str) -> np.random.Generator:
@@ -208,15 +216,11 @@ def match_controls(
 
 
 def build_all_age_cohort(
-    d: Dataset,
-    m: PhecodeMap,
-    seed: int,
-    k: int = 10,
-    exclude_use_cases: bool = True,
+    d: Dataset, m: PhecodeMap, seed: int, k: int = 10
 ) -> tuple[list[CohortExample], CohortBuildStats]:
     """Full all-age matched cohort; use-case cohort members are excluded."""
     stats = CohortBuildStats()
-    exclude = use_case_person_ids(d, m) if exclude_use_cases else frozenset()
+    exclude = use_case_person_ids(d, m)
     cases = find_cases(d, m)
     stats.n_cases_found = len(cases)
     cases = [(pid, onset) for pid, onset in cases if pid not in exclude]
@@ -240,9 +244,9 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
     Persons with any SMI diagnosis before the birthday are excluded; the
     target is future risk, not prevalent disease.
     """
-    onsets = first_onset_by_person(d, m)
+    onsets = dict(find_cases(d, m))
     spans: dict[int, tuple[datetime.date, datetime.date, datetime.date]] = {}
-    covered: list[tuple[Person, datetime.date, ObservationWindow]] = []
+    candidates: list[CohortExample] = []
     for p in d.persons:
         span = spans.get(p.birth_year)
         if span is None:
@@ -253,30 +257,21 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
         birthday, span_start, span_end = span
         if p.enroll_start > span_start or p.enroll_end < span_end:
             continue
-        window = ObservationWindow(span_start, birthday - datetime.timedelta(days=1))
-        covered.append((p, birthday, window))
-    lo, hi = d.windows(
-        np.array([d.row_of[p.person_id] for p, _, _ in covered], dtype=np.int64),
-        np.array([w.start.toordinal() for _, _, w in covered], dtype=np.int64),
-        np.array([w.end.toordinal() for _, _, w in covered], dtype=np.int64),
-    )
-    out: list[CohortExample] = []
-    for (p, birthday, window), seen in zip(covered, (hi > lo).tolist()):
-        if not seen:
-            continue
         onset = onsets.get(p.person_id)
         if onset is not None and onset < birthday:
             continue
-        test_end = add_months(birthday, 12) - datetime.timedelta(days=1)
-        label = int(onset is not None and birthday <= onset <= test_end)
-        out.append(CohortExample(p.person_id, label, window, p.person_id, AGE18, birthday))
-    return out
+        label = int(onset is not None and birthday <= onset < span_end)
+        window = ObservationWindow(span_start, birthday - datetime.timedelta(days=1))
+        candidates.append(CohortExample(p.person_id, label, window, p.person_id, AGE18, birthday))
+    _, owner = d.window_events(*example_windows(candidates, d))
+    seen = np.bincount(owner, minlength=len(candidates)) > 0
+    return [ex for ex, keep in zip(candidates, seen.tolist()) if keep]
 
 
 def build_substance_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
     """Post-substance-diagnosis cohort: observe the year up to and including
     the first substance-related diagnosis, label by SMI in the year after."""
-    onsets = first_onset_by_person(d, m)
+    onsets = dict(find_cases(d, m))
     index_dates = dict(_first_dates(d, m, TAG_SUBSTANCE))
     out: list[CohortExample] = []
     for p in d.persons:
@@ -301,14 +296,10 @@ def build_cohort(
     """Dispatch on cohort kind; errors when nobody is eligible."""
     if kind == ALL_AGE:
         examples, stats = build_all_age_cohort(d, m, seed, k=k)
-    elif kind == AGE18:
-        examples = build_age18_cohort(d, m)
-        stats = CohortBuildStats(n_cases_retained=sum(ex.label for ex in examples))
-        stats.n_controls = len(examples) - stats.n_cases_retained
-    elif kind == SUBSTANCE:
-        examples = build_substance_cohort(d, m)
-        stats = CohortBuildStats(n_cases_retained=sum(ex.label for ex in examples))
-        stats.n_controls = len(examples) - stats.n_cases_retained
+    elif kind in (AGE18, SUBSTANCE):
+        examples = build_age18_cohort(d, m) if kind == AGE18 else build_substance_cohort(d, m)
+        n_pos = sum(ex.label for ex in examples)
+        stats = CohortBuildStats(n_cases_retained=n_pos, n_controls=len(examples) - n_pos)
     else:
         raise ValueError(f"unknown cohort kind {kind!r}")
     if not examples:

@@ -21,10 +21,12 @@ Events are held as columns, never as one object per event. An
 `EventTable` keeps int arrays of date ordinals and code ids, sorted by
 (person_id, date) with ties in input order, plus per-person offsets into
 them; a code id names one distinct (kind, system, code) triple of a
-`CodeTable`. Cohort scans, benchmarks and featurization are slices and
-per-code mask tests over a person's event range. `ClinicalEvent` is only a
-row view: built on demand by `events_for`, `events_in_window` and `events`,
-and accepted from callers that assemble small datasets by hand.
+`CodeTable`. The vocabulary, features, benchmarks and the AGE18 coverage
+test each scan a whole split at once: one `window_events` gather of the
+positions inside its windows, then per-code mask tests. `ClinicalEvent`
+is only a row view: built on demand by `events_for`, `events_in_window`
+and `events`, and accepted from callers that assemble small datasets by
+hand.
 
 File formats (UTF-8, comma separated, LF or CRLF line ends, no quoting):
   persons.csv: person_id,birth_year,gender,enroll_start,enroll_end,source
@@ -39,6 +41,7 @@ not ending a line and invalid UTF-8.
 
 from __future__ import annotations
 
+import copy
 import csv
 import datetime
 import sys
@@ -565,25 +568,27 @@ class Dataset:
             events = EventTable.from_events(persons, events)
         elif events.ids != sorted(self.persons_by_id):
             raise DataError("event table was built for a different person table")
-        self._set_table(events)
-
-    def _set_table(self, table: EventTable) -> None:
-        self.table = table
-        self.row_of = {pid: row for row, pid in enumerate(table.ids)}
-        by_row = [self.persons_by_id[pid] for pid in table.ids]
+        self.row_of = {pid: row for row, pid in enumerate(events.ids)}
+        by_row = [self.persons_by_id[pid] for pid in events.ids]
         self.enroll_start = np.array([p.enroll_start.toordinal() for p in by_row], dtype=np.int64)
         self.enroll_end = np.array([p.enroll_end.toordinal() for p in by_row], dtype=np.int64)
+        self._set_table(events, 0, np.repeat(np.arange(len(by_row)), np.diff(events.offsets)))
+
+    def _set_table(self, table: EventTable, lo: int, rows: np.ndarray) -> None:
+        """Adopt `table` after checking its events at positions lo, lo + 1,
+        ..., which belong to `rows`; the other events were checked before."""
         entries = table.codes.entries
         bad_code = np.array([_kind_problem(c.kind, c.system) is not None for c in entries], dtype=bool)
-        rows = np.repeat(np.arange(len(by_row)), np.diff(table.offsets))
-        bad = bad_code[table.code] | (table.day < self.enroll_start[rows]) | (table.day > self.enroll_end[rows])
+        day, code = table.day[lo : lo + rows.size], table.code[lo : lo + rows.size]
+        bad = bad_code[code] | (day < self.enroll_start[rows]) | (day > self.enroll_end[rows])
         if bad.any():
             i = int(np.argmax(bad))
-            person, c = by_row[rows[i]], entries[table.code[i]]
+            person, c = self.persons_by_id[table.ids[rows[i]]], entries[code[i]]
             problem = _kind_problem(c.kind, c.system) or _enrollment_problem(
-                person, datetime.date.fromordinal(int(table.day[i]))
+                person, datetime.date.fromordinal(int(day[i]))
             )
             raise DataError(f"person {person.person_id!r}: {problem}")
+        self.table = table
         self._key: np.ndarray | None = None
         self._dx_key: np.ndarray | None = None
         self._per_code: dict[tuple[Callable, int], tuple[object, np.ndarray]] = {}
@@ -625,22 +630,18 @@ class Dataset:
             self._key = np.repeat(rows, np.diff(t.offsets)) + t.day
         return self._key
 
-    def windows(
+    def window_events(
         self, rows: np.ndarray, start: np.ndarray, end: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Event position ranges [lo, hi) of each row's events dated within
-        [start, end] (date ordinals, inclusive both ends)."""
+        """Positions of the events of each row dated within [start, end]
+        (date ordinals, inclusive both ends), window after window in date
+        order, and the index of the window owning each position."""
         base = np.asarray(rows, dtype=np.int64) * DAY_SPAN
         lo = np.searchsorted(self.key, base + start, side="left")
-        hi = np.searchsorted(self.key, base + end, side="right")
-        return lo, hi
-
-    def window(self, person_id: str, start: datetime.date, end: datetime.date) -> tuple[int, int]:
-        """Position range of one person's events dated within [start, end]."""
-        base = self.row_of[person_id] * DAY_SPAN
-        lo = self.key.searchsorted(base + start.toordinal())
-        hi = self.key.searchsorted(base + end.toordinal() + 1)
-        return int(lo), int(hi)
+        counts = np.searchsorted(self.key, base + end, side="right") - lo
+        owner = np.repeat(np.arange(lo.size), counts)
+        # window i fills output slots from its cumsum start, positions up from its lo
+        return np.arange(owner.size) + (lo - np.cumsum(counts) + counts)[owner], owner
 
     def events_in_window(
         self, person_id: str, start: datetime.date, end: datetime.date
@@ -649,7 +650,8 @@ class Dataset:
         row = self.row_of.get(person_id)
         if row is None:
             return []
-        return self.table.row_events(row, *self.window(person_id, start, end))
+        pos, _ = self.window_events(np.array([row]), start.toordinal(), end.toordinal())
+        return self.table.row_events(row, int(pos[0]), int(pos[-1]) + 1) if pos.size else []
 
     def dx_counts_before(self, rows: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
         """Raw DX event count of each row strictly before its cutoff ordinal."""
@@ -658,11 +660,6 @@ class Dataset:
             self._dx_key = self.key[is_dx[self.table.code]]
         base = np.asarray(rows, dtype=np.int64) * DAY_SPAN
         return np.searchsorted(self._dx_key, base + cutoff) - np.searchsorted(self._dx_key, base)
-
-    def dx_count_before(self, person_id: str, cutoff: datetime.date) -> int:
-        """Raw DX event count strictly before `cutoff`."""
-        rows = np.array([self.row_of[person_id]])
-        return int(self.dx_counts_before(rows, np.array([cutoff.toordinal()]))[0])
 
     def first_events(self, code_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, position) of each person's first event whose code id is
@@ -688,16 +685,16 @@ class Dataset:
     def replace_person_events(self, person_id: str, events: list[ClinicalEvent]) -> "Dataset":
         """Derived dataset with one person's events swapped out.
 
-        Shares person records with the parent; used for mutation checks.
+        Shares person records with the parent and checks only the new
+        events; used for mutation checks.
         """
         row = self.row_of.get(person_id)
         if row is None:
             raise DataError(f"unknown person_id {person_id!r}")
-        clone = object.__new__(Dataset)
-        clone.persons = self.persons
-        clone.source = self.source
-        clone.persons_by_id = self.persons_by_id
-        clone._set_table(self.table.replace_row(row, events))
+        clone = copy.copy(self)  # shares persons, row_of and the enrollment arrays
+        table = self.table.replace_row(row, events)
+        lo, hi = int(table.offsets[row]), int(table.offsets[row + 1])
+        clone._set_table(table, lo, np.full(hi - lo, row))
         return clone
 
     def __eq__(self, other: object) -> bool:

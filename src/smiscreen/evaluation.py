@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortExample
+from .cohort import CohortExample, example_windows
 from .datamodel import Dataset
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_AXIS1, TAG_PSYCH, TAG_SUBSTANCE, PhecodeMap, code_tags
@@ -119,31 +120,34 @@ def confusion_at(s: ScoredSet, threshold: float) -> tuple[float, float, float]:
     return sens, spec, prev
 
 
-def _window_fires(
-    ex: CohortExample, d: Dataset, m: PhecodeMap, trigger: int, exclude_substance: bool
-) -> int:
-    """1 iff any in-window diagnosis carries the `trigger` tag bit (and,
-    with `exclude_substance`, not the substance bit)."""
-    lo, hi = d.window(ex.person_id, ex.window.start, ex.window.end)
-    tags = d.per_code(code_tags, m)[d.table.code[lo:hi]]
-    fires = (tags & trigger) != 0
+def benchmark_predictions(
+    examples: list[CohortExample], d: Dataset, m: PhecodeMap, exclude_substance: bool = False
+) -> dict[str, np.ndarray]:
+    """BENCH1 and BENCH2 of each example: True iff any in-window diagnosis
+    carries the psychological-category (BENCH1) or axis I (BENCH2) tag bit
+    and, with `exclude_substance`, not the substance bit."""
+    positions, owner = d.window_events(*example_windows(examples, d))
+    tags = d.per_code(code_tags, m)[d.table.code[positions]]
     if exclude_substance:
-        fires &= (tags & TAG_SUBSTANCE) == 0
-    return int(fires.any())
+        tags = np.where((tags & TAG_SUBSTANCE) != 0, 0, tags)
+    return {
+        method: np.bincount(owner[(tags & trigger) != 0], minlength=len(examples)) > 0
+        for method, trigger in (("BENCH1", TAG_PSYCH), ("BENCH2", TAG_AXIS1))
+    }
 
 
 def benchmark1(
     ex: CohortExample, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> int:
     """1 iff any in-window diagnosis maps into the psychological category."""
-    return _window_fires(ex, d, m, TAG_PSYCH, exclude_substance)
+    return int(benchmark_predictions([ex], d, m, exclude_substance)["BENCH1"][0])
 
 
 def benchmark2(
     ex: CohortExample, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> int:
     """1 iff any in-window diagnosis maps into the axis I set."""
-    return _window_fires(ex, d, m, TAG_AXIS1, exclude_substance)
+    return int(benchmark_predictions([ex], d, m, exclude_substance)["BENCH2"][0])
 
 
 def evaluate_model(
@@ -198,18 +202,24 @@ def evaluate_benchmark(
     )
 
 
-# report.json row key -> (EvalReport field, JSON types accepted on reading)
+# (what a number must be, its test); each test also refuses NaN
+_RATE = ("in [0, 1]", lambda x: 0 <= x <= 1)
+_FINITE = ("finite", lambda x: -math.inf < x < math.inf)
+_COUNT = (">= 0", lambda x: x >= 0)
+
+# report.json row key -> (EvalReport field, JSON types accepted on reading,
+# the bound on a non-null number or None)
 _REPORT_FIELDS = {
-    "method": ("method", (str,)),
-    "dataset": ("dataset", (str,)),
-    "cohort": ("cohort_kind", (str,)),
-    "auc": ("auc", (int, float, type(None))),
-    "threshold": ("threshold", (int, float, type(None))),
-    "sensitivity": ("sensitivity", (int, float)),
-    "specificity": ("specificity", (int, float)),
-    "prevalence": ("prevalence", (int, float)),
-    "n_pos": ("n_pos", (int,)),
-    "n_neg": ("n_neg", (int,)),
+    "method": ("method", (str,), None),
+    "dataset": ("dataset", (str,), None),
+    "cohort": ("cohort_kind", (str,), None),
+    "auc": ("auc", (int, float, type(None)), _RATE),
+    "threshold": ("threshold", (int, float, type(None)), _FINITE),
+    "sensitivity": ("sensitivity", (int, float), _RATE),
+    "specificity": ("specificity", (int, float), _RATE),
+    "prevalence": ("prevalence", (int, float), _RATE),
+    "n_pos": ("n_pos", (int,), _COUNT),
+    "n_neg": ("n_neg", (int,), _COUNT),
 }
 
 
@@ -218,7 +228,7 @@ def write_report_json(
 ) -> None:
     rows = []
     for r in reports:
-        row = {key: getattr(r, name) for key, (name, _) in _REPORT_FIELDS.items()}
+        row = {key: getattr(r, name) for key, (name, *_) in _REPORT_FIELDS.items()}
         rows.append({**row, "seed": seed, "version": version})
     payload = {"timestamp": timestamp, "reports": rows}
     with open(path, "w", encoding="utf-8") as fh:
@@ -227,8 +237,9 @@ def write_report_json(
 
 
 def read_report_json(path: str) -> list[EvalReport]:
-    """The rows of a report.json. A malformed file is a DataError naming
-    the file and, for a bad row, its index."""
+    """The rows of a report.json. A malformed file, or a metric that is
+    non-finite or out of range, is a DataError naming the file and, for a
+    bad row, its index."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -243,12 +254,14 @@ def read_report_json(path: str) -> list[EvalReport]:
         if not isinstance(row, dict):
             raise DataError(f"{where} is not a JSON object")
         fields = {}
-        for key, (name, types) in _REPORT_FIELDS.items():
+        for key, (name, types, bound) in _REPORT_FIELDS.items():
             if key not in row:
                 raise DataError(f"{where} lacks {key!r}")
             value = row[key]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise DataError(f"{where}: {key} has the wrong type ({value!r})")
+            if value is not None and bound and not bound[1](value):
+                raise DataError(f"{where}: {key}={value!r} is not {bound[0]}")
             fields[name] = value
         reports.append(EvalReport(**fields))
     return reports

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortExample
+from .cohort import CohortExample, example_windows
 from .datamodel import ClinicalEvent, Code, Dataset
 from .errors import DataError
 
@@ -49,14 +49,6 @@ class Vocabulary:
         digest = hashlib.sha256("\n".join(self.entries).encode("utf-8"))
         return digest.hexdigest()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -81,14 +73,7 @@ def build_vocabulary(train_examples: list[CohortExample], d: Dataset) -> Vocabul
     """Union of namespaced codes inside training windows, sorted."""
     if not train_examples:
         raise DataError("cannot build a vocabulary from an empty training set")
-    lo, hi = d.windows(
-        np.array([d.row_of[ex.person_id] for ex in train_examples], dtype=np.int64),
-        np.array([ex.window.start.toordinal() for ex in train_examples], dtype=np.int64),
-        np.array([ex.window.end.toordinal() for ex in train_examples], dtype=np.int64),
-    )
-    counts = hi - lo
-    # positions lo..hi-1 of every window, concatenated
-    positions = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    positions, _ = d.window_events(*example_windows(train_examples, d))
     entries = d.table.codes.entries
     seen = np.unique(d.table.code[positions])
     return Vocabulary(tuple(sorted({namespaced_code(entries[c]) for c in seen.tolist()})))
@@ -101,21 +86,29 @@ def intersect_vocabularies(a: Vocabulary, b: Vocabulary) -> Vocabulary:
     return Vocabulary(tuple(sorted(shared)))
 
 
+def featurize_split(examples: list[CohortExample], d: Dataset, v: Vocabulary) -> list[FeatureVector]:
+    """Feature vector of each example; out-of-vocabulary codes are skipped."""
+    positions, owner = d.window_events(*example_windows(examples, d))
+    index = d.per_code(_vocab_indices, v)[d.table.code[positions]]
+    hit = index >= 0
+    # sorted unique (example, index) keys: each example's indices come out sorted and unique
+    keys = np.unique(owner[hit] * len(v) + index[hit])
+    bounds = np.searchsorted(keys // len(v), np.arange(len(examples) + 1)).tolist()
+    code_indices = keys % len(v)
+    persons = [d.persons_by_id[ex.person_id] for ex in examples]
+    demographics = np.zeros((len(examples), DEMOGRAPHICS_DIM), dtype=np.float64)
+    end_years = np.array([ex.window.end.year for ex in examples], dtype=np.int64)
+    demographics[:, 0] = (end_years - [p.birth_year for p in persons]) / 100.0
+    demographics[np.arange(len(examples)), [_GENDER_SLOT[p.gender] for p in persons]] = 1.0
+    return [
+        FeatureVector(code_indices[lo:hi], demographics[i])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
 def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureVector:
-    """Feature vector for one example; out-of-vocabulary codes are skipped."""
-    person = d.persons_by_id.get(ex.person_id)
-    if person is None:
-        raise DataError(f"unknown person_id {ex.person_id!r}")
-    lo, hi = d.window(ex.person_id, ex.window.start, ex.window.end)
-    # a set beats np.unique on windows of a few dozen events
-    hits = set(d.per_code(_vocab_indices, v)[d.table.code[lo:hi]].tolist())
-    hits.discard(-1)
-    code_indices = np.array(sorted(hits), dtype=np.int64)
-    age_norm = (ex.window.end.year - person.birth_year) / 100.0
-    demographics = np.zeros(DEMOGRAPHICS_DIM, dtype=np.float64)
-    demographics[0] = age_norm
-    demographics[_GENDER_SLOT[person.gender]] = 1.0
-    return FeatureVector(code_indices, demographics)
+    """Feature vector of one example: `featurize_split` of a one-element split."""
+    return featurize_split([ex], d, v)[0]
 
 
 def write_vocabulary(v: Vocabulary, path: str) -> None:

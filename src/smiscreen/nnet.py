@@ -401,7 +401,8 @@ def _expected_shapes(v: int, d: int, h1: int, h2: int) -> dict[str, tuple[int, .
 
 def _check_header(header: object, path: str) -> Hyperparams:
     """Hyperparams of a model header whose checksum passed; a missing,
-    unknown or mistyped key is a ModelCorruptError."""
+    unknown, mistyped or invalid key, or layer sizes that disagree with the
+    hyperparams, is a ModelCorruptError."""
     if not isinstance(header, dict):
         raise ModelCorruptError(f"{path}: header is not a JSON object")
     missing = [k for k in ("V", "d", "h1", "h2", "hyperparams", "vocab_fingerprint") if k not in header]
@@ -420,10 +421,20 @@ def _check_header(header: object, path: str) -> Hyperparams:
     for what, keys in (("unknown", set(raw) - names), ("missing", names - set(raw))):
         if keys:
             raise ModelCorruptError(f"{path}: {what} hyperparams in header: {', '.join(sorted(keys))}")
-    for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelCorruptError(f"{path}: header hyperparam {key}={value!r} is not a number")
-    return Hyperparams(**raw)
+    for f in fields(Hyperparams):
+        value = raw[f.name]
+        want, what = ((int, float), "a number") if f.type == "float" else (int, "an integer")
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ModelCorruptError(f"{path}: header hyperparam {f.name}={value!r} is not {what}")
+    for key, dim in (("embedding_dim", "d"), ("hidden1", "h1"), ("hidden2", "h2")):
+        if raw[key] != header[dim]:
+            raise ModelCorruptError(f"{path}: header hyperparam {key}={raw[key]} != {dim}={header[dim]}")
+    hp = Hyperparams(**raw)
+    try:
+        hp.validate()
+    except ConfigError as exc:
+        raise ModelCorruptError(f"{path}: header {exc}") from None
+    return hp
 
 
 def load_model(path: str) -> tuple[ModelParams, Hyperparams]:

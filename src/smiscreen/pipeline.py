@@ -10,9 +10,8 @@ Every mode except `synth` and `cohort` starts from `prepare` (cohort,
 split, per-split labels). The training modes add `fit` (train-split
 vocabulary, features, training from `init(vocab)`): scratch `init_model`
 for `train`, `transfer_init` from a pretrained or base model for
-`two-step` and `use-case`. Featurization is serial: it is GIL-bound
-Python, where threads only add overhead. The `threads` setting is
-accepted and has no effect.
+`two-step` and `use-case`. Featurization is a few array passes per
+split, so the `threads` setting is accepted and has no effect.
 
 Every run writes its artifacts under one output directory: cohort.csv,
 vocabulary.txt, model.bin, report.json, report.csv, manifest.json. Reruns
@@ -51,8 +50,7 @@ from .evaluation import (
     EvalReport,
     ScoredSet,
     auc,
-    benchmark1,
-    benchmark2,
+    benchmark_predictions,
     evaluate_benchmark,
     evaluate_model,
     read_report_json,
@@ -63,7 +61,7 @@ from .features import (
     FeatureVector,
     Vocabulary,
     build_vocabulary,
-    featurize,
+    featurize_split,
     intersect_vocabularies,
     load_vocabulary,
     write_vocabulary,
@@ -404,8 +402,7 @@ def prepare(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> Prepared:
 def _featurize(
     prepared: Prepared, vocab: Vocabulary, names: tuple[str, ...]
 ) -> dict[str, list[FeatureVector]]:
-    d = prepared.dataset
-    return {name: [featurize(ex, d, vocab) for ex in prepared.splits[name]] for name in names}
+    return {name: featurize_split(prepared.splits[name], prepared.dataset, vocab) for name in names}
 
 
 def _auc_eval(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -441,16 +438,12 @@ def fit_source(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> FittedSo
 def _benchmark_reports(prepared: Prepared) -> list[EvalReport]:
     """BENCH1/BENCH2 on the test split; substance cohorts drop substance
     codes from the trigger sets."""
-    kind, d, m = prepared.cohort_kind, prepared.dataset, prepared.phemap
-    exclude_substance = kind == SUBSTANCE
-    labels = prepared.labels[TEST]
-    reports = []
-    for method, fn in (("BENCH1", benchmark1), ("BENCH2", benchmark2)):
-        preds = np.array(
-            [fn(ex, d, m, exclude_substance) for ex in prepared.splits[TEST]], dtype=np.float64
-        )
-        reports.append(evaluate_benchmark(preds, labels, method=method, dataset=d.source, cohort_kind=kind))
-    return reports
+    kind, d = prepared.cohort_kind, prepared.dataset
+    preds = benchmark_predictions(prepared.splits[TEST], d, prepared.phemap, kind == SUBSTANCE)
+    return [
+        evaluate_benchmark(p, prepared.labels[TEST], method=method, dataset=d.source, cohort_kind=kind)
+        for method, p in preds.items()
+    ]
 
 
 def _model_report(

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import time
 
 import pytest
 
+from smiscreen.cohort import ObservationWindow, build_all_age_cohort
 from smiscreen.datamodel import ClinicalEvent, Dataset, Person
 from smiscreen.phecode import load_default_map
+from smiscreen.pipeline import SplitFractions, split_cohort
 from smiscreen.synth import SynthConfig, generate_population
 
 
@@ -58,3 +61,21 @@ def pop50k():
     dataset, truth = generate_population(cfg)
     elapsed = time.perf_counter() - t0
     return dataset, truth, elapsed
+
+
+@pytest.fixture(scope="session")
+def pop5k_splits(pop5k, phemap):
+    """The 5k population's all-age cohort as TRAIN/VAL/TEST splits. Each
+    split ends with two extra examples for its first person: one whose
+    window ends the day before enrollment (so it holds no event), and one
+    whose window is a year before the cohort window (the person twice)."""
+    dataset, _ = pop5k
+    examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
+    splits = split_cohort(examples, SplitFractions(), seed=42).split_examples(examples)
+    year = datetime.timedelta(days=365)
+    for split in splits.values():
+        ex = split[0]
+        before = dataset.persons_by_id[ex.person_id].enroll_start - datetime.timedelta(days=1)
+        for start, end in ((before - year, before), (ex.window.start - year, ex.window.end - year)):
+            split.append(dataclasses.replace(ex, window=ObservationWindow(start, end)))
+    return splits

@@ -3,6 +3,7 @@
 import re
 import time
 
+import numpy as np
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
@@ -164,8 +165,9 @@ class TestDatasetAndValidation:
             make_event("p1", "2012-06-01"),
         ]
         ds = make_dataset([make_person("p1")], events)
-        assert ds.dx_count_before("p1", d("2012-06-01")) == 1
-        assert ds.dx_count_before("p1", d("2012-06-02")) == 2
+        row = np.array([ds.row_of["p1"]])
+        assert ds.dx_counts_before(row, np.array([d("2012-06-01").toordinal()]))[0] == 1
+        assert ds.dx_counts_before(row, np.array([d("2012-06-02").toordinal()]))[0] == 2
 
     def test_ingestion_scales_roughly_linearly(self, tmp_path):
         base = [make_person("p1", start="2000-01-01", end="2015-12-31")]
@@ -240,6 +242,37 @@ def test_construction_refuses_violation(tmp_path, case, persons, events, problem
         write_persons(persons, path)
         with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {problem}")):
             load_persons(path)
+
+
+def test_replaced_dataset_equals_fresh_build():
+    persons = [make_person(pid, start="2011-01-01") for pid in ("p3", "p1", "p2")]
+    kept = [
+        make_event("p3", "2012-01-01"),
+        make_event("p2", "2013-05-01", kind="RX", system="NDC", code="7"),
+    ]
+    old = [make_event("p1", "2012-02-01"), make_event("p1", "2012-03-01")]
+    parent = make_dataset(persons, kept + old)
+    rows = np.array([parent.row_of[pid] for pid in ("p1", "p2", "p3")])
+    cutoff = np.full(3, d("2015-01-01").toordinal())
+    window = ("p1", d("2011-01-01"), d("2013-12-31"))
+    # fill the parent's caches, which the replaced dataset must not reuse
+    assert parent.dx_counts_before(rows, cutoff).tolist() == [2, 0, 1]
+    assert len(parent.events_in_window(*window)) == 2
+    new = [
+        make_event("p1", "2014-01-01", code="NEW1"),
+        make_event("p1", "2011-06-01", kind="rx", system="NDC"),
+    ]
+    replaced = parent.replace_person_events("p1", new)
+    fresh = make_dataset(persons, kept + new)
+    assert replaced.row_of == fresh.row_of
+    assert replaced.enroll_start.tolist() == fresh.enroll_start.tolist()
+    assert replaced.enroll_end.tolist() == fresh.enroll_end.tolist()
+    assert replaced.events == fresh.events and replaced == fresh
+    assert replaced.dx_counts_before(rows, cutoff).tolist() == [1, 0, 1]
+    assert fresh.dx_counts_before(rows, cutoff).tolist() == [1, 0, 1]
+    got = replaced.events_in_window(*window)
+    assert got == fresh.events_in_window(*window) and [e.date for e in got] == [d("2011-06-01")]
+    assert parent == make_dataset(persons, kept + old)
 
 
 GOOD_ROW = b"p1,2012-03-04,dx,ICD10,F20.0"

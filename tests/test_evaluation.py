@@ -5,13 +5,14 @@ import pytest
 
 from conftest import d, make_dataset, make_event, make_person
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow
-from smiscreen.errors import DegenerateCohortError
+from smiscreen.errors import DataError, DegenerateCohortError
 from smiscreen.evaluation import (
     ScoredSet,
     _tied_ranks,
     auc,
     benchmark1,
     benchmark2,
+    benchmark_predictions,
     confusion_at,
     evaluate_benchmark,
     evaluate_model,
@@ -251,6 +252,40 @@ class TestBenchmarks:
             for flag in (False, True):
                 assert benchmark1(ex, dataset, phemap, flag) == reference(ex, psych_category_set(), flag)
                 assert benchmark2(ex, dataset, phemap, flag) == reference(ex, axis1_set(), flag)
+
+    def test_split_predictions_match_per_event_reference(self, pop5k, pop5k_splits, phemap):
+        from smiscreen.phecode import axis1_set, map_event, psych_category_set, substance_set
+
+        dataset, _ = pop5k
+        triggers = {"BENCH1": psych_category_set(), "BENCH2": axis1_set()}
+        for split in pop5k_splits.values():
+            codes = [
+                [
+                    map_event(e, phemap)
+                    for e in dataset.events_for(ex.person_id)
+                    if ex.window.start <= e.date <= ex.window.end
+                ]
+                for ex in split
+            ]
+            for flag in (False, True):
+                got = benchmark_predictions(split, dataset, phemap, flag)
+                assert sorted(got) == ["BENCH1", "BENCH2"]
+                for method, trigger in triggers.items():
+                    expected = [
+                        any(
+                            c is not None
+                            and trigger.contains(c)
+                            and not (flag and substance_set().contains(c))
+                            for c in ex_codes
+                        )
+                        for ex_codes in codes
+                    ]
+                    assert got[method].tolist() == expected
+                    assert not got[method][-2]  # the window before enrollment
+
+    def test_unknown_person_rejected(self, dataset, phemap):
+        with pytest.raises(DataError, match="unknown person_id 'ghost'"):
+            benchmark1(example_for("ghost"), dataset, phemap)
 
     def test_window_bounded_mutation(self, dataset, phemap):
         ex = example_for("p0")

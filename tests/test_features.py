@@ -1,5 +1,6 @@
 """Vocabulary construction and window-bounded featurization."""
 
+import numpy as np
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
@@ -9,6 +10,7 @@ from smiscreen.features import (
     Vocabulary,
     build_vocabulary,
     featurize,
+    featurize_split,
     intersect_vocabularies,
     load_vocabulary,
     namespaced_code,
@@ -144,6 +146,28 @@ class TestFeaturize:
         for ex in examples[:800]:
             expected = sorted(index[c] for c in window_codes(ex) if c in index)
             assert featurize(ex, dataset, vocab).code_indices.tolist() == expected
+
+    @pytest.mark.parametrize("keep", [1, 2], ids=["train vocabulary", "every other code"])
+    def test_split_matches_per_event_reference(self, pop5k, pop5k_splits, keep):
+        dataset, _ = pop5k
+        vocab = Vocabulary(build_vocabulary(pop5k_splits["TRAIN"], dataset).entries[::keep])
+        for split in pop5k_splits.values():
+            got = featurize_split(split, dataset, vocab)
+            assert len(got) == len(split)
+            for ex, fv in zip(split, got):
+                person = dataset.persons_by_id[ex.person_id]
+                codes = {
+                    namespaced_code(e)
+                    for e in dataset.events_for(ex.person_id)
+                    if ex.window.start <= e.date <= ex.window.end
+                }
+                expected = sorted(vocab.index[c] for c in codes if c in vocab.index)
+                assert fv.code_indices.dtype == np.int64
+                assert fv.code_indices.tolist() == expected
+                demographics = [(ex.window.end.year - person.birth_year) / 100.0, 0.0, 0.0, 0.0]
+                demographics["FMU".index(person.gender) + 1] = 1.0
+                assert fv.demographics.tolist() == demographics
+            assert got[-2].code_indices.size == 0  # the window before enrollment
 
     def test_post_window_mutation_leaves_features_identical(self, dataset):
         vocab = build_vocabulary([example("p1")], dataset)

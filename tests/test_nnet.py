@@ -408,6 +408,21 @@ HEADER_DAMAGE = [
     ("missing hyperparam", lambda h: h["hyperparams"].pop("seed"), "missing hyperparams in header: seed"),
     ("V not an int", lambda h: h.update(V="7"), "header V='7' is not a positive integer"),
     ("hyperparams a list", lambda h: h.update(hyperparams=[]), "header hyperparams is not a JSON object"),
+    (
+        "learning rate NaN",
+        lambda h: h["hyperparams"].update(learning_rate=float("nan")),
+        "header learning_rate must be positive and finite",
+    ),
+    (
+        "batch size not an int",
+        lambda h: h["hyperparams"].update(batch_size=2.5),
+        "header hyperparam batch_size=2.5 is not an integer",
+    ),
+    (
+        "embedding_dim != d",
+        lambda h: h["hyperparams"].update(embedding_dim=7),
+        "header hyperparam embedding_dim=7 != d=5",
+    ),
 ]
 
 

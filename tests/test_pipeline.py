@@ -608,6 +608,36 @@ BAD_REPORTS = [
         "reports[0] lacks 'dataset'",
     ),
     ("auc not a number", {"reports": [dict(REPORT_ROW, auc="high")]}, "reports[0]: auc has the wrong type"),
+    (
+        "auc NaN",
+        {"reports": [dict(REPORT_ROW, auc=float("nan"))]},
+        "reports[0]: auc=nan is not in [0, 1]",
+    ),
+    (
+        "threshold infinite",
+        {"reports": [dict(REPORT_ROW, threshold=float("inf"))]},
+        "reports[0]: threshold=inf is not finite",
+    ),
+    (
+        "sensitivity negative",
+        {"reports": [dict(REPORT_ROW, sensitivity=-5)]},
+        "reports[0]: sensitivity=-5 is not in [0, 1]",
+    ),
+    (
+        "specificity huge",
+        {"reports": [dict(REPORT_ROW, specificity=1e308)]},
+        "reports[0]: specificity=1e+308 is not in [0, 1]",
+    ),
+    (
+        "prevalence above 1",
+        {"reports": [dict(REPORT_ROW, prevalence=2)]},
+        "reports[0]: prevalence=2 is not in [0, 1]",
+    ),
+    (
+        "n_pos negative",
+        {"reports": [REPORT_ROW, dict(REPORT_ROW, n_pos=-3)]},
+        "reports[1]: n_pos=-3 is not >= 0",
+    ),
     ("not JSON", "{", "cannot read report"),
     ("no reports key", {"timestamp": "x"}, "expected a JSON object with a 'reports' list"),
 ]
