@@ -6,8 +6,8 @@ over each example's code set (zero vector when the set is empty), the
 ReLU feedforward layers, and a single sigmoid output unit.
 
 Gradients are exact analytic derivatives of the mean binary cross-entropy
-over a batch; the mean pool's chain rule spreads each example's pooled
-gradient over its referenced embedding rows scaled by 1/|code set|.
+over a batch; the mean pool is a product with the batch's averaging
+matrix A (`_averaging_matrix`), so its chain rule is A.T @ d_pooled.
 Updates use adaptive moment estimation (decay 0.9/0.999, eps 1e-8).
 Everything is float64 and deterministic in the seed.
 """
@@ -154,23 +154,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(batch: list[FeatureVector], vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each example's code indices sorted (a fixed summation order: permutation-proof)
-    and bounds-checked, as one flat `codes` array and per-example `counts`."""
+def _averaging_matrix(batch: list[FeatureVector], vocab_size: int) -> np.ndarray:
+    """The batch's order-free B×V mean-pool matrix: A[i, c] accumulates 1/k_i for each
+    of example i's k_i code indices, so a repeated index counts twice and an empty set
+    gives a zero row. The bounds check comes first: a negative index would wrap."""
     counts = np.array([x.code_indices.size for x in batch], dtype=np.int64)
-    codes = np.concatenate([np.sort(x.code_indices) for x in batch])
+    codes = np.concatenate([x.code_indices for x in batch])
     bad = codes[(codes < 0) | (codes >= vocab_size)]
     if bad.size:
         raise DataError(f"feature index {int(bad[0])} out of range for V={vocab_size}")
-    return codes, counts
+    rows = np.searchsorted(np.cumsum(counts), np.arange(codes.size), side="right")
+    avg = np.bincount(rows * vocab_size + codes, 1.0 / counts[rows], minlength=len(batch) * vocab_size)
+    return avg.reshape(len(batch), vocab_size)
 
 
-def _forward(m: ModelParams, batch: list[FeatureVector], codes: np.ndarray, counts: np.ndarray):
-    pooled = np.zeros((counts.size, m.embedding_dim))  # an empty code set pools to zero
-    for i, (hi, k) in enumerate(zip(np.cumsum(counts).tolist(), counts.tolist())):
-        if k:
-            pooled[i] = m.embedding[codes[hi - k : hi]].mean(axis=0)
-    inputs = np.concatenate([pooled, np.stack([x.demographics for x in batch])], axis=1)
+def _forward(m: ModelParams, batch: list[FeatureVector], avg: np.ndarray):
+    inputs = np.concatenate([avg @ m.embedding, np.stack([x.demographics for x in batch])], axis=1)
     z1 = inputs @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ m.w2 + m.b2
@@ -181,7 +180,7 @@ def _forward(m: ModelParams, batch: list[FeatureVector], codes: np.ndarray, coun
 
 
 def _forward_batch(m: ModelParams, batch: list[FeatureVector]):
-    return _forward(m, batch, *_gather(batch, m.vocab_size))
+    return _forward(m, batch, _averaging_matrix(batch, m.vocab_size))
 
 
 def score_batch(m: ModelParams, batch: list[FeatureVector]) -> np.ndarray:
@@ -205,8 +204,8 @@ def backward(
     if not batch:
         raise DataError("backward requires a non-empty batch")
     y = np.asarray(labels, dtype=np.float64)
-    codes, counts = _gather(batch, m.vocab_size)
-    p, (inputs, z1, a1, z2, a2) = _forward(m, batch, codes, counts)
+    avg = _averaging_matrix(batch, m.vocab_size)
+    p, (inputs, z1, a1, z2, a2) = _forward(m, batch, avg)
     n = len(batch)
     loss = _batch_loss(p, y)
 
@@ -223,9 +222,7 @@ def backward(
     d_b1 = dz1.sum(axis=0)
     d_inputs = dz1 @ m.w1.T
 
-    d_embedding = np.zeros_like(m.embedding)
-    d_pooled = d_inputs[:, : m.embedding_dim]
-    np.add.at(d_embedding, codes, np.repeat(d_pooled / np.maximum(counts, 1)[:, None], counts, axis=0))
+    d_embedding = avg.T @ d_inputs[:, : m.embedding_dim]
 
     return ModelParams(d_embedding, d_w1, d_b1, d_w2, d_b2, d_w_out, d_b_out), loss
 
@@ -358,6 +355,8 @@ def check_fingerprint(m: ModelParams, vocab: Vocabulary) -> None:
             "model was trained against a different vocabulary "
             f"(fingerprint {m.vocab_fingerprint[:12]}... != {vocab.fingerprint()[:12]}...)"
         )
+    if len(vocab) != m.vocab_size:  # an empty header fingerprint skips the check above
+        raise FingerprintMismatchError(f"model has V={m.vocab_size} but its vocabulary has {len(vocab)} codes")
 
 
 def save_model(m: ModelParams, hp: Hyperparams, path: str) -> None:

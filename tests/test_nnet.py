@@ -161,8 +161,23 @@ def loop_embedding_grad(m, batch, labels):
     return d_embedding
 
 
+def loop_pool(m, batch):
+    """Pooled embeddings by a per-example loop: the mean of each example's rows."""
+    pooled = np.zeros((len(batch), m.embedding_dim))
+    for i, x in enumerate(batch):
+        if x.code_indices.size:
+            pooled[i] = m.embedding[x.code_indices].mean(axis=0)
+    return pooled
+
+
+def assert_close_to_reference(got, want):
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
 class TestBackward:
-    def test_embedding_scatter_matches_per_example_loop_bitwise(self):
+    def test_averaging_matrix_matches_per_example_loop(self):
+        # A matrix product sums in another order than the loop, so the
+        # agreement is to rounding, not to the bit.
         rng = np.random.default_rng(404)
         empty = shared = unsorted = 0
         for _ in range(300):
@@ -174,8 +189,36 @@ class TestBackward:
             codes = np.concatenate([x.code_indices for x in batch])
             shared += np.unique(codes).size < codes.size
             grads, _ = backward(m, batch, labels)
-            assert np.array_equal(grads.embedding, loop_embedding_grad(m, batch, labels))
+            assert_close_to_reference(grads.embedding, loop_embedding_grad(m, batch, labels))
+            _, (inputs, *_) = _forward_batch(m, batch)
+            assert_close_to_reference(inputs[:, : m.embedding_dim], loop_pool(m, batch))
         assert min(empty, shared, unsorted) > 0
+
+    def test_gradients_bitwise_invariant_under_code_order(self):
+        rng = np.random.default_rng(405)
+        for _ in range(50):
+            m, batch, labels = random_model_and_batch(rng, v_max=30, batch_max=12)
+            base, _ = backward(m, batch, labels)
+            for x in batch:
+                rng.shuffle(x.code_indices)
+            grads, _ = backward(m, batch, labels)
+            for name, arr in base.arrays().items():
+                assert np.array_equal(getattr(grads, name), arr), name
+
+    def test_repeated_index_counts_twice(self):
+        m = init_model(4, Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=6))
+        _, (inputs, *_) = _forward_batch(m, [fv([0, 0, 1])])
+        want = (2.0 * m.embedding[0] + m.embedding[1]) / 3.0
+        assert np.allclose(inputs[0, :3], want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "run", [score_batch, lambda m, b: backward(m, b, np.ones(len(b)))], ids=["score_batch", "backward"]
+    )
+    def test_negative_index_refused_before_pooling(self, run):
+        # In the second row, -1 would wrap onto the first row's last column.
+        m = init_model(3, Hyperparams(embedding_dim=2, hidden1=2, hidden2=2, seed=1))
+        with pytest.raises(DataError, match=re.escape("feature index -1 out of range for V=3")):
+            run(m, [fv([0]), fv([-1])])
 
     def test_empty_code_set_leaves_embedding_grad_zero(self):
         m = init_model(4, Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=8))

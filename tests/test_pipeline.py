@@ -539,6 +539,36 @@ class TestTwoStepAndUseCase:
         assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["cross-eval", "use-case"])
+def test_vocabulary_longer_than_model_exits_3(workspace, boosted_claims, tmp_path, capsys, mode):
+    # With an empty header fingerprint only the sizes can tell the two apart.
+    bad_dir = tmp_path / "bad"
+    bad_dir.mkdir()
+    rewrite_header(
+        str(workspace["train"] / "model.bin"), lambda h: h.update(vocab_fingerprint=""), str(bad_dir / "model.bin")
+    )
+    codes = (workspace["train"] / "vocabulary.txt").read_text().splitlines()
+    extra = [f"dx:ICD10:ZZZ{i}" for i in range(5)]
+    (bad_dir / "vocabulary.txt").write_text("".join(f"{c}\n" for c in extra + codes))
+    cfg = workspace["train_cfg"]
+    if mode == "use-case":
+        cfg = write_config(
+            tmp_path / "uc.cfg",
+            {
+                "data.persons": str(boosted_claims / "persons.csv"),
+                "data.events": str(boosted_claims / "events.csv"),
+                "cohort.kind": "SUBSTANCE",
+                "seed": "42",
+                **SMALL_NNET,
+            },
+        )
+    code = main([mode, "--config", cfg, "--out", str(tmp_path / "o"), "--model-dir", str(bad_dir)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"model has V={len(codes)} but its vocabulary has {len(codes) + 5} codes" in err
+    assert "Traceback" not in err
+
+
 # (arguments after the subcommand's --config/--out, extra config, path named)
 MISSING_FILES = {
     "phecode map": (["cohort"], {"data.phecode_map": "{tmp}/nope.csv"}, "{tmp}/nope.csv"),
