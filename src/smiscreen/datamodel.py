@@ -31,12 +31,17 @@ hand.
 File formats (UTF-8, comma separated, LF or CRLF line ends, no quoting):
   persons.csv: person_id,birth_year,gender,enroll_start,enroll_end,source
   events.csv:  person_id,date,kind,system,code
-dates are ISO YYYY-MM-DD; kind is written lowercase (dx/rx) on disk.
-events.csv is parsed in fixed-size blocks. A load error names path:line of
-the first offending physical line in file order, whichever check it
-fails; blank lines are skipped but still counted. A `"` anywhere in a data
-line of either file is an error; so are, in events.csv, a carriage return
-not ending a line and invalid UTF-8.
+dates are exactly YYYY-MM-DD (ASCII digits; the basic 20100101 and week
+2010-W01-1 forms are refused); kind is written lowercase (dx/rx) on disk.
+events.csv is parsed in fixed-size blocks. Array scans find the first line
+that is not blank and lacks exactly four commas, or holds a `"` or a lone
+carriage return. Before it, each line's first two commas become newlines
+and blank lines' bytes are dropped, so one decode and one split give
+pid, date and "kind,system,code" per line, each mapped through a memo. A
+load error names path:line of the first offending physical line in file
+order, whichever check it fails; blank lines are skipped but still
+counted. A `"` anywhere in a data line of either file is an error; so are,
+in events.csv, a carriage return not ending a line and invalid UTF-8.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ from __future__ import annotations
 import copy
 import csv
 import datetime
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -134,11 +140,26 @@ def _enrollment_problem(p: Person, date: datetime.date) -> str | None:
     return f"event for {p.person_id!r} dated {date} outside enrollment [{p.enroll_start}, {p.enroll_end}]"
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _date(text: str) -> datetime.date | None:
+    """The date `text` writes as exactly YYYY-MM-DD, or None. The pattern
+    comes first because `fromisoformat` accepts other forms on some Python
+    versions (20100101 and week dates from 3.11 on)."""
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return datetime.date.fromisoformat(text)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_date(text: str, where: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(text)
-    except ValueError as exc:
-        raise DataError(f"{where}: unparseable date {text!r}") from exc
+    date = _date(text)
+    if date is None:
+        raise DataError(f"{where}: unparseable date {text!r}")
+    return date
 
 
 def _persons_rows(lines: Iterable[str], path: str) -> Iterator[tuple[int, list[str]]]:
@@ -357,9 +378,8 @@ def _row_problem(line: str, by_id: dict[str, Person]) -> str | None:
     problem = _kind_problem(kind, system)
     if problem:
         return problem
-    try:
-        date = datetime.date.fromisoformat(date_raw)
-    except ValueError:
+    date = _date(date_raw)
+    if date is None:
         return f"unparseable date {date_raw!r}"
     return _enrollment_problem(person, date)
 
@@ -380,27 +400,25 @@ class _EventParser:
         self.day_of = _Memo(self._ordinal)
         self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _code_id(self, key: tuple[str, str, str]) -> int:
-        kind, system, code = key
+    def _code_id(self, suffix: str) -> int:
+        """Code id of a line's "kind,system,code" (with its CR if any), or -1."""
+        kind, system, code = suffix.removesuffix("\r").split(",")
         if _kind_problem(kind, system):
             return -1
         return self.codes.id(Code(kind.upper(), system, sys.intern(code)))
 
     @staticmethod
     def _ordinal(text: str) -> int:
-        try:
-            return datetime.date.fromisoformat(text).toordinal()
-        except ValueError:
-            return -1
+        date = _date(text)
+        return -1 if date is None else date.toordinal()
 
-    def fail(self, lineno: int, line: str | bytes) -> None:
+    def fail(self, lineno: int, line: bytes) -> NoReturn:
         where = f"{self.path}:{lineno}"
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{where}: invalid UTF-8") from None
-        raise DataError(f"{where}: {_row_problem(line, self.by_id)}")
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{where}: invalid UTF-8") from None
+        raise DataError(f"{where}: {_row_problem(text, self.by_id)}")
 
     def block(self, raw: bytes, first_line: int) -> int:
         """Parse whole lines (`raw` ends with a newline) numbered from
@@ -408,51 +426,50 @@ class _EventParser:
         a = np.frombuffer(raw, dtype=np.uint8)
         ends = np.flatnonzero(a == 10)
         n = ends.size
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        content_end = ends - ((ends > starts) & (a[ends - 1] == 13))
-        blank = content_end == starts
-        commas = np.diff(np.searchsorted(np.flatnonzero(a == 44), ends), prepend=0)
-        bad = ~blank & (commas != 4)
+        starts = np.concatenate(([0], ends + 1))  # starts[n] is len(raw)
+        content_end = ends - ((ends > starts[:-1]) & (a[ends - 1] == 13))
+        blank = content_end == starts[:-1]
+        comma = np.flatnonzero(a == 44)
+        upto = np.searchsorted(comma, ends)  # commas before each line end
+        bad = ~blank & (np.diff(upto, prepend=0) != 4)
         if b'"' in raw:
             bad[np.searchsorted(ends, np.flatnonzero(a == 34))] = True
         cr = np.flatnonzero(a == 13)
         lone_cr = cr[a[cr + 1] != 10]  # raw ends with a newline, so cr + 1 is in range
         bad[np.searchsorted(ends, lone_cr)] = True
         stop = int(np.argmax(bad)) if bad.any() else n
-        head = raw[: int(starts[stop])] if stop < n else raw
+        # Lines before `stop` are blank or hold four commas. Turning the first
+        # two into newlines and dropping blank lines' bytes leaves the prefix
+        # as pid, date and "kind,system,code" lines, split in one call.
+        lines = np.flatnonzero(~blank[:stop])
+        b = a[: starts[stop]].copy()
+        b[comma[upto[lines] - 4]] = b[comma[upto[lines] - 3]] = 10
+        keep = None
+        if lines.size < stop:
+            keep = np.ones(b.size, dtype=bool)
+            gaps = np.flatnonzero(blank[:stop])
+            keep[starts[gaps]] = keep[ends[gaps]] = False  # a blank line is "\n" or "\r\n"
+            b = b[keep]
         try:
-            text = head.decode("utf-8")
+            fields = str(b, "utf-8").split("\n")
         except UnicodeDecodeError as exc:
-            stop = int(np.searchsorted(ends, exc.start))
-            text = raw[: int(starts[stop])].decode("utf-8")
-        lines = text.replace("\r\n", "\n").split("\n")
-        lines.pop()
-        keep = np.flatnonzero(~blank[:stop])
-        if keep.size < len(lines):
-            lines = [lines[i] for i in keep.tolist()]
-        if lines:
-            self._columns(lines, keep, first_line)
-        if stop < n:
-            self.fail(first_line + stop, raw[int(starts[stop]) : int(content_end[stop])])
-        return first_line + n
-
-    def _columns(self, lines: list[str], line_index: np.ndarray, first_line: int) -> None:
-        m = len(lines)
-        fields = ",".join(lines).split(",")
-        pos = np.fromiter(map(self.pos.__getitem__, fields[0::5]), dtype=np.int64, count=m)
-        day = np.fromiter(map(self.day_of.__getitem__, fields[1::5]), dtype=np.int64, count=m)
-        code = np.fromiter(
-            map(self.code_of.__getitem__, zip(fields[2::5], fields[3::5], fields[4::5])),
-            dtype=np.int64,
-            count=m,
-        )
+            at = exc.start if keep is None else int(np.flatnonzero(keep)[exc.start])
+            stop = int(np.searchsorted(ends, at))
+            if stop:
+                self.block(raw[: starts[stop]], first_line)  # lines before it, all valid UTF-8
+            self.fail(first_line + stop, raw[starts[stop] : content_end[stop]])
+        m = lines.size
+        pos = np.fromiter(map(self.pos.__getitem__, fields[0::3]), dtype=np.int64, count=m)
+        day = np.fromiter(map(self.day_of.__getitem__, fields[1::3]), dtype=np.int64, count=m)
+        code = np.fromiter(map(self.code_of.__getitem__, fields[2::3]), dtype=np.int64, count=m)
         bad = (pos < 0) | (code < 0) | (day < 0) | (day < self.start[pos]) | (day > self.end[pos])
         if bad.any():
-            j = int(np.argmax(bad))
-            self.fail(first_line + int(line_index[j]), lines[j])
+            line = lines[int(np.argmax(bad))]
+            self.fail(first_line + int(line), raw[starts[line] : content_end[line]])
         self.parts.append((pos, day, code))
+        if stop < n:
+            self.fail(first_line + stop, raw[starts[stop] : content_end[stop]])
+        return first_line + n
 
     def table(self) -> EventTable:
         if self.parts:
@@ -695,6 +712,9 @@ class Dataset:
         table = self.table.replace_row(row, events)
         lo, hi = int(table.offsets[row]), int(table.offsets[row + 1])
         clone._set_table(table, lo, np.full(hi - lo, row))
+        if self._key is not None:  # splice the parent's key around the swapped row
+            new = table.day[lo:hi].astype(np.int64) + row * DAY_SPAN
+            clone._key = np.concatenate([self._key[:lo], new, self._key[int(self.table.offsets[row + 1]) :]])
         return clone
 
     def __eq__(self, other: object) -> bool:

@@ -349,14 +349,17 @@ def transfer_init(
 
 
 def check_fingerprint(m: ModelParams, vocab: Vocabulary) -> None:
-    """Refuse to score a model against a vocabulary it was not built on."""
-    if m.vocab_fingerprint and m.vocab_fingerprint != vocab.fingerprint():
+    """Refuse to score a model against a vocabulary it was not built on,
+    or whose header carries no fingerprint to tell."""
+    if len(vocab) != m.vocab_size:
+        raise FingerprintMismatchError(f"model has V={m.vocab_size} but its vocabulary has {len(vocab)} codes")
+    if not m.vocab_fingerprint:
+        raise FingerprintMismatchError("model header has an empty vocab_fingerprint")
+    if m.vocab_fingerprint != vocab.fingerprint():
         raise FingerprintMismatchError(
             "model was trained against a different vocabulary "
             f"(fingerprint {m.vocab_fingerprint[:12]}... != {vocab.fingerprint()[:12]}...)"
         )
-    if len(vocab) != m.vocab_size:  # an empty header fingerprint skips the check above
-        raise FingerprintMismatchError(f"model has V={m.vocab_size} but its vocabulary has {len(vocab)} codes")
 
 
 def save_model(m: ModelParams, hp: Hyperparams, path: str) -> None:

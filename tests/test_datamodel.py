@@ -1,5 +1,6 @@
 """Ingestion, construction-time checks, and round-trip behavior of the core tables."""
 
+import datetime
 import re
 import time
 
@@ -10,7 +11,9 @@ from conftest import d, make_dataset, make_event, make_person
 from smiscreen.cli import main
 from smiscreen.datamodel import (
     BLOCK_BYTES,
+    ClinicalEvent,
     Dataset,
+    EventTable,
     load_events,
     load_persons,
     write_events,
@@ -67,6 +70,12 @@ class TestLoadPersons:
         with pytest.raises(DataError, match=":2"):
             load_persons(path)
 
+    @pytest.mark.parametrize("date", ["20100101", "2010-W10-1"], ids=["basic-format", "week"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, date):
+        path = write(tmp_path / "p.csv", PERSONS_HEADER + f"p1,1990,F,{date},2015-06-30,CLAIMS\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: unparseable date '{date}'")):
+            load_persons(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "nope,header\n")
         with pytest.raises(DataError, match="header"):
@@ -110,6 +119,71 @@ class TestLoadEvents:
         events = load_events(write(tmp_path / "e.csv", EVENTS_HEADER + rows), persons)
         keys = [(e.person_id, e.date) for e in events]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blocks_match_line_by_line_reference(self, tmp_path, seed):
+        persons = [make_person(f"p{i}") for i in range(40)]
+        data = random_events_csv(np.random.default_rng(seed), persons)
+        assert len(data) > 2 * BLOCK_BYTES
+        path = tmp_path / "e.csv"
+        path.write_bytes(data)
+        got, want = load_events(str(path), persons), reference_events(data, persons)
+        assert got.ids == want.ids and got.codes.entries == want.codes.entries
+        for name in ("offsets", "day", "code"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+
+
+# (kind as upper case, system) of the round-trip codes; each line spells its
+# kind in one of three cases
+KIND_SYSTEMS = [("DX", "ICD10"), ("DX", "ICD9"), ("RX", "NDC")]
+CODE_TEXTS = ["F20.0", "295.1", "E11", "Ünë", "症状7", "ø"]
+
+
+def random_events_csv(rng, persons) -> bytes:
+    """A seeded events.csv a little over two blocks long: LF and CRLF line
+    ends mixed, blank lines (one ending the first block, one straddling the
+    second block's end), kinds spelled in any case, non-ASCII codes, and a
+    code pool that grows along the file so new codes appear in every block
+    while old ones repeat."""
+    out = bytearray(EVENTS_HEADER.encode())
+    edges = [(len(out) + BLOCK_BYTES - 1, b"\n"), (len(out) + 2 * BLOCK_BYTES - 1, b"\r\n")]
+    n = 3 * BLOCK_BYTES // 30
+    first, last = d("2010-01-01").toordinal(), d("2015-12-31").toordinal()
+    draws = zip(
+        rng.random(n) < 0.01,
+        rng.integers(len(KIND_SYSTEMS), size=n),
+        rng.integers(3, size=n),
+        rng.integers(len(CODE_TEXTS), size=n).tolist(),
+        (rng.random(n) * (1 + 400 * np.arange(n) // n)).astype(int).tolist(),
+        rng.integers(len(persons), size=n).tolist(),
+        rng.integers(first, last + 1, size=n).tolist(),
+        rng.choice(["\n", "\r\n"], size=n),
+    )
+    for blank, ks, case, text, serial, row, day, end in draws:
+        if edges and len(out) + 100 > edges[0][0]:
+            at, edge = edges.pop(0)
+            out += b"p0,2012-01-01,dx,ICD10," + b"X" * (at - len(out) - 24) + b"\n" + edge
+        if len(out) > 2 * BLOCK_BYTES + 20_000:
+            break
+        if blank:
+            out += end.encode()
+            continue
+        kind, system = KIND_SYSTEMS[ks]
+        kind = (kind, kind.lower(), kind.title())[case]
+        date = datetime.date.fromordinal(day).isoformat()
+        out += f"{persons[row].person_id},{date},{kind},{system},{CODE_TEXTS[text]}{serial}{end}".encode()
+    return bytes(out)
+
+
+def reference_events(data: bytes, persons) -> EventTable:
+    """events.csv parsed one line at a time into event objects."""
+    events = []
+    for line in data.decode("utf-8").split("\n")[1:]:
+        line = line.removesuffix("\r")
+        if line:
+            pid, date, kind, system, code = line.split(",")
+            events.append(ClinicalEvent(pid, d(date), kind, system, code))
+    return EventTable.from_events(persons, events)
 
 
 class TestDatasetAndValidation:
@@ -268,6 +342,9 @@ def test_replaced_dataset_equals_fresh_build():
     assert replaced.enroll_start.tolist() == fresh.enroll_start.tolist()
     assert replaced.enroll_end.tolist() == fresh.enroll_end.tolist()
     assert replaced.events == fresh.events and replaced == fresh
+    assert replaced.key.tolist() == fresh.key.tolist()
+    shorter = parent.replace_person_events("p1", new[:1])
+    assert shorter.key.tolist() == make_dataset(persons, kept + new[:1]).key.tolist()
     assert replaced.dx_counts_before(rows, cutoff).tolist() == [1, 0, 1]
     assert fresh.dx_counts_before(rows, cutoff).tolist() == [1, 0, 1]
     got = replaced.events_in_window(*window)
@@ -285,6 +362,8 @@ BAD_ROWS = [
     ("bad kind", b"p1,2012-03-04,lab,ICD10,F20.0", "unknown event kind 'lab'"),
     ("rx with ICD10", b"p1,2012-03-04,rx,ICD10,F20.0", "kind 'rx' inconsistent with system 'ICD10'"),
     ("bad date", b"p1,2010-13-01,dx,ICD10,F20.0", "unparseable date '2010-13-01'"),
+    ("basic-format date", b"p1,20120304,dx,ICD10,F20.0", "unparseable date '20120304'"),
+    ("week date", b"p1,2012-W10-1,dx,ICD10,F20.0", "unparseable date '2012-W10-1'"),
     (
         "outside enrollment",
         b"p1,2016-01-01,dx,ICD10,F20.0",
@@ -394,6 +473,13 @@ class TestLoadErrors:
             path = tmp_path / f"v{i}.csv"
             path.write_bytes(content)
             assert list(load_events(str(path), persons)) == expected
+
+    @pytest.mark.parametrize("case,row,message", BAD_ROWS, ids=BAD_IDS)
+    def test_blank_lines_before_bad_row_still_count(self, tmp_path, persons_csv, case, row, message):
+        # more blank bytes than a line holds, so a position that skips them lands on another line
+        path = self.events_csv(tmp_path, GOOD_ROW, *[b"", b"\r"] * 20, GOOD_ROW, row)
+        with pytest.raises(DataError, match=re.escape(f"{path}:44: {message}")):
+            load_events(path, load_persons(persons_csv))
 
     def test_blank_lines_still_count(self, tmp_path, persons_csv):
         path = self.events_csv(tmp_path, GOOD_ROW, b"", b"\r", b"zz,2012-03-04,dx,ICD10,F20.0")

@@ -23,6 +23,8 @@ from smiscreen.pipeline import (
     split_cohort,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 SMALL_NNET = {
     "nnet.embedding_dim": "24",
     "nnet.hidden1": "16",
@@ -539,17 +541,15 @@ class TestTwoStepAndUseCase:
         assert code == 2
 
 
-@pytest.mark.parametrize("mode", ["cross-eval", "use-case"])
-def test_vocabulary_longer_than_model_exits_3(workspace, boosted_claims, tmp_path, capsys, mode):
-    # With an empty header fingerprint only the sizes can tell the two apart.
+def _run_unfingerprinted(workspace, boosted_claims, tmp_path, capsys, mode, codes):
+    """Exit code and stderr of `mode` scored with the train model, its header
+    fingerprint rewritten to "" and `codes` as its vocabulary."""
     bad_dir = tmp_path / "bad"
     bad_dir.mkdir()
     rewrite_header(
         str(workspace["train"] / "model.bin"), lambda h: h.update(vocab_fingerprint=""), str(bad_dir / "model.bin")
     )
-    codes = (workspace["train"] / "vocabulary.txt").read_text().splitlines()
-    extra = [f"dx:ICD10:ZZZ{i}" for i in range(5)]
-    (bad_dir / "vocabulary.txt").write_text("".join(f"{c}\n" for c in extra + codes))
+    (bad_dir / "vocabulary.txt").write_text("".join(f"{c}\n" for c in codes))
     cfg = workspace["train_cfg"]
     if mode == "use-case":
         cfg = write_config(
@@ -563,9 +563,27 @@ def test_vocabulary_longer_than_model_exits_3(workspace, boosted_claims, tmp_pat
             },
         )
     code = main([mode, "--config", cfg, "--out", str(tmp_path / "o"), "--model-dir", str(bad_dir)])
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["cross-eval", "use-case"])
+def test_vocabulary_longer_than_model_exits_3(workspace, boosted_claims, tmp_path, capsys, mode):
+    # The size check comes before the header's (here empty) fingerprint.
+    codes = (workspace["train"] / "vocabulary.txt").read_text().splitlines()
+    extra = [f"dx:ICD10:ZZZ{i}" for i in range(5)]
+    code, err = _run_unfingerprinted(workspace, boosted_claims, tmp_path, capsys, mode, extra + codes)
     assert code == 3
     assert f"model has V={len(codes)} but its vocabulary has {len(codes) + 5} codes" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["cross-eval", "use-case"])
+def test_empty_fingerprint_exits_3(workspace, boosted_claims, tmp_path, capsys, mode):
+    # A same-size vocabulary in another order would otherwise be scored silently.
+    codes = (workspace["train"] / "vocabulary.txt").read_text().splitlines()
+    code, err = _run_unfingerprinted(workspace, boosted_claims, tmp_path, capsys, mode, codes[::-1])
+    assert code == 3
+    assert "model header has an empty vocab_fingerprint" in err
     assert "Traceback" not in err
 
 
@@ -748,8 +766,11 @@ class TestConsoleEntryPoint:
             tmp_path / "c.cfg",
             {"synth.n_persons": "50", "synth.source": "CLAIMS", "seed": "3"},
         )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "smiscreen.cli", "synth", "--config", cfg, "--out", str(tmp_path / "o")],
+            env=env,
             capture_output=True,
             text=True,
         )
