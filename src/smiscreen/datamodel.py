@@ -712,9 +712,6 @@ class Dataset:
         table = self.table.replace_row(row, events)
         lo, hi = int(table.offsets[row]), int(table.offsets[row + 1])
         clone._set_table(table, lo, np.full(hi - lo, row))
-        if self._key is not None:  # splice the parent's key around the swapped row
-            new = table.day[lo:hi].astype(np.int64) + row * DAY_SPAN
-            clone._key = np.concatenate([self._key[:lo], new, self._key[int(self.table.offsets[row + 1]) :]])
         return clone
 
     def __eq__(self, other: object) -> bool:
