@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import Dataset
+from .datamodel import Dataset, write_table
 from .dates import add_months, window_start_for_end
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags
@@ -321,26 +321,12 @@ def prevalence(examples: list[CohortExample]) -> float:
 
 
 def write_cohort(examples: list[CohortExample], path: str) -> None:
-    """cohort.csv: person_id,label,cohort_kind,match_group,window_start,
-    window_end,gap_days,index_date (empty fields where not applicable)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["person_id", "label", "cohort_kind", "match_group",
-             "window_start", "window_end", "gap_days", "index_date"]
-        )
-        for ex in examples:
-            writer.writerow(
-                [
-                    ex.person_id,
-                    ex.label,
-                    ex.cohort_kind,
-                    ex.match_group,
-                    ex.window.start.isoformat(),
-                    ex.window.end.isoformat(),
-                    "" if ex.window.gap_days is None else ex.window.gap_days,
-                    "" if ex.index_date is None else ex.index_date.isoformat(),
-                ]
-            )
+    """cohort.csv, one row per example (empty fields where not applicable)."""
+    header = ["person_id", "label", "cohort_kind", "match_group",
+              "window_start", "window_end", "gap_days", "index_date"]
+    rows = (
+        [ex.person_id, ex.label, ex.cohort_kind, ex.match_group, ex.window.start, ex.window.end,
+         "" if ex.window.gap_days is None else ex.window.gap_days, ex.index_date or ""]
+        for ex in examples
+    )
+    write_table(path, "cohort.csv", header, rows)

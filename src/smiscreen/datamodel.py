@@ -28,7 +28,15 @@ is only a row view: built on demand by `events_for`, `events_in_window`
 and `events`, and accepted from callers that assemble small datasets by
 hand.
 
-File formats (UTF-8, comma separated, LF or CRLF line ends, no quoting):
+Every plain table (persons.csv, events.csv, phecode_map.csv,
+ground_truth.csv, cohort.csv, report.csv) has one dialect: UTF-8, comma
+separated, a fixed header line, LF or CRLF line ends (CRLF when written),
+no quoting. Two functions own it. `read_table` decodes a file once, checks
+its header and each line's column count, skips blank lines but counts
+them, and refuses a `"`, a carriage return not ending a line and invalid
+UTF-8 with a DataError naming path:line. `write_table` refuses a field
+that would need quoting. events.csv alone keeps its own block parser and
+writer, for speed, with the same refusals and texts:
   persons.csv: person_id,birth_year,gender,enroll_start,enroll_end,source
   events.csv:  person_id,date,kind,system,code
 dates are exactly YYYY-MM-DD (ASCII digits; the basic 20100101 and week
@@ -39,15 +47,12 @@ carriage return. Before it, each line's first two commas become newlines
 and blank lines' bytes are dropped, so one decode and one split give
 pid, date and "kind,system,code" per line, each mapped through a memo. A
 load error names path:line of the first offending physical line in file
-order, whichever check it fails; blank lines are skipped but still
-counted. A `"` anywhere in a data line of either file is an error; so are,
-in events.csv, a carriage return not ending a line and invalid UTF-8.
+order, whichever check it fails.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import datetime
 import re
 import sys
@@ -162,45 +167,91 @@ def _parse_date(text: str, where: str) -> datetime.date:
     return date
 
 
-def _persons_rows(lines: Iterable[str], path: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each persons.csv line; a `"` is an error."""
-    for lineno, line in enumerate(lines, start=1):
-        text = line.rstrip("\r\n")
-        if '"' in text:
-            raise DataError(f"{path}:{lineno}: quoted field; persons.csv does not support quoting")
-        yield lineno, text.split(",") if text else []
+def _line_problem(line: str, name: str) -> str | None:
+    """Why a data line of the plain table `name` is refused, or None."""
+    if '"' in line:
+        return f"quoted field; {name} does not support quoting"
+    if "\r" in line:
+        return "carriage return inside a line"
+    return None
+
+
+def _decode(path: str, raw: bytes) -> str:
+    """`raw`, read from the start of `path`, as UTF-8; invalid UTF-8 is a
+    DataError naming its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: invalid UTF-8") from None
+
+
+def read_text(path: str) -> str:
+    """The whole file at `path`, decoded once (see `_decode`)."""
+    with open(path, "rb") as fh:
+        return _decode(path, fh.read())
+
+
+def _check_header(path: str, first: str, header: list[str]) -> None:
+    """Refuse a first line (`first`, "" in an empty file) other than `header`."""
+    line = first.removesuffix("\n").removesuffix("\r")
+    got = line.split(",") if line else ([] if first else None)
+    if got != header:
+        raise DataError(f"{path}: expected header {','.join(header)}, got {got}")
+
+
+def read_table(path: str, name: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """("path:line", fields) of each non-blank data line of the plain
+    table `name` (see the module docstring), after checking its header."""
+    first, newline, body = read_text(path).partition("\n")
+    _check_header(path, first + newline, header)
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        line = line.removesuffix("\r")
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        problem = _line_problem(line, name)
+        if problem:
+            raise DataError(f"{where}: {problem}")
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise DataError(f"{where}: expected {len(header)} columns, got {len(fields)}")
+        yield where, fields
+
+
+def write_table(path: str, name: str, header: list[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write the plain table `name`: CRLF line ends, each field as `str`
+    gives it. A field that would need quoting is a DataError."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            line = ",".join(map(str, row))
+            if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
+                for field in row:
+                    _plain(str(field), name)
+            fh.write(line + "\r\n")
 
 
 def load_persons(path: str) -> list[Person]:
     """Parse persons.csv, rejecting malformed rows and duplicate ids."""
     persons: list[Person] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = _persons_rows(fh, path)
-        _, header = next(rows, (1, None))
-        if header != PERSONS_HEADER:
-            raise DataError(f"{path}: expected header {','.join(PERSONS_HEADER)}, got {header}")
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-            pid, birth_raw, gender, start_raw, end_raw, source = row
-            where = f"{path}:{lineno}"
-            if pid in seen:
-                raise DataError(f"{where}: duplicate person_id {pid!r}")
-            seen.add(pid)
-            try:
-                birth_year = int(birth_raw)
-            except ValueError as exc:
-                raise DataError(f"{where}: unparseable birth_year {birth_raw!r}") from exc
-            start = _parse_date(start_raw, where)
-            end = _parse_date(end_raw, where)
-            person = Person(sys.intern(pid), birth_year, gender, start, end, source)
-            problem = _person_problem(person)
-            if problem:
-                raise DataError(f"{where}: {problem}")
-            persons.append(person)
+    for where, row in read_table(path, "persons.csv", PERSONS_HEADER):
+        pid, birth_raw, gender, start_raw, end_raw, source = row
+        if pid in seen:
+            raise DataError(f"{where}: duplicate person_id {pid!r}")
+        seen.add(pid)
+        try:
+            birth_year = int(birth_raw)
+        except ValueError as exc:
+            raise DataError(f"{where}: unparseable birth_year {birth_raw!r}") from exc
+        start = _parse_date(start_raw, where)
+        end = _parse_date(end_raw, where)
+        person = Person(sys.intern(pid), birth_year, gender, start, end, source)
+        problem = _person_problem(person)
+        if problem:
+            raise DataError(f"{where}: {problem}")
+        persons.append(person)
     return persons
 
 
@@ -364,10 +415,9 @@ def _row_problem(line: str, by_id: dict[str, Person]) -> str | None:
     The block parser finds offending lines with array tests; this is the
     reference for which line fails and what its message says.
     """
-    if '"' in line:
-        return "quoted field; events.csv does not support quoting"
-    if "\r" in line:
-        return "carriage return inside a line"
+    problem = _line_problem(line, "events.csv")
+    if problem:
+        return problem
     row = line.split(",")
     if len(row) != 5:
         return f"expected 5 columns, got {len(row)}"
@@ -479,17 +529,6 @@ class _EventParser:
         return EventTable.build(self.persons, pos, day, code, self.codes)
 
 
-def _read_header(fh, path: str) -> list[str] | None:
-    raw = fh.readline()
-    if not raw:
-        return None
-    try:
-        line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}:1: invalid UTF-8") from None
-    return line.split(",") if line else []
-
-
 def load_events(path: str, persons: list[Person]) -> EventTable:
     """Parse events.csv against an already-loaded person table.
 
@@ -497,9 +536,7 @@ def load_events(path: str, persons: list[Person]) -> EventTable:
     """
     parser = _EventParser(path, persons)
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        if header != EVENTS_HEADER:
-            raise DataError(f"{path}: expected header {','.join(EVENTS_HEADER)}, got {header}")
+        _check_header(path, _decode(path, fh.readline()), EVENTS_HEADER)
         lineno = 2
         carry = b""
         while chunk := fh.read(BLOCK_BYTES):
@@ -514,14 +551,8 @@ def load_events(path: str, persons: list[Person]) -> EventTable:
 
 
 def write_persons(persons: list[Person], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PERSONS_HEADER)
-        for p in persons:
-            writer.writerow(
-                [_plain(p.person_id, "persons.csv"), p.birth_year, p.gender,
-                 p.enroll_start.isoformat(), p.enroll_end.isoformat(), p.source]
-            )
+    rows = ([p.person_id, p.birth_year, p.gender, p.enroll_start, p.enroll_end, p.source] for p in persons)
+    write_table(path, "persons.csv", PERSONS_HEADER, rows)
 
 
 def _plain(text: str, name: str = "events.csv") -> str:

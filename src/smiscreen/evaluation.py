@@ -14,15 +14,15 @@ substance use case both trigger sets additionally drop substance codes.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortExample, example_windows
-from .datamodel import Dataset
+from .cohort import COHORT_KINDS, CohortExample, example_windows
+from .datamodel import SOURCES, Dataset, write_table
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_AXIS1, TAG_PSYCH, TAG_SUBSTANCE, PhecodeMap, code_tags
 
@@ -55,9 +55,12 @@ class ScoredSet:
             )
 
 
+METHODS = ("MODEL", "TWO_STEP", "BENCH1", "BENCH2")
+
+
 @dataclass
 class EvalReport:
-    method: str  # MODEL / TWO_STEP / BENCH1 / BENCH2
+    method: str  # one of METHODS
     dataset: str
     cohort_kind: str
     auc: float | None
@@ -207,12 +210,17 @@ _RATE = ("in [0, 1]", lambda x: 0 <= x <= 1)
 _FINITE = ("finite", lambda x: -math.inf < x < math.inf)
 _COUNT = (">= 0", lambda x: x >= 0)
 
+
+def _one_of(tokens: Collection[str]) -> tuple[str, Callable[[str], bool]]:
+    return (f"one of {', '.join(sorted(tokens))}", tokens.__contains__)
+
+
 # report.json row key -> (EvalReport field, JSON types accepted on reading,
-# the bound on a non-null number or None)
+# the bound on a non-null value or None)
 _REPORT_FIELDS = {
-    "method": ("method", (str,), None),
-    "dataset": ("dataset", (str,), None),
-    "cohort": ("cohort_kind", (str,), None),
+    "method": ("method", (str,), _one_of(METHODS)),
+    "dataset": ("dataset", (str,), _one_of(SOURCES)),
+    "cohort": ("cohort_kind", (str,), _one_of(COHORT_KINDS)),
     "auc": ("auc", (int, float, type(None)), _RATE),
     "threshold": ("threshold", (int, float, type(None)), _FINITE),
     "sensitivity": ("sensitivity", (int, float), _RATE),
@@ -268,18 +276,10 @@ def read_report_json(path: str) -> list[EvalReport]:
 
 
 def write_report_csv(reports: list[EvalReport], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "dataset", "cohort", "auc", "sensitivity", "specificity", "prevalence"])
-        for r in reports:
-            writer.writerow(
-                [
-                    r.method,
-                    r.dataset,
-                    r.cohort_kind,
-                    "" if r.auc is None else f"{r.auc:.6f}",
-                    f"{r.sensitivity:.6f}",
-                    f"{r.specificity:.6f}",
-                    f"{r.prevalence:.6f}",
-                ]
-            )
+    header = ["method", "dataset", "cohort", "auc", "sensitivity", "specificity", "prevalence"]
+    rows = (
+        [r.method, r.dataset, r.cohort_kind, "" if r.auc is None else f"{r.auc:.6f}",
+         f"{r.sensitivity:.6f}", f"{r.specificity:.6f}", f"{r.prevalence:.6f}"]
+        for r in reports
+    )
+    write_table(path, "report.csv", header, rows)

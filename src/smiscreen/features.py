@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import CohortExample, example_windows
-from .datamodel import ClinicalEvent, Code, Dataset
+from .datamodel import ClinicalEvent, Code, Dataset, read_text
 from .errors import DataError
 
 DEMOGRAPHICS_DIM = 4  # age_norm, gender one-hot F/M/U
@@ -119,8 +119,7 @@ def write_vocabulary(v: Vocabulary, path: str) -> None:
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        entries = tuple(line.rstrip("\n") for line in fh if line.strip())
+    entries = tuple(line.removesuffix("\r") for line in read_text(path).split("\n") if line.strip())
     if not entries:
         raise DataError(f"{path}: empty vocabulary")
     return Vocabulary(entries)

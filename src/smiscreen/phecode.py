@@ -18,14 +18,13 @@ a person's event range.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .datamodel import ClinicalEvent, Code
+from .datamodel import ClinicalEvent, Code, read_table
 from .errors import DataError
 
 _PHECODE_RE = re.compile(r"^\d{1,4}(\.\d{1,2})?$")
@@ -104,31 +103,20 @@ class PhecodeSet:
 def parse_phecode_map(path: str) -> PhecodeMap:
     """Load a mapping CSV; identical duplicates collapse, conflicts reject."""
     entries: dict[tuple[str, str], Phecode] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MAP_HEADER:
-            raise DataError(f"{path}: expected header {','.join(MAP_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            version, icd_code, phecode_raw = row
-            if version not in ICD_VERSIONS:
-                raise DataError(f"{path}:{lineno}: unknown icd_version {version!r}")
-            try:
-                phecode = Phecode.parse(phecode_raw)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            key = (version, icd_code)
-            existing = entries.get(key)
-            if existing is not None and existing != phecode:
-                raise DataError(
-                    f"{path}:{lineno}: conflicting duplicate for ({version},{icd_code}): "
-                    f"{existing} vs {phecode}"
-                )
-            entries[key] = phecode
+    for where, (version, icd_code, phecode_raw) in read_table(path, "phecode_map.csv", MAP_HEADER):
+        if version not in ICD_VERSIONS:
+            raise DataError(f"{where}: unknown icd_version {version!r}")
+        try:
+            phecode = Phecode.parse(phecode_raw)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        key = (version, icd_code)
+        existing = entries.get(key)
+        if existing is not None and existing != phecode:
+            raise DataError(
+                f"{where}: conflicting duplicate for ({version},{icd_code}): {existing} vs {phecode}"
+            )
+        entries[key] = phecode
     return PhecodeMap(entries)
 
 

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import BIRTH_YEARS, Code, CodeTable, Dataset, EventTable, Person
+from .datamodel import (
+    BIRTH_YEARS, Code, CodeTable, Dataset, EventTable, Person, _parse_date, read_table, write_table
+)
 from .errors import ConfigError, DataError
 from .phecode import PhecodeMap, axis1_set, load_default_map, psych_category_set, smi_set, substance_set
 
@@ -65,6 +67,7 @@ CANDIDATE_MIN_FRAC = 0.45
 LINK_STEEPNESS = 2.0
 
 _SPECIFIC_PREFIX = {"CLAIMS": "CSP", "EHR": "ESP"}
+GROUND_TRUTH_HEADER = ["person_id", "latent_logit", "onset_date"]
 
 
 @dataclass
@@ -391,32 +394,19 @@ def ground_truth_auc(gt: GroundTruth, labels: dict[str, int]) -> float:
 
 def write_ground_truth(gt: GroundTruth, path: str) -> None:
     """ground_truth.csv: person_id,latent_logit,onset_date (empty if none)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "latent_logit", "onset_date"])
-        for pid in sorted(gt.latent_logit):
-            onset = gt.onset_date.get(pid)
-            writer.writerow(
-                [pid, repr(gt.latent_logit[pid]), "" if onset is None else onset.isoformat()]
-            )
+    rows = (
+        [pid, repr(gt.latent_logit[pid]), gt.onset_date.get(pid) or ""] for pid in sorted(gt.latent_logit)
+    )
+    write_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER, rows)
 
 
 def load_ground_truth(path: str) -> GroundTruth:
-    import csv
-
     logits: dict[str, float] = {}
     onsets: dict[str, datetime.date | None] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["person_id", "latent_logit", "onset_date"]:
-            raise DataError(f"{path}: unexpected ground truth header {header}")
-        for row in reader:
-            if not row:
-                continue
-            pid, logit_raw, onset_raw = row
+    for where, (pid, logit_raw, onset_raw) in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
+        try:
             logits[pid] = float(logit_raw)
-            onsets[pid] = None if onset_raw == "" else datetime.date.fromisoformat(onset_raw)
+        except ValueError:
+            raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}") from None
+        onsets[pid] = _parse_date(onset_raw, where) if onset_raw else None
     return GroundTruth(logits, onsets)

@@ -16,10 +16,14 @@ from smiscreen.datamodel import (
     EventTable,
     load_events,
     load_persons,
+    read_table,
     write_events,
     write_persons,
+    write_table,
 )
 from smiscreen.errors import DataError
+from smiscreen.phecode import parse_phecode_map
+from smiscreen.synth import load_ground_truth
 
 PERSONS_HEADER = "person_id,birth_year,gender,enroll_start,enroll_end,source\n"
 EVENTS_HEADER = "person_id,date,kind,system,code\n"
@@ -485,3 +489,91 @@ class TestLoadErrors:
         path = self.events_csv(tmp_path, GOOD_ROW, b"", b"\r", b"zz,2012-03-04,dx,ICD10,F20.0")
         with pytest.raises(DataError, match=re.escape(f"{path}:5: unknown person_id 'zz'")):
             load_events(path, load_persons(persons_csv))
+
+
+# Every plain table reads through `read_table`: name -> (loader, header, two good data rows)
+PLAIN_TABLES = {
+    "persons.csv": (
+        load_persons,
+        PERSONS_HEADER.strip(),
+        b"p1,1990,F,2010-01-01,2015-06-30,CLAIMS",
+        b"p2,1985,M,2011-01-01,2014-12-31,CLAIMS",
+    ),
+    "phecode_map.csv": (
+        parse_phecode_map, "icd_version,icd_code,phecode", b"ICD10,F20.0,295.1", b"ICD9,295.10,295.1"
+    ),
+    "ground_truth.csv": (
+        load_ground_truth, "person_id,latent_logit,onset_date", b"p1,0.5,2012-01-01", b"p2,-1.25,"
+    ),
+}
+# (case, offending data line, message after "path:line: " for the table `name` of `n` columns)
+DIALECT_ROWS = [
+    ("invalid UTF-8", b"p\xff1,x,y", "invalid UTF-8"),
+    ("quoted field", b'"p1",x,y', "quoted field; {name} does not support quoting"),
+    ("lone carriage return", b"p1,x\ry,z", "carriage return inside a line"),
+    ("column count", b"a,b,c,d,e,f,g,h", "expected {n} columns, got 8"),
+]
+DIALECT_IDS = [case for case, _, _ in DIALECT_ROWS]
+
+
+class TestPlainTables:
+    """One dialect for every plain table: the same refusal, after the same
+    path:line, whichever table holds the bad line."""
+
+    @pytest.mark.parametrize("name", list(PLAIN_TABLES))
+    @pytest.mark.parametrize("case,row,message", DIALECT_ROWS, ids=DIALECT_IDS)
+    def test_bad_line_after_blank_lines(self, tmp_path, name, case, row, message):
+        load, header, good, _ = PLAIN_TABLES[name]
+        path = tmp_path / name
+        path.write_bytes(header.encode() + b"\r\n" + good + b"\n\n\r\n" + row + b"\n" + good + b"\n")
+        text = message.format(name=name, n=header.count(",") + 1)
+        with pytest.raises(DataError, match=re.escape(f"{path}:5: {text}")):
+            load(str(path))
+
+    @pytest.mark.parametrize("name", list(PLAIN_TABLES))
+    @pytest.mark.parametrize("content,got", [(b"", "None"), (b"a,b\n", "['a', 'b']")], ids=["empty", "bad"])
+    def test_missing_or_bad_header(self, tmp_path, name, content, got):
+        load, header, _, _ = PLAIN_TABLES[name]
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=re.escape(f"{path}: expected header {header}, got {got}")):
+            load(str(path))
+
+    @pytest.mark.parametrize("name", list(PLAIN_TABLES))
+    def test_crlf_without_final_newline_loads(self, tmp_path, name):
+        load, header, first, second = PLAIN_TABLES[name]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(header.encode() + b"\n" + first + b"\n" + second + b"\n")
+        crlf.write_bytes(header.encode() + b"\r\n" + first + b"\r\n\r\n" + second)
+        assert load(str(crlf)) == load(str(lf))
+
+    @pytest.mark.parametrize("key", ["data.persons", "data.phecode_map"])
+    @pytest.mark.parametrize("case,row,message", DIALECT_ROWS, ids=DIALECT_IDS)
+    def test_cli_exits_3_without_traceback(self, tmp_path, capsys, key, case, row, message):
+        name, n = ("persons.csv", 6) if key == "data.persons" else ("phecode_map.csv", 3)
+        _, header, good, _ = PLAIN_TABLES[name]
+        bad = tmp_path / name
+        bad.write_bytes(header.encode() + b"\n" + good + b"\n" + row + b"\n")
+        files = {
+            "data.persons": write(tmp_path / "p.csv", PERSONS_HEADER + "p1,1980,F,2010-01-01,2015-06-30,CLAIMS\n"),
+            "data.events": write(tmp_path / "e.csv", EVENTS_HEADER),
+            key: str(bad),
+        }
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in files.items()), encoding="utf-8")
+        assert main(["cohort", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:3: {message.format(name=name, n=n)}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["a,b", 'a"b', "a\rb", "a\nb"], ids=["comma", "quote", "CR", "LF"])
+    def test_write_refuses_field_needing_quotes(self, tmp_path, field):
+        message = f"cannot write {field!r} to cohort.csv, which has no quoting"
+        with pytest.raises(DataError, match=re.escape(message)):
+            write_table(str(tmp_path / "c.csv"), "cohort.csv", ["a", "b"], [["x", 1], [2, field]])
+
+    def test_written_table_reads_back(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_table(path, "t.csv", ["a", "b"], [["x", 1], ["", datetime.date(2010, 1, 2)]])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\nx,1\r\n,2010-01-02\r\n"
+        rows = list(read_table(path, "t.csv", ["a", "b"]))
+        assert rows == [(f"{path}:2", ["x", "1"]), (f"{path}:3", ["", "2010-01-02"])]

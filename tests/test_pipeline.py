@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,13 @@ class TestConfig:
         assert f"config key {key}: bad value {value!r}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_invalid_utf8_config_exits_2_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"synth.n_persons=50\nsynth.source=CLAIMS\nseed=4\xff\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {cfg}" in err and "Traceback" not in err
 
     def test_synth_needs_source_and_count(self):
         with pytest.raises(ConfigError, match="synth"):
@@ -587,6 +595,19 @@ def test_empty_fingerprint_exits_3(workspace, boosted_claims, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+def test_invalid_utf8_vocabulary_exits_3(workspace, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    shutil.copy(workspace["train"] / "model.bin", model_dir / "model.bin")
+    lines = (workspace["train"] / "vocabulary.txt").read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    (model_dir / "vocabulary.txt").write_bytes(b"\n".join(lines))
+    argv = ["--config", workspace["train_cfg"], "--out", str(tmp_path / "o"), "--model-dir", str(model_dir)]
+    assert main(["cross-eval", *argv]) == 3
+    err = capsys.readouterr().err
+    assert f"{model_dir / 'vocabulary.txt'}:3: invalid UTF-8" in err and "Traceback" not in err
+
+
 # (arguments after the subcommand's --config/--out, extra config, path named)
 MISSING_FILES = {
     "phecode map": (["cohort"], {"data.phecode_map": "{tmp}/nope.csv"}, "{tmp}/nope.csv"),
@@ -685,6 +706,21 @@ BAD_REPORTS = [
         "n_pos negative",
         {"reports": [REPORT_ROW, dict(REPORT_ROW, n_pos=-3)]},
         "reports[1]: n_pos=-3 is not >= 0",
+    ),
+    (
+        "method needing quotes",
+        {"reports": [dict(REPORT_ROW, method='MODEL,"X"\nY')]},
+        "reports[0]: method='MODEL,\"X\"\\nY' is not one of BENCH1, BENCH2, MODEL, TWO_STEP",
+    ),
+    (
+        "unknown dataset",
+        {"reports": [dict(REPORT_ROW, dataset="FOO")]},
+        "reports[0]: dataset='FOO' is not one of CLAIMS, EHR",
+    ),
+    (
+        "unknown cohort",
+        {"reports": [REPORT_ROW, dict(REPORT_ROW, cohort="ALL")]},
+        "reports[1]: cohort='ALL' is not one of AGE18, ALL_AGE, SUBSTANCE",
     ),
     ("not JSON", "{", "cannot read report"),
     ("no reports key", {"timestamp": "x"}, "expected a JSON object with a 'reports' list"),

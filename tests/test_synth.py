@@ -2,6 +2,7 @@
 Monte-Carlo prevalence oracle."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,4 +207,19 @@ class TestGroundTruthFile:
         path = tmp_path / "gt.csv"
         path.write_text("who,what\n")
         with pytest.raises(DataError):
+            load_ground_truth(str(path))
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("p2,0.5,20100101", "unparseable date '20100101'"),
+            ("p2,high,2010-01-01", "unparseable latent_logit 'high'"),
+            ("p2,0.5,2010-01-01,x", "expected 3 columns, got 4"),
+        ],
+        ids=["basic-format onset", "non-float logit", "4 columns"],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"person_id,latent_logit,onset_date\np1,-1.5,\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
             load_ground_truth(str(path))
