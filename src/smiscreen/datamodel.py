@@ -31,10 +31,10 @@ hand.
 Every plain table (persons.csv, events.csv, phecode_map.csv,
 ground_truth.csv, cohort.csv, report.csv) has one dialect: UTF-8, comma
 separated, a fixed header line, LF or CRLF line ends (CRLF when written),
-no quoting. Two functions own it. `read_table` decodes a file once, checks
-its header and each line's column count, skips blank lines but counts
-them, and refuses a `"`, a carriage return not ending a line and invalid
-UTF-8 with a DataError naming path:line. `write_table` refuses a field
+no quoting. Two functions own it. `read_table` checks a file's header and
+each line's column count, skips blank lines but counts them, and refuses
+a `"`, a carriage return not ending a line and invalid UTF-8 with a
+DataError naming path:line, the earliest bad one. `write_table` refuses a field
 that would need quoting. events.csv alone keeps its own block parser and
 writer, for speed, with the same refusals and texts:
   persons.csv: person_id,birth_year,gender,enroll_start,enroll_end,source
@@ -203,10 +203,14 @@ def _check_header(path: str, first: str, header: list[str]) -> None:
 def read_table(path: str, name: str, header: list[str]) -> Iterator[tuple[str, list[str]]]:
     """("path:line", fields) of each non-blank data line of the plain
     table `name` (see the module docstring), after checking its header."""
-    first, newline, body = read_text(path).partition("\n")
-    _check_header(path, first + newline, header)
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        line = line.removesuffix("\r")
+    with open(path, "rb") as fh:
+        first, newline, body = fh.read().partition(b"\n")
+    _check_header(path, _decode(path, first + newline), header)
+    for lineno, raw in enumerate(body.split(b"\n"), start=2):
+        try:
+            line = raw.decode("utf-8").removesuffix("\r")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}:{lineno}: invalid UTF-8") from None
         if not line:
             continue
         where = f"{path}:{lineno}"

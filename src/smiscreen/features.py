@@ -1,11 +1,11 @@
-"""Code vocabularies and model-ready feature vectors.
+"""Code vocabularies and model-ready feature matrices.
 
 The discrete feature space is the set of namespaced code strings
 ("dx:ICD10:F20.0", "rx:NDC:1234") seen inside training-split windows;
-ICD9 and ICD10 spellings stay distinct entries by design. An example's
-features are the in-vocabulary codes present in its window (presence
-encoding, deduplicated) plus a small dense demographic vector. Everything
-is window-bounded: no event after window.end can influence a vector.
+ICD9 and ICD10 spellings stay distinct entries by design. A split's
+features are one `FeatureMatrix`, a row per example: the in-vocabulary codes
+in its window (presence encoding, deduplicated) plus a small dense demographic
+vector. Everything is window-bounded: no event after window.end counts.
 """
 
 from __future__ import annotations
@@ -50,17 +50,36 @@ class Vocabulary:
         return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    code_indices: np.ndarray  # sorted unique int64 indices into the vocabulary
-    demographics: np.ndarray  # float64 [age_norm, F, M, U]
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """Compressed sparse rows: row i holds the vocabulary indices indices[indptr[i]:indptr[i + 1]],
+    sorted and unique as `featurize_split` builds them, and the demographics[i] vector."""
+
+    indptr: np.ndarray  # (n + 1,) int64, indptr[0] == 0
+    indices: np.ndarray  # int64 indices into the vocabulary
+    demographics: np.ndarray  # (n, DEMOGRAPHICS_DIM) float64
+
+    def __len__(self) -> int:
+        return len(self.demographics)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureVector):
+        if not isinstance(other, FeatureMatrix):
             return NotImplemented
-        return np.array_equal(self.code_indices, other.code_indices) and np.array_equal(
-            self.demographics, other.demographics
-        )
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def rows(self, sel: np.ndarray) -> "FeatureMatrix":
+        """Rows `sel` in that order; a row may be selected more than once."""
+        lo, counts = self.indptr[sel], self.indptr[sel + 1] - self.indptr[sel]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        positions = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
+        return FeatureMatrix(indptr, self.indices[positions], self.demographics[sel])
+
+    @staticmethod
+    def stack(parts: list["FeatureMatrix"]) -> "FeatureMatrix":
+        """The rows of `parts`, in order, as one matrix."""
+        indptr = np.concatenate([[0]] + [np.diff(p.indptr) for p in parts]).cumsum()
+        indices = np.concatenate([p.indices for p in parts])
+        return FeatureMatrix(indptr, indices, np.concatenate([p.demographics for p in parts]))
 
 
 def _vocab_indices(v: Vocabulary, codes: list[Code]) -> np.ndarray:
@@ -86,29 +105,25 @@ def intersect_vocabularies(a: Vocabulary, b: Vocabulary) -> Vocabulary:
     return Vocabulary(tuple(sorted(shared)))
 
 
-def featurize_split(examples: list[CohortExample], d: Dataset, v: Vocabulary) -> list[FeatureVector]:
-    """Feature vector of each example; out-of-vocabulary codes are skipped."""
+def featurize_split(examples: list[CohortExample], d: Dataset, v: Vocabulary) -> FeatureMatrix:
+    """One row per example; out-of-vocabulary codes are skipped."""
     positions, owner = d.window_events(*example_windows(examples, d))
     index = d.per_code(_vocab_indices, v)[d.table.code[positions]]
     hit = index >= 0
-    # sorted unique (example, index) keys: each example's indices come out sorted and unique
+    # sorted unique (example, index) keys: each row's indices come out sorted and unique
     keys = np.unique(owner[hit] * len(v) + index[hit])
-    bounds = np.searchsorted(keys // len(v), np.arange(len(examples) + 1)).tolist()
-    code_indices = keys % len(v)
+    indptr = np.searchsorted(keys // len(v), np.arange(len(examples) + 1))
     persons = [d.persons_by_id[ex.person_id] for ex in examples]
     demographics = np.zeros((len(examples), DEMOGRAPHICS_DIM), dtype=np.float64)
     end_years = np.array([ex.window.end.year for ex in examples], dtype=np.int64)
     demographics[:, 0] = (end_years - [p.birth_year for p in persons]) / 100.0
     demographics[np.arange(len(examples)), [_GENDER_SLOT[p.gender] for p in persons]] = 1.0
-    return [
-        FeatureVector(code_indices[lo:hi], demographics[i])
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    return FeatureMatrix(indptr, keys % len(v), demographics)
 
 
-def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureVector:
-    """Feature vector of one example: `featurize_split` of a one-element split."""
-    return featurize_split([ex], d, v)[0]
+def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureMatrix:
+    """One-row feature matrix of one example: `featurize_split` of a one-element split."""
+    return featurize_split([ex], d, v)
 
 
 def write_vocabulary(v: Vocabulary, path: str) -> None:

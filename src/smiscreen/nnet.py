@@ -6,8 +6,8 @@ over each example's code set (zero vector when the set is empty), the
 ReLU feedforward layers, and a single sigmoid output unit.
 
 Gradients are exact analytic derivatives of the mean binary cross-entropy
-over a batch; the mean pool is a product with the batch's averaging
-matrix A (`_averaging_matrix`), so its chain rule is A.T @ d_pooled.
+over a batch, a `FeatureMatrix`; the mean pool is a product with the
+averaging matrix A that `_forward` builds, so its chain rule is A.T @ d_pooled.
 Updates use adaptive moment estimation (decay 0.9/0.999, eps 1e-8).
 Everything is float64 and deterministic in the seed.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError, DataError, DegenerateCohortError
-from .features import DEMOGRAPHICS_DIM, FeatureVector, Vocabulary
+from .features import DEMOGRAPHICS_DIM, FeatureMatrix, Vocabulary
 
 _MAGIC = b"SMSC"
 _FORMAT_VERSION = 1
@@ -154,39 +154,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _averaging_matrix(batch: list[FeatureVector], vocab_size: int) -> np.ndarray:
-    """The batch's order-free B×V mean-pool matrix: A[i, c] accumulates 1/k_i for each
-    of example i's k_i code indices, so a repeated index counts twice and an empty set
-    gives a zero row. The bounds check comes first: a negative index would wrap."""
-    counts = np.array([x.code_indices.size for x in batch], dtype=np.int64)
-    codes = np.concatenate([x.code_indices for x in batch])
-    bad = codes[(codes < 0) | (codes >= vocab_size)]
+def _averaging_matrix(x: FeatureMatrix, vocab_size: int) -> np.ndarray:
+    """The order-free n×V mean-pool matrix of `x`: A[i, c] accumulates 1/k_i for each of
+    row i's k_i code indices, so a repeated index counts twice and an empty row gives a
+    zero row. The bounds check comes first: a negative index would wrap."""
+    bad = x.indices[(x.indices < 0) | (x.indices >= vocab_size)]
     if bad.size:
         raise DataError(f"feature index {int(bad[0])} out of range for V={vocab_size}")
-    rows = np.searchsorted(np.cumsum(counts), np.arange(codes.size), side="right")
-    avg = np.bincount(rows * vocab_size + codes, 1.0 / counts[rows], minlength=len(batch) * vocab_size)
-    return avg.reshape(len(batch), vocab_size)
+    counts = np.diff(x.indptr)
+    rows = np.repeat(np.arange(len(x)), counts)
+    avg = np.bincount(rows * vocab_size + x.indices, 1.0 / counts[rows], minlength=len(x) * vocab_size)
+    return avg.reshape(len(x), vocab_size)
 
 
-def _forward(m: ModelParams, batch: list[FeatureVector], avg: np.ndarray):
-    inputs = np.concatenate([avg @ m.embedding, np.stack([x.demographics for x in batch])], axis=1)
+def _forward(m: ModelParams, x: FeatureMatrix):
+    avg = _averaging_matrix(x, m.vocab_size)
+    inputs = np.concatenate([avg @ m.embedding, x.demographics], axis=1)
     z1 = inputs @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ m.w2 + m.b2
     a2 = np.maximum(z2, 0.0)
     z3 = a2 @ m.w_out + m.b_out[0]
     p = _sigmoid(z3)
-    return p, (inputs, z1, a1, z2, a2)
+    return p, (avg, inputs, z1, a1, z2, a2)
 
 
-def _forward_batch(m: ModelParams, batch: list[FeatureVector]):
-    return _forward(m, batch, _averaging_matrix(batch, m.vocab_size))
-
-
-def score_batch(m: ModelParams, batch: list[FeatureVector]) -> np.ndarray:
-    if not batch:
-        return np.zeros(0)
-    p, _ = _forward_batch(m, batch)
+def score_batch(m: ModelParams, batch: FeatureMatrix | list[FeatureMatrix]) -> np.ndarray:
+    """Scores of the rows of `batch`; a list of matrices is stacked first."""
+    p, _ = _forward(m, FeatureMatrix.stack(batch) if isinstance(batch, list) else batch)
     if not np.all(np.isfinite(p)):
         raise DataError("non-finite model output")
     return p
@@ -197,15 +192,12 @@ def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-(y * np.log(q) + (1 - y) * np.log1p(-q))))
 
 
-def backward(
-    m: ModelParams, batch: list[FeatureVector], labels: np.ndarray
-) -> tuple[ModelParams, float]:
+def backward(m: ModelParams, batch: FeatureMatrix, labels: np.ndarray) -> tuple[ModelParams, float]:
     """Analytic gradients, as ModelParams, of the mean BCE loss over the batch."""
     if not batch:
         raise DataError("backward requires a non-empty batch")
     y = np.asarray(labels, dtype=np.float64)
-    avg = _averaging_matrix(batch, m.vocab_size)
-    p, (inputs, z1, a1, z2, a2) = _forward(m, batch, avg)
+    p, (avg, inputs, z1, a1, z2, a2) = _forward(m, batch)
     n = len(batch)
     loss = _batch_loss(p, y)
 
@@ -245,9 +237,9 @@ def adam_step(m: ModelParams, grads: ModelParams, state: OptimizerState, lr: flo
 
 def train(
     m: ModelParams,
-    train_features: list[FeatureVector],
+    train_features: FeatureMatrix,
     train_labels: np.ndarray,
-    val_features: list[FeatureVector],
+    val_features: FeatureMatrix,
     val_labels: np.ndarray,
     hp: Hyperparams,
     eval_fn,
@@ -277,8 +269,7 @@ def train(
         total_loss = 0.0
         for lo in range(0, n, hp.batch_size):
             sel = order[lo : lo + hp.batch_size]
-            batch = [train_features[i] for i in sel]
-            grads, loss = backward(model, batch, train_y[sel])
+            grads, loss = backward(model, train_features.rows(sel), train_y[sel])
             adam_step(model, grads, state, hp.learning_rate)
             total_loss += loss * len(sel)
         scores = score_batch(model, val_features)

@@ -58,7 +58,7 @@ from .evaluation import (
     write_report_json,
 )
 from .features import (
-    FeatureVector,
+    FeatureMatrix,
     Vocabulary,
     build_vocabulary,
     featurize_split,
@@ -382,7 +382,7 @@ class FittedSource(Prepared):
     """A prepared cohort plus its train-split vocabulary, features and model."""
 
     vocab: Vocabulary
-    features: dict[str, list[FeatureVector]]
+    features: dict[str, FeatureMatrix]
     model: ModelParams
     log: TrainingLog
 
@@ -401,7 +401,7 @@ def prepare(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> Prepared:
 
 def _featurize(
     prepared: Prepared, vocab: Vocabulary, names: tuple[str, ...]
-) -> dict[str, list[FeatureVector]]:
+) -> dict[str, FeatureMatrix]:
     return {name: featurize_split(prepared.splits[name], prepared.dataset, vocab) for name in names}
 
 
@@ -447,7 +447,7 @@ def _benchmark_reports(prepared: Prepared) -> list[EvalReport]:
 
 
 def _model_report(
-    prepared: Prepared, model: ModelParams, features: dict[str, list[FeatureVector]], method: str
+    prepared: Prepared, model: ModelParams, features: dict[str, FeatureMatrix], method: str
 ) -> EvalReport:
     """Threshold on VAL, metrics on TEST."""
     with _limit_blas_threads():

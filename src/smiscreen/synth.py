@@ -404,9 +404,13 @@ def load_ground_truth(path: str) -> GroundTruth:
     logits: dict[str, float] = {}
     onsets: dict[str, datetime.date | None] = {}
     for where, (pid, logit_raw, onset_raw) in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
+        if pid in logits:
+            raise DataError(f"{where}: duplicate person_id {pid!r}")
         try:
             logits[pid] = float(logit_raw)
         except ValueError:
             raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}") from None
+        if not math.isfinite(logits[pid]):
+            raise DataError(f"{where}: non-finite latent_logit {logit_raw!r}")
         onsets[pid] = _parse_date(onset_raw, where) if onset_raw else None
     return GroundTruth(logits, onsets)

@@ -284,7 +284,7 @@ class TestSubstanceCohort:
         out = build_substance_cohort(ds, phemap)
         vocab = build_vocabulary(out, ds)
         feats = featurize(out[0], ds, vocab)
-        assert "dx:ICD10:F10.10" in [vocab.entries[i] for i in feats.code_indices]
+        assert "dx:ICD10:F10.10" in [vocab.entries[i] for i in feats.indices]
 
 
 class TestCohortInvariantsOnSynthetic:

@@ -512,6 +512,7 @@ DIALECT_ROWS = [
     ("quoted field", b'"p1",x,y', "quoted field; {name} does not support quoting"),
     ("lone carriage return", b"p1,x\ry,z", "carriage return inside a line"),
     ("column count", b"a,b,c,d,e,f,g,h", "expected {n} columns, got 8"),
+    ("bad row, then invalid UTF-8", b"a,b,c,d,e,f,g,h\n\xff", "expected {n} columns, got 8"),
 ]
 DIALECT_IDS = [case for case, _, _ in DIALECT_ROWS]
 

@@ -1,5 +1,7 @@
 """Vocabulary construction and window-bounded featurization."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import d, make_dataset, make_event, make_person
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import DataError
 from smiscreen.features import (
+    FeatureMatrix,
     Vocabulary,
     build_vocabulary,
     featurize,
@@ -21,6 +24,11 @@ from smiscreen.synth import SynthConfig, code_pools, generate_population, shared
 
 def example(pid, start="2012-01-01", end="2012-12-31", label=0):
     return CohortExample(pid, label, ObservationWindow(d(start), d(end)), pid, ALL_AGE, None)
+
+
+def row(x, i):
+    """Row i of a FeatureMatrix as (indices, demographics) lists."""
+    return x.indices[x.indptr[i] : x.indptr[i + 1]].tolist(), x.demographics[i].tolist()
 
 
 @pytest.fixture
@@ -99,18 +107,17 @@ class TestFeaturize:
     def test_empty_window_keeps_demographics(self, dataset):
         vocab = build_vocabulary([example("p1")], dataset)
         out = featurize(example("p1", "2014-01-01", "2014-12-31"), dataset, vocab)
-        assert out.code_indices.size == 0
-        assert out.demographics.tolist() == [(2014 - 1990) / 100, 1.0, 0.0, 0.0]
+        assert row(out, 0) == ([], [(2014 - 1990) / 100, 1.0, 0.0, 0.0])
 
     def test_age_norm_from_window_end(self, dataset):
         vocab = build_vocabulary([example("p1")], dataset)
         out = featurize(example("p1"), dataset, vocab)
-        assert out.demographics[0] == pytest.approx(0.22)  # born 1990, window ends 2012
+        assert out.demographics[0, 0] == pytest.approx(0.22)  # born 1990, window ends 2012
 
     def test_indices_sorted_unique_in_vocab(self, dataset):
         vocab = build_vocabulary([example("p1"), example("p2")], dataset)
         out = featurize(example("p2"), dataset, vocab)
-        names = [vocab.entries[i] for i in out.code_indices]
+        names = [vocab.entries[i] for i in out.indices]
         assert names == ["dx:ICD10:B20", "dx:ICD10:C30", "rx:NDC:111-22"]
 
     def test_duplicates_collapse(self):
@@ -124,7 +131,7 @@ class TestFeaturize:
     def test_out_of_vocabulary_skipped(self, dataset):
         vocab = Vocabulary(("dx:ICD10:B20",))
         out = featurize(example("p1"), dataset, vocab)
-        assert out.code_indices.tolist() == [0]
+        assert out.indices.tolist() == [0]
 
     def test_unknown_person_rejected(self, dataset):
         vocab = Vocabulary(("dx:ICD10:B20",))
@@ -145,7 +152,7 @@ class TestFeaturize:
         index = vocab.index
         for ex in examples[:800]:
             expected = sorted(index[c] for c in window_codes(ex) if c in index)
-            assert featurize(ex, dataset, vocab).code_indices.tolist() == expected
+            assert featurize(ex, dataset, vocab).indices.tolist() == expected
 
     @pytest.mark.parametrize("keep", [1, 2], ids=["train vocabulary", "every other code"])
     def test_split_matches_per_event_reference(self, pop5k, pop5k_splits, keep):
@@ -153,8 +160,8 @@ class TestFeaturize:
         vocab = Vocabulary(build_vocabulary(pop5k_splits["TRAIN"], dataset).entries[::keep])
         for split in pop5k_splits.values():
             got = featurize_split(split, dataset, vocab)
-            assert len(got) == len(split)
-            for ex, fv in zip(split, got):
+            assert len(got) == len(split) and got.indptr.dtype == got.indices.dtype == np.int64
+            for i, ex in enumerate(split):
                 person = dataset.persons_by_id[ex.person_id]
                 codes = {
                     namespaced_code(e)
@@ -162,12 +169,29 @@ class TestFeaturize:
                     if ex.window.start <= e.date <= ex.window.end
                 }
                 expected = sorted(vocab.index[c] for c in codes if c in vocab.index)
-                assert fv.code_indices.dtype == np.int64
-                assert fv.code_indices.tolist() == expected
                 demographics = [(ex.window.end.year - person.birth_year) / 100.0, 0.0, 0.0, 0.0]
                 demographics["FMU".index(person.gender) + 1] = 1.0
-                assert fv.demographics.tolist() == demographics
-            assert got[-2].code_indices.size == 0  # the window before enrollment
+                assert row(got, i) == (expected, demographics)
+            assert row(got, len(split) - 2)[0] == []  # the window before enrollment
+
+    def test_split_equals_stacked_examples(self, pop5k, pop5k_splits):
+        dataset, _ = pop5k
+        vocab = build_vocabulary(pop5k_splits["TRAIN"], dataset)
+        for split in pop5k_splits.values():
+            per_example = [featurize(ex, dataset, vocab) for ex in split]
+            assert featurize_split(split, dataset, vocab) == FeatureMatrix.stack(per_example)
+
+    def test_rows_match_per_row_slices(self, pop5k, pop5k_splits):
+        dataset, _ = pop5k
+        x = featurize_split(pop5k_splits["TEST"], dataset, build_vocabulary(pop5k_splits["TRAIN"], dataset))
+        empty = np.flatnonzero(np.diff(x.indptr) == 0)
+        rng = np.random.default_rng(11)
+        for size in (0, 1, 7, 300):
+            sel = np.concatenate([rng.integers(0, len(x), size), empty[:1], empty[:1]])
+            assert np.unique(sel).size < sel.size
+            got = x.rows(sel)
+            assert len(got) == sel.size and got.indptr[0] == 0
+            assert [row(got, j) for j in range(sel.size)] == [row(x, i) for i in sel]
 
     def test_post_window_mutation_leaves_features_identical(self, dataset):
         vocab = build_vocabulary([example("p1")], dataset)
@@ -184,8 +208,8 @@ class TestFeaturize:
         ex = example("p2")
         wide = featurize(ex, dataset, full)
         narrow = featurize(ex, dataset, sub)
-        wide_names = {full.entries[i] for i in wide.code_indices}
-        narrow_names = {sub.entries[i] for i in narrow.code_indices}
+        wide_names = {full.entries[i] for i in wide.indices}
+        narrow_names = {sub.entries[i] for i in narrow.indices}
         assert narrow_names <= wide_names
 
 
@@ -202,7 +226,7 @@ class TestVocabularyFile:
         vocab = build_vocabulary([example("p1")], dataset)
         path = str(tmp_path / "vocabulary.txt")
         write_vocabulary(vocab, path)
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
         assert lines == list(vocab.entries)
 
     def test_namespacing(self):

@@ -1,15 +1,23 @@
 """Network math against finite differences and hand arithmetic."""
 
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from nnet_checks import finite_difference_check, kink_distance, random_model_and_batch, rewrite_header
+from nnet_checks import (
+    feature_matrix,
+    finite_difference_check,
+    kink_distance,
+    random_model_and_batch,
+    rewrite_header,
+    row_views,
+)
 from smiscreen.errors import ConfigError, DataError, DegenerateCohortError
 from smiscreen.evaluation import ScoredSet, auc
-from smiscreen.features import FeatureVector, Vocabulary
+from smiscreen.features import FeatureMatrix, Vocabulary
 from smiscreen.nnet import (
     FingerprintMismatchError,
     Hyperparams,
@@ -18,7 +26,7 @@ from smiscreen.nnet import (
     ModelVersionError,
     OptimizerState,
     _batch_loss,
-    _forward_batch,
+    _forward,
     adam_step,
     backward,
     check_fingerprint,
@@ -33,7 +41,8 @@ from smiscreen.nnet import (
 
 
 def fv(indices, demo=(0.3, 1.0, 0.0, 0.0)):
-    return FeatureVector(np.array(indices, dtype=np.int64), np.array(demo, dtype=np.float64))
+    """One-row feature matrix."""
+    return feature_matrix([indices], [demo])
 
 
 class TestInit:
@@ -93,7 +102,7 @@ class TestForward:
     def test_empty_code_set_pools_to_zero(self):
         m = init_model(6, Hyperparams(embedding_dim=3, hidden1=4, hidden2=2, seed=5))
         demo = np.array([0.4, 0.0, 1.0, 0.0])
-        got = score_batch(m, [FeatureVector(np.array([], dtype=np.int64), demo)])[0]
+        got = score_batch(m, fv([], demo))[0]
         z1 = np.maximum(demo @ m.w1[3:] + m.b1, 0.0)
         z2 = np.maximum(z1 @ m.w2 + m.b2, 0.0)
         expected = 1.0 / (1.0 + math.exp(-(z2 @ m.w_out + m.b_out[0])))
@@ -106,17 +115,17 @@ class TestForward:
         with pytest.raises(DataError, match="feature index -1 out of range"):
             score_batch(m, [fv([0]), fv([2, -1])])
         with pytest.raises(DataError, match="out of range"):
-            backward(m, [fv([-1])], np.array([1.0]))
+            backward(m, fv([-1]), np.array([1.0]))
 
     def test_permutation_invariance_bitwise(self):
         m = init_model(30, Hyperparams(embedding_dim=5, hidden1=4, hidden2=3, seed=2))
         rng = np.random.default_rng(0)
         idx = rng.choice(30, size=9, replace=False).astype(np.int64)
         demo = rng.random(4)
-        base = score_batch(m, [FeatureVector(idx.copy(), demo)])[0]
+        base = score_batch(m, fv(idx, demo))[0]
         for _ in range(5):
             rng.shuffle(idx)
-            assert score_batch(m, [FeatureVector(idx.copy(), demo)])[0] == base
+            assert score_batch(m, fv(idx, demo))[0] == base
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(17)
@@ -144,17 +153,17 @@ class TestLoss:
 def loop_embedding_grad(m, batch, labels):
     """Embedding gradient by a per-example loop: each example's sorted codes
     get its pooled gradient over k repeated rows, then one np.add.at."""
-    p, (_, z1, _, z2, _) = _forward_batch(m, batch)
+    p, (_, _, z1, _, z2, _) = _forward(m, batch)
     dz3 = (p - labels) / len(batch)
     dz2 = np.outer(dz3, m.w_out) * (z2 > 0.0)
     dz1 = (dz2 @ m.w2.T) * (z1 > 0.0)
     d_pooled = (dz1 @ m.w1.T)[:, : m.embedding_dim]
     d_embedding = np.zeros_like(m.embedding)
     index_runs, rows = [], []
-    for i, x in enumerate(batch):
-        k = x.code_indices.size
+    for i, codes in enumerate(row_views(batch)):
+        k = codes.size
         if k:
-            index_runs.append(np.sort(x.code_indices))
+            index_runs.append(np.sort(codes))
             rows.append(np.repeat(d_pooled[i : i + 1] / k, k, axis=0))
     if rows:
         np.add.at(d_embedding, np.concatenate(index_runs), np.concatenate(rows))
@@ -164,9 +173,9 @@ def loop_embedding_grad(m, batch, labels):
 def loop_pool(m, batch):
     """Pooled embeddings by a per-example loop: the mean of each example's rows."""
     pooled = np.zeros((len(batch), m.embedding_dim))
-    for i, x in enumerate(batch):
-        if x.code_indices.size:
-            pooled[i] = m.embedding[x.code_indices].mean(axis=0)
+    for i, codes in enumerate(row_views(batch)):
+        if codes.size:
+            pooled[i] = m.embedding[codes].mean(axis=0)
     return pooled
 
 
@@ -182,15 +191,14 @@ class TestBackward:
         empty = shared = unsorted = 0
         for _ in range(300):
             m, batch, labels = random_model_and_batch(rng, v_max=6, batch_max=12)
-            for x in batch:
-                rng.shuffle(x.code_indices)
-                unsorted += bool(np.any(np.diff(x.code_indices) < 0))
-            empty += any(x.code_indices.size == 0 for x in batch)
-            codes = np.concatenate([x.code_indices for x in batch])
-            shared += np.unique(codes).size < codes.size
+            for codes in row_views(batch):
+                rng.shuffle(codes)
+                unsorted += bool(np.any(np.diff(codes) < 0))
+            empty += any(np.diff(batch.indptr) == 0)
+            shared += np.unique(batch.indices).size < batch.indices.size
             grads, _ = backward(m, batch, labels)
             assert_close_to_reference(grads.embedding, loop_embedding_grad(m, batch, labels))
-            _, (inputs, *_) = _forward_batch(m, batch)
+            _, (_, inputs, *_) = _forward(m, batch)
             assert_close_to_reference(inputs[:, : m.embedding_dim], loop_pool(m, batch))
         assert min(empty, shared, unsorted) > 0
 
@@ -199,15 +207,15 @@ class TestBackward:
         for _ in range(50):
             m, batch, labels = random_model_and_batch(rng, v_max=30, batch_max=12)
             base, _ = backward(m, batch, labels)
-            for x in batch:
-                rng.shuffle(x.code_indices)
+            for codes in row_views(batch):
+                rng.shuffle(codes)
             grads, _ = backward(m, batch, labels)
             for name, arr in base.arrays().items():
                 assert np.array_equal(getattr(grads, name), arr), name
 
     def test_repeated_index_counts_twice(self):
         m = init_model(4, Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=6))
-        _, (inputs, *_) = _forward_batch(m, [fv([0, 0, 1])])
+        _, (_, inputs, *_) = _forward(m, fv([0, 0, 1]))
         want = (2.0 * m.embedding[0] + m.embedding[1]) / 3.0
         assert np.allclose(inputs[0, :3], want, rtol=0.0, atol=1e-15)
 
@@ -218,11 +226,11 @@ class TestBackward:
         # In the second row, -1 would wrap onto the first row's last column.
         m = init_model(3, Hyperparams(embedding_dim=2, hidden1=2, hidden2=2, seed=1))
         with pytest.raises(DataError, match=re.escape("feature index -1 out of range for V=3")):
-            run(m, [fv([0]), fv([-1])])
+            run(m, FeatureMatrix.stack([fv([0]), fv([-1])]))
 
     def test_empty_code_set_leaves_embedding_grad_zero(self):
         m = init_model(4, Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=8))
-        grads, _ = backward(m, [FeatureVector(np.array([], dtype=np.int64), np.ones(4))], np.array([1.0]))
+        grads, _ = backward(m, fv([], np.ones(4)), np.array([1.0]))
         assert not grads.embedding.any()
 
     def test_gradients_match_finite_differences(self):
@@ -241,8 +249,8 @@ class TestBackward:
         m = init_model(4, hp)
         for arr in m.arrays().values():
             arr += 0.3
-        g2, _ = backward(m, [fv([0, 1])], np.array([1.0]))
-        g1, _ = backward(m, [fv([0])], np.array([1.0]))
+        g2, _ = backward(m, fv([0, 1]), np.array([1.0]))
+        g1, _ = backward(m, fv([0]), np.array([1.0]))
         # row 0 of the two-code batch equals half of what a single-code
         # example would give only when pooled inputs match; instead assert
         # the two referenced rows got identical gradient mass
@@ -262,48 +270,46 @@ class TestAdamAndTraining:
             if norm < 1e-10:
                 continue
             adam_step(m, grads, OptimizerState.zeros_like(m), lr=1e-4)
-            p, _ = _forward_batch(m, batch)
+            p, _ = _forward(m, batch)
             after = _batch_loss(p, labels)
             failures += after > before
         assert failures <= 1
 
     @staticmethod
     def toy_separable(n=90):
+        """Toy features and labels, each cut in two after the first `k`."""
         rng = np.random.default_rng(3)
-        feats, labels = [], []
-        for i in range(n):
-            y = i % 2
-            feats.append(fv([0] if y else [1], demo=rng.random(4)))
-            labels.append(float(y))
-        return feats, np.array(labels)
+        labels = np.arange(n) % 2.0
+        feats = feature_matrix([[0] if y else [1] for y in labels], [rng.random(4) for _ in range(n)])
+        return lambda k: (feats.rows(np.arange(k)), labels[:k], feats.rows(np.arange(k, n)), labels[k:])
 
     def test_learns_separable_toy(self):
-        feats, labels = self.toy_separable()
+        split = self.toy_separable()
         hp = Hyperparams(
             embedding_dim=8, hidden1=8, hidden2=4, learning_rate=0.01,
             batch_size=16, max_epochs=50, patience=50, seed=12,
         )
         model0 = init_model(2, hp)
         eval_fn = lambda s, y: auc(ScoredSet(s, y.astype(np.int64)))
-        best, log = train(model0, feats[:60], labels[:60], feats[60:], labels[60:], hp, eval_fn)
+        best, log = train(model0, *split(60), hp, eval_fn)
         assert log.best_val_auc >= 0.99
 
     def test_patience_zero_runs_exactly_one_epoch(self):
-        feats, labels = self.toy_separable(40)
+        split = self.toy_separable(40)
         hp = Hyperparams(embedding_dim=4, hidden1=4, hidden2=2, patience=0, max_epochs=50, seed=1)
         model0 = init_model(2, hp)
         eval_fn = lambda s, y: auc(ScoredSet(s, y.astype(np.int64)))
-        _, log = train(model0, feats[:30], labels[:30], feats[30:], labels[30:], hp, eval_fn)
+        _, log = train(model0, *split(30), hp, eval_fn)
         assert log.epochs_run == 1
 
     def test_training_is_deterministic(self):
-        feats, labels = self.toy_separable(60)
+        split = self.toy_separable(60)
         hp = Hyperparams(embedding_dim=6, hidden1=5, hidden2=3, max_epochs=6, patience=6, seed=77)
         eval_fn = lambda s, y: auc(ScoredSet(s, y.astype(np.int64)))
         runs = []
         for _ in range(2):
             model0 = init_model(2, hp)
-            best, log = train(model0, feats[:40], labels[:40], feats[40:], labels[40:], hp, eval_fn)
+            best, log = train(model0, *split(40), hp, eval_fn)
             runs.append((best, log))
         (m1, l1), (m2, l2) = runs
         assert l1.train_loss == l2.train_loss
@@ -312,21 +318,21 @@ class TestAdamAndTraining:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
     def test_input_model_not_mutated(self):
-        feats, labels = self.toy_separable(40)
+        split = self.toy_separable(40)
         hp = Hyperparams(embedding_dim=4, hidden1=3, hidden2=2, max_epochs=2, patience=2, seed=5)
         model0 = init_model(2, hp)
         snapshot = {k: v.copy() for k, v in model0.arrays().items()}
         eval_fn = lambda s, y: auc(ScoredSet(s, y.astype(np.int64)))
-        train(model0, feats[:30], labels[:30], feats[30:], labels[30:], hp, eval_fn)
+        train(model0, *split(30), hp, eval_fn)
         for name, arr in snapshot.items():
             assert np.array_equal(arr, getattr(model0, name))
 
     def test_single_class_val_rejected(self):
-        feats, labels = self.toy_separable(20)
+        feats, labels, _, _ = self.toy_separable(20)(20)
         hp = Hyperparams(embedding_dim=4, hidden1=3, hidden2=2, seed=5)
         model0 = init_model(2, hp)
         with pytest.raises(DegenerateCohortError):
-            train(model0, feats, labels, feats[:3], np.ones(3), hp, lambda s, y: 0.5)
+            train(model0, feats, labels, feats.rows(np.arange(3)), np.ones(3), hp, lambda s, y: 0.5)
 
 
 class TestTransfer:
@@ -400,18 +406,18 @@ class TestSerialization:
 
     def test_truncated_file_rejected(self, saved, tmp_path):
         _, _, _, path = saved
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         bad = str(tmp_path / "trunc.bin")
-        open(bad, "wb").write(blob[: len(blob) // 2])
+        pathlib.Path(bad).write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ModelCorruptError):
             load_model(bad)
 
     def test_bit_flip_rejected(self, saved, tmp_path):
         _, _, _, path = saved
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(pathlib.Path(path).read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         bad = str(tmp_path / "flip.bin")
-        open(bad, "wb").write(bytes(blob))
+        pathlib.Path(bad).write_bytes(bytes(blob))
         with pytest.raises(ModelCorruptError):
             load_model(bad)
 
@@ -419,17 +425,17 @@ class TestSerialization:
         import hashlib
 
         _, _, _, path = saved
-        body = bytearray(open(path, "rb").read()[:-32])
+        body = bytearray(pathlib.Path(path).read_bytes()[:-32])
         body[4:8] = (2).to_bytes(4, "little")
         blob = bytes(body) + hashlib.sha256(bytes(body)).digest()
         bad = str(tmp_path / "v2.bin")
-        open(bad, "wb").write(blob)
+        pathlib.Path(bad).write_bytes(blob)
         with pytest.raises(ModelVersionError):
             load_model(bad)
 
     def test_not_a_model_file(self, tmp_path):
         bad = str(tmp_path / "junk.bin")
-        open(bad, "wb").write(b"hello world")
+        pathlib.Path(bad).write_bytes(b"hello world")
         with pytest.raises(ModelCorruptError):
             load_model(bad)
 

@@ -745,7 +745,7 @@ class TestNoTestLeakage:
 
         from smiscreen.cohort import build_all_age_cohort
         from smiscreen.evaluation import ScoredSet, youden_threshold
-        from smiscreen.features import build_vocabulary, featurize
+        from smiscreen.features import build_vocabulary, featurize_split
         from smiscreen.nnet import Hyperparams, init_model, score_batch, train
         from smiscreen.pipeline import TEST, TRAIN, VAL, _auc_eval
 
@@ -757,7 +757,7 @@ class TestNoTestLeakage:
             assignment = split_cohort(cohort, SplitFractions(), seed=42)
             splits = assignment.split_examples(cohort)
             vocab = build_vocabulary(splits[TRAIN], dataset)
-            feats = {k: [featurize(ex, dataset, vocab) for ex in splits[k]] for k in (TRAIN, VAL)}
+            feats = {k: featurize_split(splits[k], dataset, vocab) for k in (TRAIN, VAL)}
             labs = {k: np.array([ex.label for ex in splits[k]], float) for k in (TRAIN, VAL)}
             model0 = init_model(len(vocab), hp, vocab.fingerprint())
             model, _ = train(model0, feats[TRAIN], labs[TRAIN], feats[VAL], labs[VAL], hp, _auc_eval)

@@ -215,8 +215,11 @@ class TestGroundTruthFile:
             ("p2,0.5,20100101", "unparseable date '20100101'"),
             ("p2,high,2010-01-01", "unparseable latent_logit 'high'"),
             ("p2,0.5,2010-01-01,x", "expected 3 columns, got 4"),
+            ("p1,0.5,", "duplicate person_id 'p1'"),
+            ("p2,nan,", "non-finite latent_logit 'nan'"),
+            ("p2,-inf,", "non-finite latent_logit '-inf'"),
         ],
-        ids=["basic-format onset", "non-float logit", "4 columns"],
+        ids=["basic-format onset", "non-float logit", "4 columns", "duplicate id", "nan", "-inf"],
     )
     def test_bad_row_names_path_and_line(self, tmp_path, row, message):
         path = tmp_path / "gt.csv"
