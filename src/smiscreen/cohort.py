@@ -14,6 +14,7 @@ those cohorts are kept out of the all-age cohort.
 from __future__ import annotations
 
 import datetime
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +55,17 @@ class CohortExample:
     index_date: datetime.date | None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CohortBuildStats:
-    n_cases_found: int = 0
-    n_cases_excluded: int = 0
-    n_windows_dropped: int = 0
-    n_cases_retained: int = 0
-    n_cases_without_controls: int = 0
-    n_controls: int = 0
+    """Counts of the all-age filter steps that the examples cannot show,
+    each named as its manifest.json counts key: SMI cases found, then those
+    excluded as use-case cohort members, those whose window does not fit,
+    and those matched to no control. All zero for AGE18 and SUBSTANCE."""
+
+    cases_found: int = 0
+    cases_excluded_use_case: int = 0
+    case_windows_dropped: int = 0
+    cases_without_controls: int = 0
 
 
 def _first_dates(d: Dataset, m: PhecodeMap, bit: int) -> list[tuple[str, datetime.date]]:
@@ -113,17 +117,20 @@ def build_case_windows(
     """Assign gap-shifted 12-month windows; drop cases that do not fit.
 
     window.end = onset - gap; window.start = end - 12 months + 1 day.
-    Cases whose window starts before enrollment are dropped (second return
-    value counts them), keeping feature windows uniformly 12 months long.
+    Cases whose window leaves enrollment or the calendar are dropped (second
+    return value counts them), keeping feature windows uniformly 12 months long.
     """
     out: list[CaseWindow] = []
     dropped = 0
     for person_id, onset in cases:
         person = d.persons_by_id[person_id]
         gap = sample_gap(gap_stream(seed, person_id))
-        end = onset - datetime.timedelta(days=gap)
-        start = window_start_for_end(end)
-        if start < person.enroll_start or end > person.enroll_end:
+        try:
+            end = onset - datetime.timedelta(days=gap)
+            start = window_start_for_end(end)
+        except (OverflowError, ValueError):  # the window runs off the calendar
+            start = None
+        if start is None or start < person.enroll_start or end > person.enroll_end:
             dropped += 1
             continue
         out.append(CaseWindow(person_id, onset, ObservationWindow(start, end, gap_days=gap)))
@@ -166,7 +173,6 @@ def match_controls(
     k: int = 10,
     seed: int = 0,
     exclude: frozenset[str] = frozenset(),
-    stats: CohortBuildStats | None = None,
 ) -> list[CohortExample]:
     """Pair each case with up to k matched, never-SMI controls.
 
@@ -207,10 +213,6 @@ def match_controls(
         shared = ObservationWindow(window.start, window.end)
         for pid in chosen:
             examples.append(CohortExample(pid, 0, shared, cw.person_id, ALL_AGE, None))
-        if stats is not None:
-            stats.n_controls += len(chosen)
-            if not chosen:
-                stats.n_cases_without_controls += 1
     examples.sort(key=lambda ex: (ex.match_group, -ex.label, ex.person_id))
     return examples
 
@@ -219,22 +221,13 @@ def build_all_age_cohort(
     d: Dataset, m: PhecodeMap, seed: int, k: int = 10
 ) -> tuple[list[CohortExample], CohortBuildStats]:
     """Full all-age matched cohort; use-case cohort members are excluded."""
-    stats = CohortBuildStats()
     exclude = use_case_person_ids(d, m)
-    cases = find_cases(d, m)
-    stats.n_cases_found = len(cases)
-    cases = [(pid, onset) for pid, onset in cases if pid not in exclude]
-    stats.n_cases_excluded = stats.n_cases_found - len(cases)
+    found = find_cases(d, m)
+    cases = [(pid, onset) for pid, onset in found if pid not in exclude]
     case_windows, dropped = build_case_windows(cases, d, seed)
-    stats.n_windows_dropped = dropped
-    stats.n_cases_retained = len(case_windows)
-    examples = match_controls(case_windows, d, m, k=k, seed=seed, exclude=exclude, stats=stats)
-    return examples, stats
-
-
-def _eighteenth_birthday(birth_year: int) -> datetime.date:
-    # Records carry year of birth only; birthdays are pinned to Jan 1.
-    return datetime.date(birth_year + 18, 1, 1)
+    examples = match_controls(case_windows, d, m, k=k, seed=seed, exclude=exclude)
+    alone = sum(n == 1 for n in Counter(ex.match_group for ex in examples).values())
+    return examples, CohortBuildStats(len(found), len(found) - len(cases), dropped, alone)
 
 
 def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
@@ -250,7 +243,7 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
     for p in d.persons:
         span = spans.get(p.birth_year)
         if span is None:
-            birthday = _eighteenth_birthday(p.birth_year)
+            birthday = datetime.date(p.birth_year + 18, 1, 1)  # year of birth only: Jan 1
             span = spans[p.birth_year] = (
                 birthday, add_months(birthday, -12), add_months(birthday, 12)
             )
@@ -278,8 +271,11 @@ def build_substance_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
         index_date = index_dates.get(p.person_id)
         if index_date is None:
             continue
-        window = ObservationWindow(window_start_for_end(index_date), index_date)
-        test_end = add_months(index_date, 12)
+        try:
+            window = ObservationWindow(window_start_for_end(index_date), index_date)
+            test_end = add_months(index_date, 12)
+        except ValueError:  # the window or the follow-up year runs off the calendar
+            continue
         if p.enroll_start > window.start or p.enroll_end < test_end:
             continue
         onset = onsets.get(p.person_id)
@@ -298,8 +294,7 @@ def build_cohort(
         examples, stats = build_all_age_cohort(d, m, seed, k=k)
     elif kind in (AGE18, SUBSTANCE):
         examples = build_age18_cohort(d, m) if kind == AGE18 else build_substance_cohort(d, m)
-        n_pos = sum(ex.label for ex in examples)
-        stats = CohortBuildStats(n_cases_retained=n_pos, n_controls=len(examples) - n_pos)
+        stats = CohortBuildStats()
     else:
         raise ValueError(f"unknown cohort kind {kind!r}")
     if not examples:

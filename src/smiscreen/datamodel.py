@@ -146,6 +146,9 @@ def _enrollment_problem(p: Person, date: datetime.date) -> str | None:
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# A birth_year is an optional minus and 1-9 ASCII digits: int() alone also takes
+# "+1", "1_0", " 1" and non-ASCII digits, and may refuse over 4,300 digits.
+_YEAR = re.compile(r"-?[0-9]{1,9}")
 
 
 def _date(text: str) -> datetime.date | None:
@@ -245,10 +248,9 @@ def load_persons(path: str) -> list[Person]:
         if pid in seen:
             raise DataError(f"{where}: duplicate person_id {pid!r}")
         seen.add(pid)
-        try:
-            birth_year = int(birth_raw)
-        except ValueError as exc:
-            raise DataError(f"{where}: unparseable birth_year {birth_raw!r}") from exc
+        if not _YEAR.fullmatch(birth_raw):
+            raise DataError(f"{where}: unparseable birth_year {birth_raw!r}")
+        birth_year = int(birth_raw)
         start = _parse_date(start_raw, where)
         end = _parse_date(end_raw, where)
         person = Person(sys.intern(pid), birth_year, gender, start, end, source)

@@ -376,6 +376,9 @@ class Prepared:
     def cohort_kind(self) -> str:
         return self.examples[0].cohort_kind
 
+    def counts(self) -> dict[str, object]:
+        return _cohort_counts(self.dataset, self.examples, self.stats, self.splits)
+
 
 @dataclass
 class FittedSource(Prepared):
@@ -462,25 +465,27 @@ def _model_report(
     )
 
 
-def _counts(fitted: FittedSource) -> dict[str, object]:
-    return {
-        "persons": len(fitted.dataset.persons),
-        "cases_found": fitted.stats.n_cases_found,
-        "cases_excluded_use_case": fitted.stats.n_cases_excluded,
-        "case_windows_dropped": fitted.stats.n_windows_dropped,
-        "cases_retained": fitted.stats.n_cases_retained,
-        "cases_without_controls": fitted.stats.n_cases_without_controls,
-        "controls": fitted.stats.n_controls,
-        "examples": len(fitted.examples),
-        "prevalence": prevalence(fitted.examples),
-        "split_sizes": {name: len(fitted.splits[name]) for name in SPLITS},
-        "vocabulary": len(fitted.vocab),
-        "epochs_run": fitted.log.epochs_run,
-        "best_epoch": fitted.log.best_epoch,
-        "best_val_auc": fitted.log.best_val_auc,
-        "train_loss": fitted.log.train_loss,
-        "val_auc": fitted.log.val_auc,
+def _cohort_counts(
+    dataset: Dataset, examples: list[CohortExample], stats: CohortBuildStats, splits: dict | None = None
+) -> dict[str, object]:
+    """The cohort's filter chain for manifest.json, the same in every mode
+    that builds a cohort; `split_sizes` only when the cohort was split."""
+    cases = sum(ex.label for ex in examples)
+    counts = {
+        "persons": len(dataset.persons),
+        **asdict(stats),
+        "cases_retained": cases,
+        "controls": len(examples) - cases,
+        "examples": len(examples),
+        "prevalence": prevalence(examples),
     }
+    if splits is not None:
+        counts["split_sizes"] = {name: len(splits[name]) for name in SPLITS}
+    return counts
+
+
+def _counts(fitted: FittedSource) -> dict[str, object]:
+    return {**fitted.counts(), "vocabulary": len(fitted.vocab), **asdict(fitted.log)}
 
 
 def _emit(
@@ -549,14 +554,7 @@ def run_cohort(cfg: RunConfig) -> list[CohortExample]:
     dataset, phemap = load_inputs(cfg)
     with stage("cohort"):
         examples, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
-    counts = {
-        "persons": len(dataset.persons),
-        "examples": len(examples),
-        "cases": stats.n_cases_retained,
-        "controls": stats.n_controls,
-        "prevalence": prevalence(examples),
-    }
-    _emit(cfg, "cohort", counts, examples=examples)
+    _emit(cfg, "cohort", _cohort_counts(dataset, examples, stats), examples=examples)
     return examples
 
 
@@ -571,13 +569,7 @@ def run_bench(cfg: RunConfig) -> list[EvalReport]:
     prepared = prepare(cfg, *load_inputs(cfg))
     with stage("evaluate"):
         reports = _benchmark_reports(prepared)
-    examples = prepared.examples
-    counts = {
-        "examples": len(examples),
-        "cases": prepared.stats.n_cases_retained,
-        "prevalence": prevalence(examples),
-    }
-    _emit(cfg, "bench", counts, examples=examples, reports=reports)
+    _emit(cfg, "bench", prepared.counts(), examples=prepared.examples, reports=reports)
     return reports
 
 
@@ -602,8 +594,7 @@ def run_cross_eval(cfg: RunConfig, model_dir: str) -> list[EvalReport]:
     with stage("evaluate"):
         reports = [_model_report(prepared, restricted, features, "MODEL")]
     counts = {
-        "examples": len(prepared.examples),
-        "cases": prepared.stats.n_cases_retained,
+        **prepared.counts(),
         "model_vocabulary": len(model_vocab),
         "target_vocabulary": len(target_vocab),
         "shared_vocabulary": len(shared),

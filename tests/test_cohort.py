@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
+from smiscreen.cli import main
 from smiscreen.cohort import (
     AGE18,
+    ALL_AGE,
     SUBSTANCE,
     CaseWindow,
+    CohortBuildStats,
     ObservationWindow,
     build_age18_cohort,
     build_all_age_cohort,
@@ -24,6 +27,7 @@ from smiscreen.cohort import (
     use_case_person_ids,
     write_cohort,
 )
+from smiscreen.datamodel import write_events, write_persons
 from smiscreen.dates import add_months, window_start_for_end
 from smiscreen.errors import DegenerateCohortError
 
@@ -285,6 +289,45 @@ class TestSubstanceCohort:
         vocab = build_vocabulary(out, ds)
         feats = featurize(out[0], ds, vocab)
         assert "dx:ICD10:F10.10" in [vocab.entries[i] for i in feats.indices]
+
+
+# A window or follow-up year that the calendar cannot hold: (enrollment, event date, code)
+OFF_CALENDAR = {
+    "substance-in-9999": ("9990-01-01", "9999-12-31", "9999-06-01", "F11.10"),  # follow-up reaches 10000
+    "substance-in-0001": ("0001-01-01", "0005-12-31", "0001-06-01", "F11.10"),  # window starts in year 0
+    "smi-onset-in-0001": ("0001-01-01", "0005-12-31", "0001-01-05", SMI_CODE),  # onset - gap before year 1
+}
+
+
+class TestOffCalendarDates:
+    """The person is ineligible, or the case window dropped, as for a
+    window outside enrollment."""
+
+    @staticmethod
+    def dataset(start, end, date, code):
+        person = make_person("p1", birth_year=1, start=start, end=end)
+        return make_dataset([person], [make_event("p1", date, code=code)])
+
+    @pytest.mark.parametrize("case", sorted(OFF_CALENDAR))
+    def test_builders_skip_the_person(self, phemap, case):
+        ds = self.dataset(*OFF_CALENDAR[case])
+        assert build_substance_cohort(ds, phemap) == []
+        examples, stats = build_all_age_cohort(ds, phemap, seed=1)
+        smi = int(case.startswith("smi"))
+        assert examples == [] and stats == CohortBuildStats(smi, 0, smi, 0)
+
+    @pytest.mark.parametrize("kind", [ALL_AGE, SUBSTANCE])
+    @pytest.mark.parametrize("case", sorted(OFF_CALENDAR))
+    def test_cohort_command_exits_4(self, tmp_path, capsys, case, kind):
+        ds = self.dataset(*OFF_CALENDAR[case])
+        write_persons(ds.persons, str(tmp_path / "persons.csv"))
+        write_events(ds, str(tmp_path / "events.csv"))
+        cfg = tmp_path / "c.cfg"
+        data = f"data.persons={tmp_path / 'persons.csv'}\ndata.events={tmp_path / 'events.csv'}\n"
+        cfg.write_text(data + f"cohort.kind={kind}\n", encoding="utf-8")
+        assert main(["cohort", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "zero eligible persons" in err and "Traceback" not in err
 
 
 class TestCohortInvariantsOnSynthetic:

@@ -80,6 +80,16 @@ class TestLoadPersons:
         with pytest.raises(DataError, match=re.escape(f"{path}:2: unparseable date '{date}'")):
             load_persons(path)
 
+    @pytest.mark.parametrize(
+        "year", ["1_980", "+1980", " 1980", "\uff11\uff19\uff18\uff10"],
+        ids=["underscore", "plus", "space", "full-width"],
+    )
+    def test_only_ascii_digit_birth_years(self, tmp_path, year):
+        # int() reads each as 1980, so writing the persons back would change their bytes
+        path = write(tmp_path / "p.csv", PERSONS_HEADER + f"p1,{year},F,2010-01-01,2015-06-30,CLAIMS\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: unparseable birth_year {year!r}")):
+            load_persons(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = write(tmp_path / "p.csv", "nope,header\n")
         with pytest.raises(DataError, match="header"):

@@ -380,6 +380,29 @@ class TestCohortAndBenchCommands:
         assert all(r["auc"] is None for r in rows)
 
 
+# The cohort filter chain every mode that builds a cohort writes into manifest.json counts
+CHAIN = (
+    "persons", "cases_found", "cases_excluded_use_case", "case_windows_dropped", "cases_retained",
+    "cases_without_controls", "controls", "examples", "prevalence",
+)
+
+
+def test_every_cohort_mode_reports_one_filter_chain(workspace, tmp_path):
+    counts = {"train": json.loads((workspace["train"] / "manifest.json").read_text())["counts"]}
+    for mode, extra in {"cohort": [], "bench": [], "cross-eval": ["--model-dir", str(workspace["train"])]}.items():
+        assert main([mode, "--config", workspace["train_cfg"], "--out", str(tmp_path / mode), *extra]) == 0
+        counts[mode] = json.loads((tmp_path / mode / "manifest.json").read_text())["counts"]
+    chain = {name: counts["train"][name] for name in CHAIN}
+    for mode in ("cohort", "bench", "cross-eval"):
+        assert {name: counts[mode][name] for name in CHAIN} == chain, mode
+    found, retained = chain["cases_found"], chain["cases_retained"]
+    assert found - chain["cases_excluded_use_case"] - chain["case_windows_dropped"] == retained > 0
+    assert retained + chain["controls"] == chain["examples"]
+    assert set(counts["cohort"]) == set(CHAIN) and set(counts["bench"]) == {*CHAIN, "split_sizes"}
+    for mode in ("train", "bench", "cross-eval"):
+        assert sum(counts[mode]["split_sizes"].values()) == chain["examples"], mode
+
+
 class TestCrossEval:
     def test_self_transfer_identity(self, workspace, tmp_path):
         out = tmp_path / "cross"
