@@ -71,10 +71,9 @@ class CohortBuildStats:
 def _first_dates(d: Dataset, m: PhecodeMap, bit: int) -> list[tuple[str, datetime.date]]:
     """(person_id, date) of each person's first event tagged `bit`, by id."""
     rows, pos = d.first_events((d.per_code(code_tags, m) & bit) != 0)
-    ids = d.table.ids
     return [
-        (ids[row], datetime.date.fromordinal(day))
-        for row, day in zip(rows.tolist(), d.table.day[pos].tolist())
+        (d.ids[row], datetime.date.fromordinal(day))
+        for row, day in zip(rows.tolist(), d.day[pos].tolist())
     ]
 
 

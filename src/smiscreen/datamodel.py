@@ -6,7 +6,11 @@ clinical events (diagnoses and medication fills). Events outside a person's
 enrollment are hard errors rather than silent drops, since downstream
 matching counts would be corrupted by quiet data loss.
 
-A `Dataset` checks its invariants when it is built, and there is no
+A `Dataset` is the one event store, and it is built one way: from
+unsorted columns (each event's person position, date ordinal and code id)
+plus the persons and their source. `Dataset.from_events`, `load_events`
+and `synth.generate_population` each produce those columns and call that
+constructor. It checks its invariants when it is built, and there is no
 separate validation pass. Each rule has one predicate, which the CSV
 loaders call too, so a file and an in-memory dataset are refused with the
 same text, after `path:line` or after the person id:
@@ -16,16 +20,18 @@ same text, after `path:line` or after the person id:
   _enrollment_problem  event date within the person's enrollment
 `load_persons` and `Dataset` refuse a repeated person id; `Dataset` also
 refuses a person whose source is not the dataset's.
+`replace_person_events` checks only the events it brings in, and refuses
+one of another person.
 
-Events are held as columns, never as one object per event. An
-`EventTable` keeps int arrays of date ordinals and code ids, sorted by
-(person_id, date) with ties in input order, plus per-person offsets into
-them; a code id names one distinct (kind, system, code) triple of a
-`CodeTable`. The vocabulary, features, benchmarks and the AGE18 coverage
-test each scan a whole split at once: one `window_events` gather of the
-positions inside its windows, then per-code mask tests. `ClinicalEvent`
-is only a row view: built on demand by `events_for`, `events_in_window`
-and `events`, and accepted from callers that assemble small datasets by
+Events are held as columns, never as one object per event. A `Dataset`
+keeps int arrays of date ordinals and code ids, sorted by (person_id,
+date) with ties in input order, plus per-person offsets into them; a code
+id names one distinct (kind, system, code) triple of a `CodeTable`. The
+vocabulary, features, benchmarks and the AGE18 coverage test each scan a
+whole split at once: one `window_events` gather of the positions inside
+its windows, then per-code mask tests. `ClinicalEvent` is only a row view:
+built on demand by `events_for`, `events_in_window` and `events`, and
+accepted by `from_events` from callers that assemble small datasets by
 hand.
 
 Every plain table (persons.csv, events.csv, phecode_map.csv,
@@ -105,7 +111,7 @@ class ClinicalEvent:
 
 
 class Code(NamedTuple):
-    """One distinct (kind, system, code) of an event table."""
+    """One distinct (kind, system, code) of a dataset's events."""
 
     kind: str
     system: str
@@ -146,9 +152,10 @@ def _enrollment_problem(p: Person, date: datetime.date) -> str | None:
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# A birth_year is an optional minus and 1-9 ASCII digits: int() alone also takes
-# "+1", "1_0", " 1" and non-ASCII digits, and may refuse over 4,300 digits.
-_YEAR = re.compile(r"-?[0-9]{1,9}")
+# A birth_year is written as `str` writes it: 0, or an optional minus and 1-9
+# ASCII digits without a leading zero. int() alone also takes "+1", "1_0",
+# " 1", "01", "-0" and non-ASCII digits, and may refuse over 4,300 digits.
+_YEAR = re.compile(r"0|-?[1-9][0-9]{0,8}")
 
 
 def _date(text: str) -> datetime.date | None:
@@ -279,130 +286,6 @@ class CodeTable:
         return cid
 
 
-def _person_ranks(persons: list[Person]) -> tuple[list[str], np.ndarray]:
-    """Sorted person ids, and each list position's rank among them."""
-    order = sorted(range(len(persons)), key=lambda i: persons[i].person_id)
-    rank = np.empty(len(persons), dtype=np.int64)
-    rank[order] = np.arange(len(persons))
-    return [persons[i].person_id for i in order], rank
-
-
-class EventTable(Sequence):
-    """Events as columns, sorted by (person_id, date); ties keep input order.
-
-    Row r is person `ids[r]` (ids sorted). Its events occupy positions
-    offsets[r]:offsets[r + 1] of `day` (int32 date ordinals) and `code`
-    (int32 ids into `codes`). Indexing or iterating yields `ClinicalEvent`
-    row views, built on demand.
-    """
-
-    def __init__(
-        self,
-        ids: list[str],
-        offsets: np.ndarray,
-        day: np.ndarray,
-        code: np.ndarray,
-        codes: CodeTable,
-    ):
-        self.ids = ids
-        self.offsets = offsets
-        self.day = day
-        self.code = code
-        self.codes = codes
-
-    @classmethod
-    def build(
-        cls,
-        persons: list[Person],
-        person_pos: np.ndarray,
-        day: np.ndarray,
-        code: np.ndarray,
-        codes: CodeTable,
-    ) -> "EventTable":
-        """Table from unsorted columns; person_pos indexes `persons`."""
-        ids, rank = _person_ranks(persons)
-        rows = rank[person_pos]
-        order = np.argsort(rows * DAY_SPAN + day, kind="stable")
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(ids)), out=offsets[1:])
-        return cls(
-            ids,
-            offsets,
-            np.asarray(day[order], dtype=np.int32),
-            np.asarray(code[order], dtype=np.int32),
-            codes,
-        )
-
-    @classmethod
-    def from_events(cls, persons: list[Person], events: Iterable[ClinicalEvent]) -> "EventTable":
-        """Convert event objects to columns; kinds are stored upper case."""
-        pos = {p.person_id: i for i, p in enumerate(persons)}
-        codes = CodeTable()
-        person_pos: list[int] = []
-        days: list[int] = []
-        ids: list[int] = []
-        for e in events:
-            i = pos.get(e.person_id)
-            if i is None:
-                raise DataError(f"events reference unknown person_id {e.person_id!r}")
-            person_pos.append(i)
-            days.append(e.date.toordinal())
-            ids.append(codes.id(Code(e.kind.upper(), e.system, e.code)))
-        return cls.build(
-            persons,
-            np.array(person_pos, dtype=np.int64),
-            np.array(days, dtype=np.int64),
-            np.array(ids, dtype=np.int64),
-            codes,
-        )
-
-    def __len__(self) -> int:
-        return len(self.day)
-
-    def __getitem__(self, i: int) -> ClinicalEvent:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("event index out of range")
-        row = int(np.searchsorted(self.offsets, i, side="right")) - 1
-        return self.row_events(row, i, i + 1)[0]
-
-    def __iter__(self) -> Iterator[ClinicalEvent]:
-        for row in range(len(self.ids)):
-            yield from self.row_events(row, int(self.offsets[row]), int(self.offsets[row + 1]))
-
-    def row_events(self, row: int, lo: int, hi: int) -> list[ClinicalEvent]:
-        """Row views of positions lo:hi, all belonging to `row`."""
-        pid = self.ids[row]
-        entries = self.codes.entries
-        from_ordinal = datetime.date.fromordinal
-        return [
-            ClinicalEvent(pid, from_ordinal(day), *entries[c])
-            for day, c in zip(self.day[lo:hi].tolist(), self.code[lo:hi].tolist())
-        ]
-
-    def replace_row(self, row: int, events: Iterable[ClinicalEvent]) -> "EventTable":
-        """Copy with one row's events swapped; new codes extend a copied code table."""
-        codes = CodeTable(self.codes.entries)
-        pairs = sorted(
-            ((e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code))) for e in events),
-            key=lambda pair: pair[0],
-        )
-        lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
-        new_day = np.array([day for day, _ in pairs], dtype=np.int32)
-        new_code = np.array([c for _, c in pairs], dtype=np.int32)
-        offsets = self.offsets.copy()
-        offsets[row + 1 :] += len(pairs) - (hi - lo)
-        return EventTable(
-            self.ids,
-            offsets,
-            np.concatenate([self.day[:lo], new_day, self.day[hi:]]),
-            np.concatenate([self.code[:lo], new_code, self.code[hi:]]),
-            codes,
-        )
-
-
 class _Memo(dict):
     """dict that fills a missing key from `make(key)`."""
 
@@ -527,19 +410,18 @@ class _EventParser:
             self.fail(first_line + stop, raw[starts[stop] : content_end[stop]])
         return first_line + n
 
-    def table(self) -> EventTable:
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, CodeTable]:
+        """(person_pos, day, code, codes) of every line parsed, in file order."""
         if self.parts:
             pos, day, code = (np.concatenate(cols) for cols in zip(*self.parts))
         else:
             pos = day = code = np.zeros(0, dtype=np.int64)
-        return EventTable.build(self.persons, pos, day, code, self.codes)
+        return pos, day, code, self.codes
 
 
-def load_events(path: str, persons: list[Person]) -> EventTable:
-    """Parse events.csv against an already-loaded person table.
-
-    Returns the events sorted by (person_id, date); ties keep file order.
-    """
+def load_events(path: str, persons: list[Person], source: str) -> "Dataset":
+    """The dataset of `persons` and the events of events.csv at `path`,
+    sorted by (person_id, date); ties keep file order."""
     parser = _EventParser(path, persons)
     with open(path, "rb") as fh:
         _check_header(path, _decode(path, fh.readline()), EVENTS_HEADER)
@@ -553,7 +435,7 @@ def load_events(path: str, persons: list[Person]) -> EventTable:
                 lineno = parser.block(buf[:cut], lineno)
         if carry:
             parser.block(carry + b"\n", lineno)
-    return parser.table()
+    return Dataset(persons, source, *parser.columns())
 
 
 def write_persons(persons: list[Person], path: str) -> None:
@@ -569,18 +451,17 @@ def _plain(text: str, name: str = "events.csv") -> str:
 
 def write_events(d: "Dataset", path: str) -> None:
     """events.csv from the columns, CRLF line ends, ordered like `d.events`."""
-    t = d.table
     suffix = [
-        f"{_plain(c.kind.lower())},{_plain(c.system)},{_plain(c.code)}" for c in t.codes.entries
+        f"{_plain(c.kind.lower())},{_plain(c.system)},{_plain(c.code)}" for c in d.codes.entries
     ]
-    days, day_index = np.unique(t.day, return_inverse=True)
+    days, day_index = np.unique(d.day, return_inverse=True)
     date_text = [datetime.date.fromordinal(day).isoformat() for day in days.tolist()]
     day_index = day_index.tolist()
-    code = t.code.tolist()
+    code = d.code.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(EVENTS_HEADER) + "\r\n")
-        for row, pid in enumerate(t.ids):
-            lo, hi = int(t.offsets[row]), int(t.offsets[row + 1])
+        for row, pid in enumerate(d.ids):
+            lo, hi = int(d.offsets[row]), int(d.offsets[row + 1])
             if lo == hi:
                 continue
             head = _plain(pid) + ","
@@ -592,18 +473,25 @@ def write_events(d: "Dataset", path: str) -> None:
 
 
 class Dataset:
-    """Immutable person table plus its columnar events.
+    """Immutable person table plus its events as columns.
 
-    `table` holds every event (see `EventTable`); `row_of` maps a person id
-    to its row. Construction refuses, with a `DataError` naming the person,
-    any record that breaks an invariant listed in the module docstring.
-    Treat instances as frozen after construction: derived datasets come
-    from `replace_person_events`, which checks its new events the same way.
+    Row r is person `ids[r]` (ids sorted; `row_of` maps an id to its row).
+    Its events occupy positions offsets[r]:offsets[r + 1] of `day` (int32
+    date ordinals) and `code` (int32 ids into `codes`), sorted by date with
+    ties in input order. Construction refuses, with a `DataError` naming the
+    person, any record that breaks an invariant listed in the module
+    docstring. Treat instances as frozen after construction: derived
+    datasets come from `replace_person_events`, which checks its new events
+    the same way.
     """
 
     def __init__(
-        self, persons: list[Person], events: EventTable | Iterable[ClinicalEvent], source: str
+        self, persons: list[Person], source: str,
+        person_pos: np.ndarray, day: np.ndarray, code: np.ndarray, codes: CodeTable,
     ):
+        """Dataset from unsorted event columns: event i is dated `day[i]`
+        (a date ordinal), has code id `code[i]` and belongs to
+        persons[person_pos[i]]."""
         if source not in SOURCES:
             raise DataError(f"unknown dataset source {source!r}")
         self.persons = persons
@@ -618,34 +506,58 @@ class Dataset:
             if problem:
                 raise DataError(f"person {p.person_id!r}: {problem}")
             self.persons_by_id[p.person_id] = p
-        if not isinstance(events, EventTable):
-            events = EventTable.from_events(persons, events)
-        elif events.ids != sorted(self.persons_by_id):
-            raise DataError("event table was built for a different person table")
-        self.row_of = {pid: row for row, pid in enumerate(events.ids)}
-        by_row = [self.persons_by_id[pid] for pid in events.ids]
+        order = sorted(range(len(persons)), key=lambda i: persons[i].person_id)
+        by_row = [persons[i] for i in order]
+        self.ids = [p.person_id for p in by_row]
+        self.row_of = {pid: row for row, pid in enumerate(self.ids)}
         self.enroll_start = np.array([p.enroll_start.toordinal() for p in by_row], dtype=np.int64)
         self.enroll_end = np.array([p.enroll_end.toordinal() for p in by_row], dtype=np.int64)
-        self._set_table(events, 0, np.repeat(np.arange(len(by_row)), np.diff(events.offsets)))
+        rank = np.empty(len(persons), dtype=np.int64)
+        rank[order] = np.arange(len(persons))
+        rows = rank[person_pos]
+        sort = np.argsort(rows * DAY_SPAN + day, kind="stable")
+        offsets = np.zeros(len(persons) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(persons)), out=offsets[1:])
+        day, code = (np.asarray(col[sort], dtype=np.int32) for col in (day, code))
+        self._set_events(offsets, day, code, codes, 0, rows[sort])
 
-    def _set_table(self, table: EventTable, lo: int, rows: np.ndarray) -> None:
-        """Adopt `table` after checking its events at positions lo, lo + 1,
-        ..., which belong to `rows`; the other events were checked before."""
-        entries = table.codes.entries
+    def _set_events(
+        self, offsets: np.ndarray, day: np.ndarray, code: np.ndarray, codes: CodeTable,
+        lo: int, rows: np.ndarray,
+    ) -> None:
+        """Adopt the sorted columns after checking their events at positions
+        lo, lo + 1, ..., which belong to `rows`; the others were checked before."""
+        entries = codes.entries
         bad_code = np.array([_kind_problem(c.kind, c.system) is not None for c in entries], dtype=bool)
-        day, code = table.day[lo : lo + rows.size], table.code[lo : lo + rows.size]
-        bad = bad_code[code] | (day < self.enroll_start[rows]) | (day > self.enroll_end[rows])
+        new_day, new_code = day[lo : lo + rows.size], code[lo : lo + rows.size]
+        bad = bad_code[new_code] | (new_day < self.enroll_start[rows]) | (new_day > self.enroll_end[rows])
         if bad.any():
             i = int(np.argmax(bad))
-            person, c = self.persons_by_id[table.ids[rows[i]]], entries[code[i]]
+            person, c = self.persons_by_id[self.ids[rows[i]]], entries[new_code[i]]
             problem = _kind_problem(c.kind, c.system) or _enrollment_problem(
-                person, datetime.date.fromordinal(int(day[i]))
+                person, datetime.date.fromordinal(int(new_day[i]))
             )
             raise DataError(f"person {person.person_id!r}: {problem}")
-        self.table = table
+        self.offsets, self.day, self.code, self.codes = offsets, day, code, codes
         self._key: np.ndarray | None = None
         self._dx_key: np.ndarray | None = None
         self._per_code: dict[tuple[Callable, int], tuple[object, np.ndarray]] = {}
+
+    @classmethod
+    def from_events(
+        cls, persons: list[Person], events: Iterable[ClinicalEvent], source: str
+    ) -> "Dataset":
+        """Dataset from event objects; kinds are stored upper case."""
+        pos = {p.person_id: i for i, p in enumerate(persons)}
+        codes = CodeTable()
+        columns: list[tuple[int, int, int]] = []
+        for e in events:
+            i = pos.get(e.person_id)
+            if i is None:
+                raise DataError(f"events reference unknown person_id {e.person_id!r}")
+            columns.append((i, e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code))))
+        person_pos, day, code = np.array(columns, dtype=np.int64).reshape(-1, 3).T
+        return cls(persons, source, person_pos, day, code, codes)
 
     @classmethod
     def from_files(cls, persons_path: str, events_path: str) -> "Dataset":
@@ -655,33 +567,40 @@ class Dataset:
         sources = {p.source for p in persons}
         if len(sources) > 1:
             raise DataError(f"{persons_path}: mixed sources {sorted(sources)}")
-        events = load_events(events_path, persons)
-        return cls(persons, events, sources.pop())
+        return load_events(events_path, persons, sources.pop())
 
     @property
     def n_events(self) -> int:
-        return len(self.table)
+        return len(self.day)
+
+    def _row_events(self, row: int, lo: int, hi: int) -> list[ClinicalEvent]:
+        """Row views of positions lo:hi, all belonging to `row`."""
+        pid = self.ids[row]
+        entries = self.codes.entries
+        from_ordinal = datetime.date.fromordinal
+        return [
+            ClinicalEvent(pid, from_ordinal(day), *entries[c])
+            for day, c in zip(self.day[lo:hi].tolist(), self.code[lo:hi].tolist())
+        ]
 
     @property
     def events(self) -> list[ClinicalEvent]:
         """Flat event list ordered by (person_id, date), built on demand."""
-        return list(self.table)
+        return [e for pid in self.ids for e in self.events_for(pid)]
 
     def events_for(self, person_id: str) -> list[ClinicalEvent]:
         row = self.row_of.get(person_id)
         if row is None:
             return []
-        offsets = self.table.offsets
-        return self.table.row_events(row, int(offsets[row]), int(offsets[row + 1]))
+        return self._row_events(row, int(self.offsets[row]), int(self.offsets[row + 1]))
 
     @property
     def key(self) -> np.ndarray:
         """Per-event row * DAY_SPAN + date ordinal: sorted, so date bounds
         for any person are one searchsorted away."""
         if self._key is None:
-            t = self.table
-            rows = np.arange(len(t.ids), dtype=np.int64) * DAY_SPAN
-            self._key = np.repeat(rows, np.diff(t.offsets)) + t.day
+            rows = np.arange(len(self.ids), dtype=np.int64) * DAY_SPAN
+            self._key = np.repeat(rows, np.diff(self.offsets)) + self.day
         return self._key
 
     def window_events(
@@ -705,21 +624,21 @@ class Dataset:
         if row is None:
             return []
         pos, _ = self.window_events(np.array([row]), start.toordinal(), end.toordinal())
-        return self.table.row_events(row, int(pos[0]), int(pos[-1]) + 1) if pos.size else []
+        return self._row_events(row, int(pos[0]), int(pos[-1]) + 1) if pos.size else []
 
     def dx_counts_before(self, rows: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
         """Raw DX event count of each row strictly before its cutoff ordinal."""
         if self._dx_key is None:
-            is_dx = np.array([c.kind == "DX" for c in self.table.codes.entries], dtype=bool)
-            self._dx_key = self.key[is_dx[self.table.code]]
+            is_dx = np.array([c.kind == "DX" for c in self.codes.entries], dtype=bool)
+            self._dx_key = self.key[is_dx[self.code]]
         base = np.asarray(rows, dtype=np.int64) * DAY_SPAN
         return np.searchsorted(self._dx_key, base + cutoff) - np.searchsorted(self._dx_key, base)
 
     def first_events(self, code_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row, position) of each person's first event whose code id is
         set in `code_mask`; persons without one are absent. Rows ascend."""
-        hits = np.flatnonzero(code_mask[self.table.code])
-        rows = np.searchsorted(self.table.offsets, hits, side="right") - 1
+        hits = np.flatnonzero(code_mask[self.code])
+        rows = np.searchsorted(self.offsets, hits, side="right") - 1
         first = np.ones(hits.size, dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
         return rows[first], hits[first]
@@ -733,22 +652,34 @@ class Dataset:
         hit = self._per_code.get(slot)
         if hit is None:
             # holding `owner` keeps its id from being reused while cached
-            hit = self._per_code[slot] = (owner, build(owner, self.table.codes.entries))
+            hit = self._per_code[slot] = (owner, build(owner, self.codes.entries))
         return hit[1]
 
     def replace_person_events(self, person_id: str, events: list[ClinicalEvent]) -> "Dataset":
         """Derived dataset with one person's events swapped out.
 
         Shares person records with the parent and checks only the new
-        events; used for mutation checks.
+        events; new codes extend a copied code table. Used for mutation
+        checks.
         """
         row = self.row_of.get(person_id)
         if row is None:
             raise DataError(f"unknown person_id {person_id!r}")
-        clone = copy.copy(self)  # shares persons, row_of and the enrollment arrays
-        table = self.table.replace_row(row, events)
-        lo, hi = int(table.offsets[row]), int(table.offsets[row + 1])
-        clone._set_table(table, lo, np.full(hi - lo, row))
+        codes = CodeTable(self.codes.entries)
+        pairs: list[tuple[int, int]] = []
+        for e in events:
+            if e.person_id != person_id:
+                raise DataError(f"event for {e.person_id!r} cannot replace the events of {person_id!r}")
+            pairs.append((e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code))))
+        pairs.sort(key=lambda pair: pair[0])
+        new_day, new_code = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+        lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
+        offsets = self.offsets.copy()
+        offsets[row + 1 :] += len(pairs) - (hi - lo)
+        clone = copy.copy(self)  # shares persons, ids, row_of and the enrollment arrays
+        day = np.concatenate([self.day[:lo], new_day, self.day[hi:]])
+        code = np.concatenate([self.code[:lo], new_code, self.code[hi:]])
+        clone._set_events(offsets, day, code, codes, lo, np.full(len(pairs), row))
         return clone
 
     def __eq__(self, other: object) -> bool:

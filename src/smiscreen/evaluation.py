@@ -130,7 +130,7 @@ def benchmark_predictions(
     carries the psychological-category (BENCH1) or axis I (BENCH2) tag bit
     and, with `exclude_substance`, not the substance bit."""
     positions, owner = d.window_events(*example_windows(examples, d))
-    tags = d.per_code(code_tags, m)[d.table.code[positions]]
+    tags = d.per_code(code_tags, m)[d.code[positions]]
     if exclude_substance:
         tags = np.where((tags & TAG_SUBSTANCE) != 0, 0, tags)
     return {

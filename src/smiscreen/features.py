@@ -83,7 +83,7 @@ class FeatureMatrix:
 
 
 def _vocab_indices(v: Vocabulary, codes: list[Code]) -> np.ndarray:
-    """Vocabulary index of each code of an event table, -1 if absent."""
+    """Vocabulary index of each code of a code table, -1 if absent."""
     index = v.index
     return np.array([index.get(namespaced_code(c), -1) for c in codes], dtype=np.int64)
 
@@ -93,8 +93,8 @@ def build_vocabulary(train_examples: list[CohortExample], d: Dataset) -> Vocabul
     if not train_examples:
         raise DataError("cannot build a vocabulary from an empty training set")
     positions, _ = d.window_events(*example_windows(train_examples, d))
-    entries = d.table.codes.entries
-    seen = np.unique(d.table.code[positions])
+    entries = d.codes.entries
+    seen = np.unique(d.code[positions])
     return Vocabulary(tuple(sorted({namespaced_code(entries[c]) for c in seen.tolist()})))
 
 
@@ -108,7 +108,7 @@ def intersect_vocabularies(a: Vocabulary, b: Vocabulary) -> Vocabulary:
 def featurize_split(examples: list[CohortExample], d: Dataset, v: Vocabulary) -> FeatureMatrix:
     """One row per example; out-of-vocabulary codes are skipped."""
     positions, owner = d.window_events(*example_windows(examples, d))
-    index = d.per_code(_vocab_indices, v)[d.table.code[positions]]
+    index = d.per_code(_vocab_indices, v)[d.code[positions]]
     hit = index >= 0
     # sorted unique (example, index) keys: each row's indices come out sorted and unique
     keys = np.unique(owner[hit] * len(v) + index[hit])

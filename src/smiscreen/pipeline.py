@@ -26,6 +26,7 @@ import datetime as _datetime
 import json
 import math
 import os
+import re
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -181,6 +182,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) of an optional minus and ASCII digits only: int() alone
+    also takes "1_0", "+5" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _one_of(choices: Collection[str]) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in choices:
@@ -201,29 +210,29 @@ CONFIG_KEYS: dict[str, tuple] = {
     "pretrain.events": (str, "pretrain_events_path"),
     "out": (str, "out_dir"),
     "cohort.kind": (_one_of(COHORT_KINDS), "cohort_kind"),
-    "cohort.controls_per_case": (int, "controls_per_case"),
+    "cohort.controls_per_case": (_ascii_int, "controls_per_case"),
     "split.train": (_finite_float, "fractions", "train"),
     "split.val": (_finite_float, "fractions", "val"),
     "split.test": (_finite_float, "fractions", "test"),
-    "nnet.embedding_dim": (int, "hp", "embedding_dim"),
-    "nnet.hidden1": (int, "hp", "hidden1"),
-    "nnet.hidden2": (int, "hp", "hidden2"),
+    "nnet.embedding_dim": (_ascii_int, "hp", "embedding_dim"),
+    "nnet.hidden1": (_ascii_int, "hp", "hidden1"),
+    "nnet.hidden2": (_ascii_int, "hp", "hidden2"),
     "nnet.learning_rate": (_finite_float, "hp", "learning_rate"),
-    "nnet.batch_size": (int, "hp", "batch_size"),
-    "nnet.max_epochs": (int, "hp", "max_epochs"),
-    "nnet.patience": (int, "hp", "patience"),
-    "synth.n_persons": (int, "synth", "n_persons"),
+    "nnet.batch_size": (_ascii_int, "hp", "batch_size"),
+    "nnet.max_epochs": (_ascii_int, "hp", "max_epochs"),
+    "nnet.patience": (_ascii_int, "hp", "patience"),
+    "synth.n_persons": (_ascii_int, "synth", "n_persons"),
     "synth.source": (_one_of(SOURCES), "synth", "source"),
     "synth.event_rate": (_finite_float, "synth", "event_rate"),
     "synth.base_logit": (_finite_float, "synth", "base_logit"),
     "synth.rate_cap": (_finite_float, "synth", "smi_annual_rate_cap"),
-    "synth.n_shared_dx": (int, "synth", "vocab", "n_shared_dx"),
-    "synth.n_specific_dx": (int, "synth", "vocab", "n_specific_dx"),
-    "synth.n_rx": (int, "synth", "vocab", "n_rx"),
-    "synth.year_min": (int, "synth", "year_range", 0),
-    "synth.year_max": (int, "synth", "year_range", 1),
-    "seed": (int, "seed"),
-    "threads": (int, "threads"),
+    "synth.n_shared_dx": (_ascii_int, "synth", "vocab", "n_shared_dx"),
+    "synth.n_specific_dx": (_ascii_int, "synth", "vocab", "n_specific_dx"),
+    "synth.n_rx": (_ascii_int, "synth", "vocab", "n_rx"),
+    "synth.year_min": (_ascii_int, "synth", "year_range", 0),
+    "synth.year_max": (_ascii_int, "synth", "year_range", 1),
+    "seed": (_ascii_int, "seed"),
+    "threads": (_ascii_int, "threads"),
 }
 
 
@@ -323,7 +332,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
                 key, _, value = text.partition("=")
-                out[key.strip()] = value.strip()
+                key = key.strip()
+                if key in out:
+                    raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+                out[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out

@@ -31,12 +31,13 @@ import numpy as np
 
 from . import rng as rngmod
 from .datamodel import (
-    BIRTH_YEARS, Code, CodeTable, Dataset, EventTable, Person, _parse_date, read_table, write_table
+    BIRTH_YEARS, Code, CodeTable, Dataset, Person, _parse_date, read_table, write_table
 )
 from .errors import ConfigError, DataError
 from .phecode import PhecodeMap, axis1_set, load_default_map, psych_category_set, smi_set, substance_set
 
 DX_FRACTION = 0.78  # remaining events are medication fills
+MAX_EVENT_RATE = 1000  # events per person-year, about three a day
 AGE_COEF = 0.5  # applied to age/100 at the candidate onset date
 GENDER_COEF = {"F": 0.0, "M": 0.15, "U": 0.0}
 GENDER_PROBS = (0.48, 0.48, 0.04)
@@ -94,8 +95,8 @@ class SynthConfig:
             raise ConfigError("synth: n_persons must be >= 1")
         if self.source not in ("CLAIMS", "EHR"):
             raise ConfigError(f"synth: unknown source {self.source!r}")
-        if self.event_rate <= 0:
-            raise ConfigError("synth: event_rate must be positive")
+        if not 0 < self.event_rate <= MAX_EVENT_RATE:
+            raise ConfigError(f"synth: event_rate must be in (0, {MAX_EVENT_RATE}] events per person-year")
         if not 0.0 < self.smi_annual_rate_cap < 1.0:
             raise ConfigError("synth: smi_annual_rate_cap must be in (0, 1)")
         if not 1 <= self.year_range[0] <= self.year_range[1] <= 9999:  # datetime's range
@@ -368,14 +369,15 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         logits[pid] = logit
         onsets[pid] = onset_date
 
-    table = EventTable.build(
+    dataset = Dataset(
         persons,
+        cfg.source,
         np.concatenate(person_parts),
         np.concatenate(day_parts),
         np.concatenate(code_parts),
         codes,
     )
-    return Dataset(persons, table, cfg.source), GroundTruth(logits, onsets)
+    return dataset, GroundTruth(logits, onsets)
 
 
 def ground_truth_auc(gt: GroundTruth, labels: dict[str, int]) -> float:

@@ -6,6 +6,7 @@ import dataclasses
 import datetime
 import time
 
+import numpy as np
 import pytest
 
 from smiscreen.cohort import ObservationWindow, build_all_age_cohort
@@ -37,7 +38,16 @@ def make_event(
 
 
 def make_dataset(persons, events, source: str = "CLAIMS") -> Dataset:
-    return Dataset(list(persons), list(events), source)
+    return Dataset.from_events(list(persons), list(events), source)
+
+
+def rebuild_from_columns(dataset: Dataset) -> Dataset:
+    """A fresh dataset from `dataset`'s own columns, checked again in full."""
+    pos = {p.person_id: i for i, p in enumerate(dataset.persons)}
+    person_pos = np.repeat([pos[pid] for pid in dataset.ids], np.diff(dataset.offsets))
+    return Dataset(
+        dataset.persons, dataset.source, person_pos, dataset.day, dataset.code, dataset.codes
+    )
 
 
 @pytest.fixture(scope="session")

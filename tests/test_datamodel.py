@@ -7,13 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import d, make_dataset, make_event, make_person
+from conftest import d, make_dataset, make_event, make_person, rebuild_from_columns
 from smiscreen.cli import main
 from smiscreen.datamodel import (
     BLOCK_BYTES,
     ClinicalEvent,
     Dataset,
-    EventTable,
     load_events,
     load_persons,
     read_table,
@@ -81,11 +80,11 @@ class TestLoadPersons:
             load_persons(path)
 
     @pytest.mark.parametrize(
-        "year", ["1_980", "+1980", " 1980", "\uff11\uff19\uff18\uff10"],
-        ids=["underscore", "plus", "space", "full-width"],
+        "year", ["1_980", "+1980", " 1980", "\uff11\uff19\uff18\uff10", "01980", "-0"],
+        ids=["underscore", "plus", "space", "full-width", "leading-zero", "minus-zero"],
     )
     def test_only_ascii_digit_birth_years(self, tmp_path, year):
-        # int() reads each as 1980, so writing the persons back would change their bytes
+        # int() reads each as 1980 or 0, so writing the persons back would change their bytes
         path = write(tmp_path / "p.csv", PERSONS_HEADER + f"p1,{year},F,2010-01-01,2015-06-30,CLAIMS\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:2: unparseable birth_year {year!r}")):
             load_persons(path)
@@ -103,7 +102,7 @@ class TestLoadEvents:
 
     def test_direct_parse(self, tmp_path, persons):
         path = write(tmp_path / "e.csv", EVENTS_HEADER + "p1,2012-03-04,dx,ICD10,F20.0\n")
-        events = load_events(path, persons)
+        events = load_events(path, persons, "CLAIMS").events
         assert len(events) == 1
         e = events[0]
         assert (e.kind, e.system, e.code) == ("DX", "ICD10", "F20.0")
@@ -111,17 +110,17 @@ class TestLoadEvents:
     def test_date_outside_enrollment(self, tmp_path, persons):
         path = write(tmp_path / "e.csv", EVENTS_HEADER + "p1,2016-01-01,dx,ICD10,F20.0\n")
         with pytest.raises(DataError, match="p1.*2016-01-01"):
-            load_events(path, persons)
+            load_events(path, persons, "CLAIMS")
 
     def test_kind_system_mismatch(self, tmp_path, persons):
         path = write(tmp_path / "e.csv", EVENTS_HEADER + "p1,2012-03-04,rx,ICD10,F20.0\n")
         with pytest.raises(DataError, match="inconsistent"):
-            load_events(path, persons)
+            load_events(path, persons, "CLAIMS")
 
     def test_unknown_person(self, tmp_path, persons):
         path = write(tmp_path / "e.csv", EVENTS_HEADER + "zz,2012-03-04,dx,ICD10,F20.0\n")
         with pytest.raises(DataError, match="'zz'"):
-            load_events(path, persons)
+            load_events(path, persons, "CLAIMS")
 
     def test_output_sorted_by_person_then_date(self, tmp_path):
         persons = [make_person("p2"), make_person("p1")]
@@ -130,7 +129,7 @@ class TestLoadEvents:
             "p1,2013-01-01,rx,NDC,123\n"
             "p1,2011-01-01,dx,ICD9,250.00\n"
         )
-        events = load_events(write(tmp_path / "e.csv", EVENTS_HEADER + rows), persons)
+        events = load_events(write(tmp_path / "e.csv", EVENTS_HEADER + rows), persons, "CLAIMS").events
         keys = [(e.person_id, e.date) for e in events]
         assert keys == sorted(keys)
 
@@ -141,7 +140,7 @@ class TestLoadEvents:
         assert len(data) > 2 * BLOCK_BYTES
         path = tmp_path / "e.csv"
         path.write_bytes(data)
-        got, want = load_events(str(path), persons), reference_events(data, persons)
+        got, want = load_events(str(path), persons, "CLAIMS"), reference_events(data, persons)
         assert got.ids == want.ids and got.codes.entries == want.codes.entries
         for name in ("offsets", "day", "code"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
@@ -189,7 +188,7 @@ def random_events_csv(rng, persons) -> bytes:
     return bytes(out)
 
 
-def reference_events(data: bytes, persons) -> EventTable:
+def reference_events(data: bytes, persons) -> Dataset:
     """events.csv parsed one line at a time into event objects."""
     events = []
     for line in data.decode("utf-8").split("\n")[1:]:
@@ -197,7 +196,7 @@ def reference_events(data: bytes, persons) -> EventTable:
         if line:
             pid, date, kind, system, code = line.split(",")
             events.append(ClinicalEvent(pid, d(date), kind, system, code))
-    return EventTable.from_events(persons, events)
+    return Dataset.from_events(persons, events, "CLAIMS")
 
 
 class TestDatasetAndValidation:
@@ -215,7 +214,7 @@ class TestDatasetAndValidation:
 
     def test_synthetic_population_validates(self, pop50k):
         dataset, _, _ = pop50k
-        Dataset(dataset.persons, dataset.table, dataset.source)  # raises on any violation
+        rebuild_from_columns(dataset)  # raises on any violation
 
     def test_round_trip(self, tmp_path):
         persons = [make_person("p1"), make_person("p2", gender="M", source="CLAIMS")]
@@ -267,7 +266,7 @@ class TestDatasetAndValidation:
                 EVENTS_HEADER + "".join(f"p1,{e.date},dx,ICD10,{e.code}\n" for e in events),
             )
             start = time.perf_counter()
-            load_events(path, base)
+            load_events(path, base, "CLAIMS")
             return time.perf_counter() - start
 
         build(2000)  # warm caches
@@ -330,6 +329,14 @@ def test_construction_refuses_violation(tmp_path, case, persons, events, problem
         write_persons(persons, path)
         with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {problem}")):
             load_persons(path)
+
+
+def test_replacement_event_of_another_person_refused():
+    persons = [make_person(pid) for pid in ("p1", "p2")]
+    ds = make_dataset(persons, [make_event("p2", "2012-01-01")])
+    new = [make_event("p2", "2012-02-02"), make_event("zz", "2012-03-03")]
+    with pytest.raises(DataError, match=re.escape("event for 'p2' cannot replace the events of 'p1'")):
+        ds.replace_person_events("p1", new)
 
 
 def test_replaced_dataset_equals_fresh_build():
@@ -408,7 +415,7 @@ class TestLoadErrors:
     def test_error_names_path_and_line(self, tmp_path, persons_csv, case, row, message):
         path = self.events_csv(tmp_path, GOOD_ROW, row)
         with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
-            load_events(path, load_persons(persons_csv))
+            load_events(path, load_persons(persons_csv), "CLAIMS")
 
     @pytest.mark.parametrize("pid,year", [('"p,1"', "1980"), ("p1", '"1980"')], ids=["id", "birth_year"])
     def test_quoted_persons_field_rejected(self, tmp_path, capsys, pid, year):
@@ -447,7 +454,7 @@ class TestLoadErrors:
     def test_bad_header(self, tmp_path, persons_csv):
         path = self.events_csv(tmp_path, GOOD_ROW, header=b"person_id,date,kind,code\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: expected header")):
-            load_events(path, load_persons(persons_csv))
+            load_events(path, load_persons(persons_csv), "CLAIMS")
 
     @pytest.mark.parametrize("case,row,message", BAD_ROWS, ids=BAD_IDS)
     def test_train_exits_3_without_traceback(self, tmp_path, persons_csv, capsys, case, row, message):
@@ -464,7 +471,7 @@ class TestLoadErrors:
     def test_earlier_line_wins(self, tmp_path, persons_csv, earlier, later):
         path = self.events_csv(tmp_path, GOOD_ROW, earlier[1], GOOD_ROW, later[1])
         with pytest.raises(DataError, match=re.escape(f"{path}:3: {earlier[2]}")):
-            load_events(path, load_persons(persons_csv))
+            load_events(path, load_persons(persons_csv), "CLAIMS")
 
     @pytest.mark.parametrize("shift", [0, 10], ids=["past-boundary", "straddling-boundary"])
     def test_bad_row_past_first_block(self, tmp_path, persons_csv, shift):
@@ -472,12 +479,12 @@ class TestLoadErrors:
         n_good = BLOCK_BYTES // (len(GOOD_ROW) + 1) + 10 - shift
         path = self.events_csv(tmp_path, *[GOOD_ROW] * n_good, b"zz,2012-03-04,dx,ICD10,F20.0")
         with pytest.raises(DataError, match=re.escape(f"{path}:{n_good + 2}: unknown person_id 'zz'")):
-            load_events(path, load_persons(persons_csv))
+            load_events(path, load_persons(persons_csv), "CLAIMS")
 
     def test_blank_lines_crlf_and_missing_final_newline_load(self, tmp_path, persons_csv):
         persons = load_persons(persons_csv)
         plain = self.events_csv(tmp_path, GOOD_ROW, b"p1,2013-01-01,rx,NDC,123")
-        expected = list(load_events(plain, persons))
+        expected = load_events(plain, persons, "CLAIMS").events
         variants = [
             b"person_id,date,kind,system,code\r\n" + GOOD_ROW + b"\r\n\r\np1,2013-01-01,rx,NDC,123\r\n",
             EVENTS_HEADER.encode() + b"\n" + GOOD_ROW + b"\n\np1,2013-01-01,rx,NDC,123",
@@ -486,19 +493,19 @@ class TestLoadErrors:
         for i, content in enumerate(variants):
             path = tmp_path / f"v{i}.csv"
             path.write_bytes(content)
-            assert list(load_events(str(path), persons)) == expected
+            assert load_events(str(path), persons, "CLAIMS").events == expected
 
     @pytest.mark.parametrize("case,row,message", BAD_ROWS, ids=BAD_IDS)
     def test_blank_lines_before_bad_row_still_count(self, tmp_path, persons_csv, case, row, message):
         # more blank bytes than a line holds, so a position that skips them lands on another line
         path = self.events_csv(tmp_path, GOOD_ROW, *[b"", b"\r"] * 20, GOOD_ROW, row)
         with pytest.raises(DataError, match=re.escape(f"{path}:44: {message}")):
-            load_events(path, load_persons(persons_csv))
+            load_events(path, load_persons(persons_csv), "CLAIMS")
 
     def test_blank_lines_still_count(self, tmp_path, persons_csv):
         path = self.events_csv(tmp_path, GOOD_ROW, b"", b"\r", b"zz,2012-03-04,dx,ICD10,F20.0")
         with pytest.raises(DataError, match=re.escape(f"{path}:5: unknown person_id 'zz'")):
-            load_events(path, load_persons(persons_csv))
+            load_events(path, load_persons(persons_csv), "CLAIMS")
 
 
 # Every plain table reads through `read_table`: name -> (loader, header, two good data rows)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import d, make_dataset, make_event, make_person
 from nnet_checks import rewrite_header
-from smiscreen.cli import main
+from smiscreen.cli import _config_from_args, build_parser, main
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import ConfigError, DegenerateCohortError
 from smiscreen.pipeline import (
@@ -137,6 +137,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=":1"):
             parse_config_file(str(path))
 
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("synth.n_persons=50\nsynth.source=CLAIMS\nseed=1\n\n seed = 2\n", encoding="utf-8")
+        message = f"{path}:5: duplicate key 'seed'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_file(str(path))
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_command_line_overrides_a_file_key(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", {"seed": "1", "threads": "2", "out": "a"})
+        args = build_parser().parse_args(
+            ["cohort", "--config", path, "--seed", "7", "--threads", "3", "--out", "b"]
+        )
+        cfg = _config_from_args(args)
+        assert (cfg.seed, cfg.threads, cfg.out_dir) == (7, 3, "b")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig.from_mapping({"nnet.dropout": "0.5"})
@@ -144,6 +163,20 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_mapping({"seed": "banana"})
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("seed", "\u0663"), ("seed", "1_0"), ("seed", "+5"), ("nnet.max_epochs", "2.0"), ("threads", "\uff12")],
+        ids=["arabic-indic", "underscore", "plus", "decimal", "full-width"],
+    )
+    def test_integer_keys_take_ascii_digits_only(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key}: bad value {value!r}")):
+            RunConfig.from_mapping({key: value})
+        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", key: value})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key}: bad value {value!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_nested_keys_land(self):
         cfg = RunConfig.from_mapping(
@@ -212,6 +245,8 @@ class TestConfig:
             ("synth.year_max", "99999", "year_max <= 9999, got (2008, 99999)"),
             ("synth.year_min", "0", "need 1 <= year_min"),
             ("synth.year_min", "2020", "got (2020, 2019)"),
+            ("synth.event_rate", "1e19", "event_rate must be in (0, 1000]"),
+            ("synth.event_rate", "1000.5", "event_rate must be in (0, 1000]"),
             # birth years down to 1 - 49, below what persons.csv loads
             ("synth.year_min,synth.year_max", "1,3", "year_max <= 9992 for loadable birth years, got (1, 3)"),
         ],

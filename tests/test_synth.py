@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rebuild_from_columns
 from mc_oracle import mc_prevalence
 from smiscreen.cohort import build_all_age_cohort
-from smiscreen.datamodel import Dataset, write_events, write_persons
+from smiscreen.datamodel import write_events, write_persons
 from smiscreen.errors import ConfigError, DataError
 from smiscreen.evaluation import benchmark2
 from smiscreen.phecode import map_event, smi_set
@@ -44,6 +45,7 @@ class TestConfigValidation:
             ("smi_annual_rate_cap", 0.0),
             ("smi_annual_rate_cap", 1.0),
             ("year_range", (2019, 2008)),
+            ("event_rate", 1000.5),
         ],
     )
     def test_bad_fields_rejected(self, field, value):
@@ -72,7 +74,7 @@ class TestGeneration:
 
     def test_dataset_passes_validation(self, pop5k):
         dataset = pop5k[0]
-        Dataset(dataset.persons, dataset.table, dataset.source)  # raises on any violation
+        rebuild_from_columns(dataset)  # raises on any violation
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = SynthConfig.default("EHR", 800, seed=31)
