@@ -9,7 +9,13 @@ Gradients are exact analytic derivatives of the mean binary cross-entropy
 over a batch, a `FeatureMatrix`; the mean pool is a product with the
 averaging matrix A that `_forward` builds, so its chain rule is A.T @ d_pooled.
 Updates use adaptive moment estimation (decay 0.9/0.999, eps 1e-8).
-Everything is float64 and deterministic in the seed.
+
+The forward pass, the gradients and the update compute in the dtype of the
+parameters. `train` rounds its input model to float32 once and trains in
+float32: parameters, both moments, the averaging matrix, activations and
+gradients. It returns the best epoch upcast to float64, which is exact, so
+stored and scored models are float64. The logged loss is float64 either way.
+Everything is deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -99,8 +105,9 @@ class ModelParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _PARAM_FIELDS}
 
-    def copy(self) -> "ModelParams":
-        arrays = (a.copy() for a in self.arrays().values())
+    def astype(self, dtype) -> "ModelParams":
+        """A copy whose arrays are cast to `dtype`."""
+        arrays = (a.astype(dtype) for a in self.arrays().values())
         return ModelParams(*arrays, vocab_fingerprint=self.vocab_fingerprint)
 
 
@@ -168,8 +175,11 @@ def _averaging_matrix(x: FeatureMatrix, vocab_size: int) -> np.ndarray:
 
 
 def _forward(m: ModelParams, x: FeatureMatrix):
-    avg = _averaging_matrix(x, m.vocab_size)
-    inputs = np.concatenate([avg @ m.embedding, x.demographics], axis=1)
+    """Scores and activations, in the dtype of `m`: a float64 averaging matrix or
+    demographics block would promote a float32 model's whole step to float64."""
+    dtype = m.embedding.dtype
+    avg = _averaging_matrix(x, m.vocab_size).astype(dtype, copy=False)
+    inputs = np.concatenate([avg @ m.embedding, x.demographics], axis=1, dtype=dtype)
     z1 = inputs @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ m.w2 + m.b2
@@ -188,7 +198,9 @@ def score_batch(m: ModelParams, batch: FeatureMatrix | list[FeatureMatrix]) -> n
 
 
 def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
-    q = np.clip(p, 1e-12, 1.0 - 1e-12)
+    """Mean BCE, in float64 whatever the dtype of `p`: in float32 the upper clip
+    rounds to 1.0, and a saturated probability would log an infinite loss."""
+    q = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     return float(np.mean(-(y * np.log(q) + (1 - y) * np.log1p(-q))))
 
 
@@ -196,7 +208,7 @@ def backward(m: ModelParams, batch: FeatureMatrix, labels: np.ndarray) -> tuple[
     """Analytic gradients, as ModelParams, of the mean BCE loss over the batch."""
     if not batch:
         raise DataError("backward requires a non-empty batch")
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels, dtype=m.embedding.dtype)
     p, (avg, inputs, z1, a1, z2, a2) = _forward(m, batch)
     n = len(batch)
     loss = _batch_loss(p, y)
@@ -220,9 +232,12 @@ def backward(m: ModelParams, batch: FeatureMatrix, labels: np.ndarray) -> tuple[
 
 
 def adam_step(m: ModelParams, grads: ModelParams, state: OptimizerState, lr: float) -> None:
-    """In-place adaptive-moment update with bias correction."""
+    """In-place adaptive-moment update with bias correction, in the dtype of `m`.
+    The scalars are Python floats: a NumPy float64 scalar would promote a float32
+    update to float64 under NumPy 2."""
     state.step += 1
     t = state.step
+    lr = float(lr)
     scale1 = 1.0 - ADAM_BETA1**t
     scale2 = 1.0 - ADAM_BETA2**t
     for name in _PARAM_FIELDS:
@@ -246,9 +261,10 @@ def train(
 ) -> tuple[ModelParams, TrainingLog]:
     """Minibatch training with early stopping on validation AUC.
 
-    The input parameters are not mutated; the returned model is the best
-    epoch's snapshot. Shuffling is deterministic in (seed, epoch), so a
-    rerun with identical inputs reproduces the log bit for bit.
+    Training runs in float32 on a rounded copy of `m`, which is not mutated.
+    The returned model is the best epoch's snapshot, upcast exactly to float64.
+    Shuffling is deterministic in (seed, epoch), so a rerun with identical
+    inputs reproduces the log bit for bit.
     """
     hp.validate()
     if not train_features or not val_features:
@@ -256,12 +272,12 @@ def train(
     val_y = np.asarray(val_labels, dtype=np.float64)
     if len(set(val_y.tolist())) < 2:
         raise DegenerateCohortError("validation set is single-class; cannot track AUC")
-    train_y = np.asarray(train_labels, dtype=np.float64)
+    train_y = np.asarray(train_labels, dtype=np.float32)
 
-    model = m.copy()
+    model = m.astype(np.float32)
     state = OptimizerState.zeros_like(model)
     log = TrainingLog()
-    best = model.copy()
+    best = model.astype(np.float64)
     since_improvement = 0
     n = len(train_features)
     for epoch in range(1, hp.max_epochs + 1):
@@ -280,7 +296,7 @@ def train(
         if auc > log.best_val_auc:
             log.best_val_auc = auc
             log.best_epoch = epoch
-            best = model.copy()
+            best = model.astype(np.float64)
             since_improvement = 0
         else:
             since_improvement += 1

@@ -38,7 +38,7 @@ GOLDEN = {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
         "vocabulary.txt": "a54ec65c3b1c40873b0804bd185b2b5f163cd414c590f264db4382eb99812499",
         "report.csv": "2c6a5f4d56bfc11ae094b32ce7b3a12534ac001742c29c6a4e229b831ce021ca",
-        "model.bin": "25f8d980ef0d3f69747817955037f117ea8cb48c5b46216a8c130ce13a314a30",
+        "model.bin": "574a6a9cd78fc83c9c29cf07f21d1a8d8492785bb406ba31e1e9c49217222506",
     },
     "cohort": {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
@@ -56,13 +56,13 @@ GOLDEN = {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
         "vocabulary.txt": "a54ec65c3b1c40873b0804bd185b2b5f163cd414c590f264db4382eb99812499",
         "report.csv": "9b3605eed63f3c6337cd2de3f3c55be2fd2d2d6d4beb736e244a5c8112979be0",
-        "model.bin": "5152b308a504f2703de6e5800a55d7ae9826be3d190769815d57d377523d65e2",
+        "model.bin": "50015bbdf39df373f329576e6c52e15d4a1e94779e492d87ee50c360f3298807",
     },
     "use-case": {
         "cohort.csv": "5b6d9c5912c8df09822d6c23745631e50e0307c1eebd6b41b34886110be52925",
         "vocabulary.txt": "85fd2953de90aba3956f44991e05a3d53abe10651921d50cb51a02696604ff36",
         "report.csv": "d3bfde776e7a7dffb24ebba6b956968b61bf5c554ff1578392c92af3490d54c6",
-        "model.bin": "1acfa8a9c4be446462379f3c525f941f5a7c791e1fcf090126a719376d4858fb",
+        "model.bin": "91d12d845e5ea60783e7809a48e3b31eeaaaf38212b7c2fd2359d6c6af53955c",
     },
 }
 

@@ -149,6 +149,17 @@ class TestLoss:
         assert math.isfinite(_batch_loss(np.array([0.0]), np.array([1.0])))
         assert math.isfinite(_batch_loss(np.array([1.0]), np.array([0.0])))
 
+    @pytest.mark.parametrize("bias, label, saturated", [(200.0, 0.0, 1.0), (-200.0, 1.0, 0.0)])
+    def test_saturated_float32_output_keeps_loss_finite(self, bias, label, saturated):
+        # In float32, 1 - 1e-12 rounds to 1.0, so a clip in float32 would log inf.
+        m = init_model(3, Hyperparams(embedding_dim=2, hidden1=2, hidden2=2, seed=2)).astype(np.float32)
+        m.w_out[:] = 0.0
+        m.b_out[:] = bias
+        p, _ = _forward(m, fv([0, 2]))
+        assert p.dtype == np.float32 and p[0] == saturated
+        _, loss = backward(m, fv([0, 2]), np.array([label]))
+        assert math.isfinite(loss) and loss > 20.0
+
 
 def loop_embedding_grad(m, batch, labels):
     """Embedding gradient by a per-example loop: each example's sorted codes
@@ -333,6 +344,89 @@ class TestAdamAndTraining:
         model0 = init_model(2, hp)
         with pytest.raises(DegenerateCohortError):
             train(model0, feats, labels, feats.rows(np.arange(3)), np.ones(3), hp, lambda s, y: 0.5)
+
+
+class TestFloat32Training:
+    """`train` computes in float32 and returns exact float64 upcasts."""
+
+    def test_forward_and_backward_stay_float32(self):
+        # Labels, demographics and the averaging matrix arrive as float64; any of
+        # them would promote the whole step back to float64.
+        m, batch, labels = random_model_and_batch(np.random.default_rng(61))
+        assert batch.demographics.dtype == labels.dtype == np.float64
+        m32 = m.astype(np.float32)
+        p, activations = _forward(m32, batch)
+        assert [a.dtype for a in (p, *activations)] == [np.float32] * 7
+        grads, loss = backward(m32, batch, labels)
+        assert {name: a.dtype for name, a in grads.arrays().items()} == dict.fromkeys(grads.arrays(), np.float32)
+        assert type(loss) is float
+
+    def test_adam_ignores_the_type_of_a_float64_learning_rate(self):
+        # Under NumPy 2, a np.float64 scalar times a float32 array is float64. From
+        # zero parameters the step is the update itself, so its rounding shows.
+        m, batch, labels = random_model_and_batch(np.random.default_rng(62))
+        m32 = m.astype(np.float32)
+        grads, _ = backward(m32, batch, labels)
+        stepped = []
+        for lr in (1e-3, np.float64(1e-3)):
+            model, state = m32.astype(np.float32), OptimizerState.zeros_like(m32)
+            for arr in model.arrays().values():
+                arr[:] = 0.0
+            adam_step(model, grads, state, lr)
+            stepped.append(model)
+        for name, arr in stepped[0].arrays().items():
+            assert np.array_equal(getattr(stepped[1], name), arr), name
+
+    def test_gradients_match_float64_oracle(self):
+        rng = np.random.default_rng(63)
+        checked = 0
+        while checked < 8:
+            m, batch, labels = random_model_and_batch(rng, v_max=12, d_max=6, h_max=6, batch_max=8)
+            # float32-representable inputs, so both paths start from the same numbers
+            m = m.astype(np.float32).astype(np.float64)
+            batch.demographics[:] = batch.demographics.astype(np.float32)
+            if kink_distance(m, batch) < 1e-3:
+                continue  # float32 rounding could move a pre-activation across a ReLU kink
+            want, loss64 = backward(m, batch, labels)
+            got, loss32 = backward(m.astype(np.float32), batch, labels)
+            for name, g in want.arrays().items():
+                err = np.max(np.abs(getattr(got, name) - g), initial=0.0)
+                assert err <= 1e-4 * np.max(np.abs(g), initial=0.0), name
+            assert loss32 == pytest.approx(loss64, rel=1e-4)
+            checked += 1
+
+    @pytest.fixture
+    def trained(self):
+        split = TestAdamAndTraining.toy_separable(40)
+        hp = Hyperparams(embedding_dim=4, hidden1=3, hidden2=2, max_epochs=3, patience=3, seed=9)
+        eval_fn = lambda s, y: auc(ScoredSet(s, y.astype(np.int64)))
+        best, _ = train(init_model(2, hp), *split(30), hp, eval_fn)
+        return best, hp, split(30)[2]
+
+    def test_returns_exact_float64_upcast(self, trained):
+        best, _, _ = trained
+        for name, arr in best.arrays().items():
+            assert arr.dtype == np.float64, name
+            assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr), name
+
+    def test_saved_model_scores_bit_identically(self, trained, tmp_path):
+        best, hp, val = trained
+        path = str(tmp_path / "model.bin")
+        save_model(best, hp, path)
+        loaded, _ = load_model(path)
+        assert np.array_equal(score_batch(loaded, val), score_batch(best, val))
+
+    def test_logged_loss_finite_when_outputs_saturate(self):
+        # A learning rate this large drives float32 outputs to exactly 0.0 or 1.0.
+        split = TestAdamAndTraining.toy_separable(60)
+        hp = Hyperparams(
+            embedding_dim=4, hidden1=4, hidden2=2, learning_rate=30.0,
+            batch_size=16, max_epochs=4, patience=4, seed=5,
+        )
+        eval_fn = lambda s, y: auc(ScoredSet(s, y.astype(np.int64)))
+        _, log = train(init_model(2, hp), *split(40), hp, eval_fn)
+        assert log.epochs_run == 4
+        assert all(math.isfinite(loss) for loss in log.train_loss)
 
 
 class TestTransfer:
