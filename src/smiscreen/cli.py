@@ -21,9 +21,9 @@ from .errors import ConfigError, DataError, DegenerateCohortError
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="global seed (overrides config)")
+    parser.add_argument("--seed", help="global seed (overrides config)")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, help="accepted so existing configs run; has no effect")
+    parser.add_argument("--threads", help="accepted so existing configs run; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,13 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> pipeline.RunConfig:
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
+    """The config file with the flags given laid over it, as unparsed text, so a
+    flag's value passes the same key parser as the file's."""
+    flags = {"seed": args.seed, "out": args.out, "threads": args.threads}
+    overrides = {key: text for key, text in flags.items() if text is not None}
     return pipeline.RunConfig.from_file(args.config, overrides)
 
 

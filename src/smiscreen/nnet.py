@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
@@ -161,16 +162,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _averaging_matrix(x: FeatureMatrix, vocab_size: int) -> np.ndarray:
-    """The order-free n×V mean-pool matrix of `x`: A[i, c] accumulates 1/k_i for each of
-    row i's k_i code indices, so a repeated index counts twice and an empty row gives a
-    zero row. The bounds check comes first: a negative index would wrap."""
+def _averaging_matrix(x: FeatureMatrix, vocab_size: int, dtype: np.dtype) -> np.ndarray:
+    """The order-free n×V mean-pool matrix of `x` in `dtype`: A[i, c] accumulates 1/k_i
+    for each of row i's k_i code indices, so a repeated index counts twice and an empty
+    row gives a zero row. The sums run in float64 over the nonzeros only and round once
+    into the zeroed matrix. The bounds check comes first: a negative index would wrap."""
     bad = x.indices[(x.indices < 0) | (x.indices >= vocab_size)]
     if bad.size:
         raise DataError(f"feature index {int(bad[0])} out of range for V={vocab_size}")
     counts = np.diff(x.indptr)
     rows = np.repeat(np.arange(len(x)), counts)
-    avg = np.bincount(rows * vocab_size + x.indices, 1.0 / counts[rows], minlength=len(x) * vocab_size)
+    keys, inverse = np.unique(rows * vocab_size + x.indices, return_inverse=True)
+    avg = np.zeros(len(x) * vocab_size, dtype=dtype)
+    avg[keys] = np.bincount(inverse, 1.0 / counts[rows])
     return avg.reshape(len(x), vocab_size)
 
 
@@ -178,7 +182,7 @@ def _forward(m: ModelParams, x: FeatureMatrix):
     """Scores and activations, in the dtype of `m`: a float64 averaging matrix or
     demographics block would promote a float32 model's whole step to float64."""
     dtype = m.embedding.dtype
-    avg = _averaging_matrix(x, m.vocab_size).astype(dtype, copy=False)
+    avg = _averaging_matrix(x, m.vocab_size, dtype)
     inputs = np.concatenate([avg @ m.embedding, x.demographics], axis=1, dtype=dtype)
     z1 = inputs @ m.w1 + m.b1
     a1 = np.maximum(z1, 0.0)
@@ -472,7 +476,7 @@ def load_model(path: str) -> tuple[ModelParams, Hyperparams]:
     arrays: dict[str, np.ndarray] = {}
     for name in _PARAM_FIELDS:
         shape = shapes[name]
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: a crafted header must not wrap
         nbytes = count * 8
         if offset + nbytes > len(body):
             raise ModelCorruptError(f"{path}: parameter block {name} truncated")

@@ -4,22 +4,23 @@ Phecodes group ICD-9/10 diagnosis codes into clinically similar classes;
 the integer part defines the hierarchy, so range-style groups ("295 to
 307") are integer-prefix ranges covering all fractional children.
 
-Four named groups drive the rest of the pipeline:
-  smi:       the label-defining severe mental illness codes
-  psych:     the broad psychological category, minus smi (benchmark 1)
-  axis1:     DSM-IV axis I clinical disorders (benchmark 2)
-  substance: substance/alcohol/tobacco conditions (use-case indexing and
-             the benchmark exclusion flag)
+Four named groups drive the rest of the pipeline, each one TAG_* bit:
+  SMI:         the label-defining severe mental illness codes
+  PSYCH_RANGE: the broad psychological category, minus SMI (benchmark 1)
+  AXIS1:       DSM-IV axis I clinical disorders (benchmark 2)
+  SUBSTANCE:   substance/alcohol/tobacco conditions (use-case indexing and
+               the benchmark exclusion flag)
 
-Scans never map events one by one: `code_tags` maps each distinct code of
-an event table once, into one bit per group, and callers test the bits of
-a person's event range.
+`phecode_tags` is the one membership test: it gives the bits of the groups
+that hold a phecode. Scans never map events one by one: `code_tags` maps
+each distinct code of an event table once, and callers test the bits of a
+person's event range.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .datamodel import ClinicalEvent, Code, read_table
 from .errors import DataError
 
-_PHECODE_RE = re.compile(r"^\d{1,4}(\.\d{1,2})?$")
+_PHECODE_RE = re.compile(r"[0-9]{1,4}(\.[0-9]{1,2})?")
 
 MAP_HEADER = ["icd_version", "icd_code", "phecode"]
 ICD_VERSIONS = frozenset({"ICD9", "ICD10"})
@@ -44,7 +45,7 @@ class Phecode:
     value: str
 
     def __post_init__(self) -> None:
-        if not _PHECODE_RE.match(self.value):
+        if not _PHECODE_RE.fullmatch(self.value):
             raise DataError(f"malformed phecode {self.value!r}")
 
     @classmethod
@@ -63,6 +64,34 @@ class Phecode:
         return self.value
 
 
+def _group(*values: str) -> frozenset[Phecode]:
+    return frozenset(Phecode(v) for v in values)
+
+
+# schizophrenia/schizoaffective (295.1), psychosis (295.3), bipolar (296.1)
+SMI = _group("295.1", "295.3", "296.1")
+# psychological category: integer parts 295..307, SMI excluded
+PSYCH_RANGE = (295, 307)
+# DSM-IV axis I disorders (deduplicated phecode list)
+AXIS1 = _group(
+    "296.2", "300.1", "300.12", "300.13", "300.3", "300.4", "300.9",
+    "304", "305.2", "312", "313.1", "316", "317",
+)
+# substance addiction/disorder (316), alcohol (317), tobacco (318)
+SUBSTANCE = _group("316", "317", "318")
+
+
+def phecode_tags(p: Phecode) -> int:
+    """TAG_* bits of the named groups that hold `p`."""
+    lo, hi = PSYCH_RANGE
+    bits = TAG_SMI if p in SMI else TAG_PSYCH if lo <= p.integer_part <= hi else 0
+    if p in AXIS1:
+        bits |= TAG_AXIS1
+    if p in SUBSTANCE:
+        bits |= TAG_SUBSTANCE
+    return bits
+
+
 @dataclass(frozen=True)
 class PhecodeMap:
     """(icd_version, icd_code) -> Phecode lookup table."""
@@ -71,33 +100,6 @@ class PhecodeMap:
 
     def lookup(self, icd_version: str, icd_code: str) -> Phecode | None:
         return self.entries.get((icd_version, icd_code))
-
-    def codes_for(self, targets: "PhecodeSet") -> list[tuple[str, str]]:
-        """All ICD keys mapping into the given set, sorted for determinism."""
-        return sorted(k for k, v in self.entries.items() if targets.contains(v))
-
-
-@dataclass(frozen=True)
-class PhecodeSet:
-    """Named group of phecodes with exact or integer-range membership."""
-
-    name: str
-    match_mode: str  # EXACT or INTEGER_RANGE
-    members: frozenset[Phecode] = frozenset()
-    int_range: tuple[int, int] | None = None
-    exclude: frozenset[Phecode] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.match_mode == "EXACT" and not self.members:
-            raise DataError(f"phecode set {self.name!r}: EXACT sets must be non-empty")
-        if self.match_mode == "INTEGER_RANGE" and self.int_range is None:
-            raise DataError(f"phecode set {self.name!r}: INTEGER_RANGE needs bounds")
-
-    def contains(self, p: Phecode) -> bool:
-        if self.match_mode == "EXACT":
-            return p in self.members
-        lo, hi = self.int_range  # type: ignore[misc]
-        return lo <= p.integer_part <= hi and p not in self.exclude
 
 
 def parse_phecode_map(path: str) -> PhecodeMap:
@@ -139,48 +141,6 @@ def map_event(e: ClinicalEvent | Code, m: PhecodeMap) -> Phecode | None:
 
 def code_tags(m: PhecodeMap, codes: list[Code]) -> np.ndarray:
     """uint8 TAG_* bits of each code under `m`; unmapped codes get 0."""
-    groups = (
-        (TAG_SMI, smi_set()),
-        (TAG_PSYCH, psych_category_set()),
-        (TAG_AXIS1, axis1_set()),
-        (TAG_SUBSTANCE, substance_set()),
+    return np.array(
+        [0 if (p := map_event(c, m)) is None else phecode_tags(p) for c in codes], dtype=np.uint8
     )
-    tags = np.zeros(len(codes), dtype=np.uint8)
-    for i, c in enumerate(codes):
-        phecode = map_event(c, m)
-        if phecode is not None:
-            tags[i] = sum(bit for bit, group in groups if group.contains(phecode))
-    return tags
-
-
-def _exact(name: str, values: list[str]) -> PhecodeSet:
-    return PhecodeSet(name, "EXACT", members=frozenset(Phecode(v) for v in values))
-
-
-def smi_set() -> PhecodeSet:
-    """Schizophrenia/schizoaffective (295.1), psychosis (295.3), bipolar (296.1)."""
-    return _exact("smi", ["295.1", "295.3", "296.1"])
-
-
-def psych_category_set() -> PhecodeSet:
-    """Psychological condition category, integer range 295..307, minus smi."""
-    return PhecodeSet(
-        "psych_category",
-        "INTEGER_RANGE",
-        int_range=(295, 307),
-        exclude=smi_set().members,
-    )
-
-
-def axis1_set() -> PhecodeSet:
-    """DSM-IV axis I disorders (deduplicated phecode list)."""
-    return _exact(
-        "axis1",
-        ["296.2", "300.1", "300.12", "300.13", "300.3", "300.4", "300.9",
-         "304", "305.2", "312", "313.1", "316", "317"],
-    )
-
-
-def substance_set() -> PhecodeSet:
-    """Substance addiction/disorder (316), alcohol (317), tobacco (318)."""
-    return _exact("substance", ["316", "317", "318"])

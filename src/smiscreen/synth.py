@@ -34,7 +34,9 @@ from .datamodel import (
     BIRTH_YEARS, Code, CodeTable, Dataset, Person, _parse_date, read_table, write_table
 )
 from .errors import ConfigError, DataError
-from .phecode import PhecodeMap, axis1_set, load_default_map, psych_category_set, smi_set, substance_set
+from .phecode import (
+    TAG_AXIS1, TAG_PSYCH, TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags, load_default_map, phecode_tags
+)
 
 DX_FRACTION = 0.78  # remaining events are medication fills
 MAX_EVENT_RATE = 1000  # events per person-year, about three a day
@@ -139,7 +141,7 @@ class GroundTruth:
         return {pid: int(d is not None) for pid, d in self.onset_date.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodePools:
     """Code universe for one source; (system, code) pairs for diagnoses."""
 
@@ -147,6 +149,7 @@ class CodePools:
     dx_shared: tuple[tuple[str, str], ...]  # identical across sources
     dx_specific: tuple[tuple[str, str], ...]
     rx: tuple[str, ...]  # shared across sources
+    dx_tags: np.ndarray  # phecode TAG_* bits of each dx_all code
 
     @property
     def dx_all(self) -> tuple[tuple[str, str], ...]:
@@ -155,8 +158,7 @@ class CodePools:
 
 def _mapped_base_codes(m: PhecodeMap) -> list[tuple[str, str]]:
     """Every mapped ICD code that is not SMI-defining (safe pre-onset)."""
-    smi = smi_set()
-    return sorted(k for k, v in m.entries.items() if not smi.contains(v))
+    return sorted(k for k, v in m.entries.items() if not phecode_tags(v) & TAG_SMI)
 
 
 def code_pools(cfg: SynthConfig) -> CodePools:
@@ -168,10 +170,11 @@ def code_pools(cfg: SynthConfig) -> CodePools:
     specific = [("ICD10", f"{prefix}{i:04d}") for i in range(cfg.vocab.n_specific_dx)]
     rx = tuple(f"{50000 + i:05d}-{i % 97:02d}" for i in range(cfg.vocab.n_rx))
     return CodePools(
-        smi=tuple(m.codes_for(smi_set())),
+        smi=tuple(sorted(k for k, v in m.entries.items() if phecode_tags(v) & TAG_SMI)),
         dx_shared=tuple(mapped + filler),
         dx_specific=tuple(specific),
         rx=rx,
+        dx_tags=code_tags(m, [Code("DX", *k) for k in mapped + filler + specific]),
     )
 
 
@@ -188,21 +191,14 @@ def default_risk_weights(cfg: SynthConfig) -> dict[str, float]:
     the benchmarks work), a disjoint block of non-psychiatric filler codes
     and some medications raise it further (visible to the model only), and
     source-specific codes carry the part cross-source transfer loses."""
-    m = load_default_map()
     pools = code_pools(cfg)
-    axis1 = axis1_set()
-    psych = psych_category_set()
-    substances = substance_set()
     weights: dict[str, float] = {}
-    for (system, code) in pools.dx_shared:
-        phe = m.lookup(system, code)
-        if phe is None:
-            continue
-        if axis1.contains(phe):
+    for (_, code), tags in zip(pools.dx_shared, pools.dx_tags):
+        if tags & TAG_AXIS1:
             weights[code] = 0.90
-        elif substances.contains(phe):
+        elif tags & TAG_SUBSTANCE:
             weights[code] = 0.55  # tobacco rows; 316/317 already hit via axis1
-        elif psych.contains(phe):
+        elif tags & TAG_PSYCH:
             weights[code] = 0.50
     filler = [code for system, code in pools.dx_shared if code.startswith("SYN")]
     for code in filler[:FILLER_SIGNAL]:
@@ -245,14 +241,7 @@ def activation_probs(
 
 def dx_frequency_damp(pools: CodePools) -> np.ndarray:
     """Per-code activation multipliers for the dx pool."""
-    m = load_default_map()
-    substances = substance_set()
-    damp = np.ones(len(pools.dx_all))
-    for i, (system, code) in enumerate(pools.dx_all):
-        phe = m.lookup(system, code)
-        if phe is not None and substances.contains(phe):
-            damp[i] = SUBSTANCE_FREQ_DAMP
-    return damp
+    return np.where(pools.dx_tags & TAG_SUBSTANCE, SUBSTANCE_FREQ_DAMP, 1.0)
 
 
 def _sigmoid_scalar(z: float) -> float:

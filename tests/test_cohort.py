@@ -63,17 +63,17 @@ class TestFindCases:
         assert find_cases(ds, phemap) == []
 
     def test_tag_scans_match_per_event_mapping(self, pop5k, phemap):
-        from smiscreen.phecode import map_event, smi_set, substance_set
+        from smiscreen.phecode import TAG_SMI, TAG_SUBSTANCE, map_event, phecode_tags
 
         dataset, _ = pop5k
-        smi, substances = smi_set(), substance_set()
         first_smi, first_substance = {}, {}
         for p in dataset.persons:
             for e in dataset.events_for(p.person_id):
                 code = map_event(e, phemap)
-                if code is not None and smi.contains(code):
+                tags = 0 if code is None else phecode_tags(code)
+                if tags & TAG_SMI:
                     first_smi.setdefault(p.person_id, e.date)
-                if code is not None and substances.contains(code):
+                if tags & TAG_SUBSTANCE:
                     first_substance.setdefault(p.person_id, e.date)
         assert find_cases(dataset, phemap) == sorted(first_smi.items())
         cohort = build_substance_cohort(dataset, phemap)

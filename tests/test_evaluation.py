@@ -232,32 +232,32 @@ class TestBenchmarks:
 
     def test_matches_per_event_reference(self, pop5k, phemap):
         from smiscreen.cohort import build_all_age_cohort
-        from smiscreen.phecode import axis1_set, map_event, psych_category_set, substance_set
+        from smiscreen.phecode import TAG_AXIS1, TAG_PSYCH, TAG_SUBSTANCE, map_event, phecode_tags
 
         dataset, _ = pop5k
         examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
-        substances = substance_set()
 
         def reference(ex, trigger, exclude_substance):
             for e in dataset.events_in_window(ex.person_id, ex.window.start, ex.window.end):
                 code = map_event(e, phemap)
-                if code is None or not trigger.contains(code):
+                tags = 0 if code is None else phecode_tags(code)
+                if not tags & trigger:
                     continue
-                if exclude_substance and substances.contains(code):
+                if exclude_substance and tags & TAG_SUBSTANCE:
                     continue
                 return 1
             return 0
 
         for ex in examples[:600]:
             for flag in (False, True):
-                assert benchmark1(ex, dataset, phemap, flag) == reference(ex, psych_category_set(), flag)
-                assert benchmark2(ex, dataset, phemap, flag) == reference(ex, axis1_set(), flag)
+                assert benchmark1(ex, dataset, phemap, flag) == reference(ex, TAG_PSYCH, flag)
+                assert benchmark2(ex, dataset, phemap, flag) == reference(ex, TAG_AXIS1, flag)
 
     def test_split_predictions_match_per_event_reference(self, pop5k, pop5k_splits, phemap):
-        from smiscreen.phecode import axis1_set, map_event, psych_category_set, substance_set
+        from smiscreen.phecode import TAG_AXIS1, TAG_PSYCH, TAG_SUBSTANCE, map_event, phecode_tags
 
         dataset, _ = pop5k
-        triggers = {"BENCH1": psych_category_set(), "BENCH2": axis1_set()}
+        triggers = {"BENCH1": TAG_PSYCH, "BENCH2": TAG_AXIS1}
         for split in pop5k_splits.values():
             codes = [
                 [
@@ -274,8 +274,8 @@ class TestBenchmarks:
                     expected = [
                         any(
                             c is not None
-                            and trigger.contains(c)
-                            and not (flag and substance_set().contains(c))
+                            and phecode_tags(c) & trigger
+                            and not (flag and phecode_tags(c) & TAG_SUBSTANCE)
                             for c in ex_codes
                         )
                         for ex_codes in codes

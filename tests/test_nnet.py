@@ -361,6 +361,20 @@ class TestFloat32Training:
         assert {name: a.dtype for name, a in grads.arrays().items()} == dict.fromkeys(grads.arrays(), np.float32)
         assert type(loss) is float
 
+    def test_averaging_matrix_built_in_model_dtype(self):
+        # Row 0 holds index 0 five times in six, and row 1 is empty. Five float32
+        # sixths sum to another float32 than 5/6 rounded once, which this matrix is.
+        m = init_model(4, Hyperparams(embedding_dim=3, hidden1=2, hidden2=2, seed=7))
+        batch = feature_matrix([[0, 0, 2, 0, 0, 0], [], [3, 1, 3]], [(0.3, 1.0, 0.0, 0.0)] * 3)
+        _, (avg64, *_) = _forward(m, batch)
+        _, (avg32, *_) = _forward(m.astype(np.float32), batch)
+        assert avg64.dtype == np.float64 and avg32.dtype == np.float32
+        assert np.array_equal(avg32, avg64.astype(np.float32))
+        counts = np.diff(batch.indptr)
+        rows = np.repeat(np.arange(3), counts)
+        dense = np.bincount(rows * 4 + batch.indices, 1.0 / counts[rows], minlength=12).reshape(3, 4)
+        assert np.array_equal(avg64, dense)
+
     def test_adam_ignores_the_type_of_a_float64_learning_rate(self):
         # Under NumPy 2, a np.float64 scalar times a float32 array is float64. From
         # zero parameters the step is the update itself, so its rounding shows.

@@ -1,18 +1,25 @@
 """Phecode parsing, the mapping table, and the named code groups."""
 
+import numpy as np
 import pytest
 
 from conftest import make_event
 from smiscreen.errors import DataError
+from smiscreen.datamodel import Code
 from smiscreen.phecode import (
+    AXIS1,
+    SMI,
+    SUBSTANCE,
+    TAG_AXIS1,
+    TAG_PSYCH,
+    TAG_SMI,
+    TAG_SUBSTANCE,
     Phecode,
-    axis1_set,
+    code_tags,
     load_default_map,
     map_event,
     parse_phecode_map,
-    psych_category_set,
-    smi_set,
-    substance_set,
+    phecode_tags,
 )
 
 MAP_HEADER = "icd_version,icd_code,phecode\n"
@@ -29,7 +36,7 @@ class TestPhecode:
         assert Phecode.parse("316.00").value == "316"
         assert Phecode.parse("316").value == "316"
 
-    @pytest.mark.parametrize("bad", ["", "abc", "12345", "1.234", ".5", "295.", "-295"])
+    @pytest.mark.parametrize("bad", ["", "abc", "12345", "1.234", ".5", "295.", "-295", "\u0662\u0669\u0668", "295\n"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(DataError):
             Phecode(bad)
@@ -59,6 +66,12 @@ class TestParseMap:
         with pytest.raises(DataError, match=":2"):
             parse_phecode_map(write(tmp_path / "m.csv", MAP_HEADER + "ICD10,F20.0,banana\n"))
 
+    def test_non_ascii_digits_rejected(self, tmp_path):
+        text = MAP_HEADER + "ICD10,F20.0,295.1\nICD10,F41.9,\u0662\u0669\u0668\n"
+        path = write(tmp_path / "m.csv", text)
+        with pytest.raises(DataError, match=f"{path}:3"):
+            parse_phecode_map(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         with pytest.raises(DataError, match="ICD11"):
             parse_phecode_map(write(tmp_path / "m.csv", MAP_HEADER + "ICD11,F20.0,295.1\n"))
@@ -82,55 +95,61 @@ class TestMapEvent:
         assert map_event(e, phemap) == map_event(e, phemap) == Phecode("296.1")
 
 
-class TestNamedSets:
-    def test_smi_members(self):
-        s = smi_set()
-        assert s.contains(Phecode("295.1"))
-        assert s.contains(Phecode("295.3"))
-        assert s.contains(Phecode("296.1"))
-        assert not s.contains(Phecode("300.1"))
+PSYCH_AXIS1 = TAG_PSYCH | TAG_AXIS1
+AXIS1_SUBSTANCE = TAG_AXIS1 | TAG_SUBSTANCE
 
-    def test_psych_category_range(self):
-        s = psych_category_set()
-        assert s.contains(Phecode("300.4"))
-        assert s.contains(Phecode("295"))
-        assert s.contains(Phecode("307.9"))
-        assert not s.contains(Phecode("295.1"))  # SMI excluded
-        assert not s.contains(Phecode("308"))
-        assert not s.contains(Phecode("294.9"))
+
+class TestNamedSets:
+    @pytest.mark.parametrize(
+        "value, bits",
+        [
+            ("294.9", 0),
+            ("295", TAG_PSYCH),
+            ("295.1", TAG_SMI),  # SMI leaves the psych category
+            ("295.3", TAG_SMI),
+            ("296.1", TAG_SMI),
+            ("296.2", PSYCH_AXIS1),
+            ("300.1", PSYCH_AXIS1),
+            ("300.4", PSYCH_AXIS1),
+            ("307.9", TAG_PSYCH),
+            ("308", 0),
+            ("313.1", TAG_AXIS1),
+            ("316", AXIS1_SUBSTANCE),
+            ("317", AXIS1_SUBSTANCE),
+            ("318", TAG_SUBSTANCE),
+        ],
+    )
+    def test_boundary_bits(self, value, bits):
+        assert phecode_tags(Phecode(value)) == bits
 
     def test_axis1_members(self):
-        s = axis1_set()
-        assert s.contains(Phecode("313.1"))
-        assert s.contains(Phecode("316"))
-        assert not s.contains(Phecode("318"))
-        assert len(s.members) == 13
-
-    def test_substance_members(self):
-        s = substance_set()
-        assert s.contains(Phecode("317"))
-        assert s.contains(Phecode("318"))
-        assert not s.contains(Phecode("295.1"))
+        assert len(AXIS1) == 13
 
     def test_pairwise_overlaps(self):
-        smi = smi_set().members
-        axis1 = axis1_set().members
-        substance = substance_set().members
-        assert smi & axis1 == set()
-        assert substance & smi == set()
-        assert axis1 & substance == {Phecode("316"), Phecode("317")}
+        assert SMI & AXIS1 == set()
+        assert SUBSTANCE & SMI == set()
+        assert AXIS1 & SUBSTANCE == {Phecode("316"), Phecode("317")}
 
     def test_psych_never_contains_smi(self):
-        psych = psych_category_set()
-        for p in smi_set().members:
-            assert not psych.contains(p)
+        for p in SMI:
+            assert not phecode_tags(p) & TAG_PSYCH
+
+    def test_code_tags_follow_phecode_tags(self):
+        m = load_default_map()
+        keys = sorted(m.entries)
+        codes = [Code("DX", *k) for k in keys]
+        codes += [Code("RX", "NDC", "12345-678"), Code("DX", "ICD10", "Z99.99")]
+        expected = [phecode_tags(m.entries[k]) for k in keys] + [0, 0]
+        tags = code_tags(m, codes)
+        assert tags.dtype == np.uint8
+        assert tags.tolist() == expected
 
 
 class TestDefaultMap:
     def test_covers_label_and_benchmark_sets(self):
         m = load_default_map()
         phecodes = set(m.entries.values())
-        for p in smi_set().members | axis1_set().members | substance_set().members:
+        for p in SMI | AXIS1 | SUBSTANCE:
             assert p in phecodes, f"curated map missing {p}"
 
     def test_both_icd_versions_present(self):

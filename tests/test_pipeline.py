@@ -156,6 +156,18 @@ class TestConfig:
         cfg = _config_from_args(args)
         assert (cfg.seed, cfg.threads, cfg.out_dir) == (7, 3, "b")
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "1_0"), ("--seed", "+5"), ("--seed", "\u0663"), ("--threads", "\uff12")],
+        ids=["underscore", "plus", "arabic-indic", "full-width"],
+    )
+    def test_flags_pass_the_config_key_parser(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path / "run.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS"})
+        assert main(["synth", "--config", path, "--out", str(tmp_path / "o"), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {flag[2:]}: bad value {value!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             RunConfig.from_mapping({"nnet.dropout": "0.5"})
@@ -469,8 +481,13 @@ class TestCrossEval:
         [
             (lambda h: h.pop("V"), "header lacks V"),
             (lambda h: h["hyperparams"].update(dropout=0.5), "unknown hyperparams in header: dropout"),
+            # V*d is 2**63 and 2**64: an int64 product would wrap past the size check
+            (lambda h: (h.update(V=2**61, d=4), h["hyperparams"].update(embedding_dim=4)),
+             "parameter block embedding truncated"),
+            (lambda h: (h.update(V=2**62, d=4), h["hyperparams"].update(embedding_dim=4)),
+             "parameter block embedding truncated"),
         ],
-        ids=["no V", "unknown hyperparam"],
+        ids=["no V", "unknown hyperparam", "V*d wraps int64", "V*d wraps uint64"],
     )
     def test_checksummed_bad_header_exits_3(self, workspace, tmp_path, capsys, edit, message):
         bad_dir = tmp_path / "bad"

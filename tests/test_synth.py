@@ -16,7 +16,7 @@ from smiscreen.cohort import build_all_age_cohort
 from smiscreen.datamodel import write_events, write_persons
 from smiscreen.errors import ConfigError, DataError
 from smiscreen.evaluation import benchmark2
-from smiscreen.phecode import map_event, smi_set
+from smiscreen.phecode import TAG_AXIS1, TAG_SMI, map_event, phecode_tags
 from smiscreen.synth import (
     GroundTruth,
     SynthConfig,
@@ -109,12 +109,11 @@ class TestGeneration:
 
     def test_no_smi_code_before_onset(self, pop5k, phemap):
         dataset, truth = pop5k
-        smi = smi_set()
         for person in dataset.persons:
             onset = truth.onset_date[person.person_id]
             for event in dataset.events_for(person.person_id):
                 code = map_event(event, phemap)
-                if code is not None and smi.contains(code):
+                if code is not None and phecode_tags(code) & TAG_SMI:
                     assert onset is not None and event.date >= onset
 
     def test_onset_within_enrollment(self, pop5k):
@@ -172,15 +171,12 @@ class TestPrevalenceOracle:
 
 class TestPlantedSignal:
     def test_axis1_codes_carry_positive_weight(self, phemap):
-        from smiscreen.phecode import axis1_set
-
         cfg = SynthConfig.default("CLAIMS", 1, seed=0)
-        axis1 = axis1_set()
         pools = code_pools(cfg)
         checked = 0
         for system, code in pools.dx_shared:
             phe = phemap.lookup(system, code)
-            if phe is not None and axis1.contains(phe):
+            if phe is not None and phecode_tags(phe) & TAG_AXIS1:
                 assert cfg.risk_weights.get(code, 0.0) > 0.0, code
                 checked += 1
         assert checked > 0
