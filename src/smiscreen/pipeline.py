@@ -45,7 +45,7 @@ from .cohort import (
     prevalence,
     write_cohort,
 )
-from .datamodel import SOURCES, Dataset, write_events, write_persons
+from .datamodel import DECIMAL, SOURCES, Dataset, write_events, write_persons
 from .errors import ConfigError, DataError, DegenerateCohortError
 from .evaluation import (
     EvalReport,
@@ -89,6 +89,13 @@ try:  # optional; when absent, BLAS pinning relies on the *_NUM_THREADS variable
 except ImportError:
     threadpool_limits = None
 
+# The BLAS thread-count variables as this process started with them, which
+# is when NumPy's BLAS read them; None for an unset one.
+BLAS_THREAD_ENV = {
+    name: os.environ.get(name)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+}
+
 TRAIN, VAL, TEST = "TRAIN", "VAL", "TEST"
 SPLITS = (TRAIN, VAL, TEST)
 
@@ -107,7 +114,8 @@ def stage(name: str):
 
 def _limit_blas_threads():
     """Pin BLAS pools to one thread while training so numeric results do
-    not depend on the host's core count; a no-op without threadpoolctl."""
+    not depend on the host's core count; a no-op without threadpoolctl,
+    when only BLAS_THREAD_ENV can have pinned them."""
     return threadpool_limits(limits=1) if threadpool_limits else contextlib.nullcontext()
 
 
@@ -174,9 +182,10 @@ def split_cohort(
 
 
 def _finite_float(text: str) -> float:
-    """float(text), refusing NaN and +-inf: every comparison with NaN is
-    False, so range checks downstream would let it through."""
-    value = float(text)
+    """float(text) of an ASCII decimal (see `DECIMAL`), refusing NaN and
+    +-inf: every comparison with NaN is False, so range checks downstream
+    would let it through."""
+    value = float(text) if DECIMAL.fullmatch(text) else math.nan
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
     return value
@@ -366,7 +375,8 @@ def _write_manifest(cfg: RunConfig, mode: str, counts: dict[str, object], out_di
         "version": version_string(),
         "counts": counts,
         "timestamp": _timestamp(),
-        "blas_pinned": threadpool_limits is not None,
+        "blas_pinned": threadpool_limits is not None or all(v == "1" for v in BLAS_THREAD_ENV.values()),
+        "blas_thread_env": BLAS_THREAD_ENV,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -589,7 +599,10 @@ def load_model_dir(model_dir: str) -> tuple[ModelParams, Hyperparams, Vocabulary
     with stage("load-model"):
         model, hp = load_model(os.path.join(model_dir, MODEL_FILE))
         vocab = load_vocabulary(os.path.join(model_dir, VOCAB_FILE))
-        check_fingerprint(model, vocab)
+        try:
+            check_fingerprint(model, vocab)
+        except DataError as exc:  # the two files disagree: name their directory
+            raise type(exc)(f"{model_dir}: {exc}") from None
     return model, hp, vocab
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .datamodel import (
-    BIRTH_YEARS, Code, CodeTable, Dataset, Person, _parse_date, read_table, write_table
+    BIRTH_YEARS, DECIMAL, Code, CodeTable, Dataset, Person, _date, read_table, table_rows, write_table
 )
 from .errors import ConfigError, DataError
 from .phecode import (
@@ -394,14 +394,21 @@ def write_ground_truth(gt: GroundTruth, path: str) -> None:
 def load_ground_truth(path: str) -> GroundTruth:
     logits: dict[str, float] = {}
     onsets: dict[str, datetime.date | None] = {}
-    for where, (pid, logit_raw, onset_raw) in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
-        if pid in logits:
-            raise DataError(f"{where}: duplicate person_id {pid!r}")
-        try:
-            logits[pid] = float(logit_raw)
-        except ValueError:
-            raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}") from None
-        if not math.isfinite(logits[pid]):
-            raise DataError(f"{where}: non-finite latent_logit {logit_raw!r}")
-        onsets[pid] = _parse_date(onset_raw, where) if onset_raw else None
+    for block in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
+        for line, pid, logit_raw, onset_raw in table_rows(block, 3):
+            where = f"{path}:{line}"
+            if pid in logits:
+                raise DataError(f"{where}: duplicate person_id {pid!r}")
+            try:
+                logit = float(logit_raw)
+            except ValueError:
+                logit = None
+            if logit is not None and not math.isfinite(logit):
+                raise DataError(f"{where}: non-finite latent_logit {logit_raw!r}")
+            if logit is None or not DECIMAL.fullmatch(logit_raw):
+                raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}")
+            logits[pid] = logit
+            onsets[pid] = onset = _date(onset_raw) if onset_raw else None
+            if onset_raw and onset is None:
+                raise DataError(f"{where}: unparseable date {onset_raw!r}")
     return GroundTruth(logits, onsets)

@@ -16,6 +16,7 @@ from smiscreen.datamodel import (
     load_events,
     load_persons,
     read_table,
+    table_rows,
     write_events,
     write_persons,
     write_table,
@@ -534,9 +535,77 @@ DIALECT_ROWS = [
 DIALECT_IDS = [case for case, _, _ in DIALECT_ROWS]
 
 
+# name -> (a good data line of the table with id `key`, a line that only the
+# table's own checks refuse, and their message)
+LONG_TABLES = {
+    "persons.csv": (
+        "{key},1990,F,2010-01-01,2015-06-30,CLAIMS", "q,1990,X,2010-01-01,2015-06-30,CLAIMS",
+        "unknown gender token 'X'",
+    ),
+    "phecode_map.csv": ("ICD10,{key},295.1", "ICD11,F20.0,295.1", "unknown icd_version 'ICD11'"),
+    "ground_truth.csv": ("{key},0.5,2012-01-01", "q,1_0,", "unparseable latent_logit '1_0'"),
+}
+
+
+def long_table(name, bad, start):
+    """The plain table `name` with line `bad` starting `start` bytes after
+    its header, good lines around it; and the line number of `bad`."""
+    header, good = PLAIN_TABLES[name][1], LONG_TABLES[name][0]
+    lines, size = [], 0
+    while size < start - 200:
+        lines.append(good.format(key=f"r{len(lines)}"))
+        size += len(lines[-1]) + 1
+    # the last good line is padded so that `bad` starts exactly at `start`
+    key = f"r{len(lines)}"
+    lines.append(good.format(key=key + "x" * (start - size - len(good.format(key=key)) - 1)))
+    body = "\n".join([*lines, bad, good.format(key="last")]) + "\n"
+    return (header + "\n" + body).encode(), len(lines) + 2
+
+
 class TestPlainTables:
     """One dialect for every plain table: the same refusal, after the same
     path:line, whichever table holds the bad line."""
+
+    @pytest.mark.parametrize("shift", [1000, -5], ids=["past-boundary", "straddling-boundary"])
+    @pytest.mark.parametrize("kind", ["table", "dialect"])
+    @pytest.mark.parametrize("name", list(LONG_TABLES))
+    def test_bad_row_past_first_block(self, tmp_path, name, kind, shift):
+        load = PLAIN_TABLES[name][0]
+        _, row, message = LONG_TABLES[name]
+        if kind == "dialect":
+            row, message = row + ',"x"', f"quoted field; {name} does not support quoting"
+        data, line = long_table(name, row, BLOCK_BYTES + shift)
+        assert data.index(row.encode()) - data.index(b"\n") - 1 == BLOCK_BYTES + shift
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {message}")):
+            load(str(path))
+
+    @pytest.mark.parametrize(
+        "table_row,table_message",
+        [
+            ("p2,1990,X,2010-01-01,2015-06-30,CLAIMS", "unknown gender token 'X'"),
+            ("p1,1991,M,2011-01-01,2014-06-30,CLAIMS", "duplicate person_id 'p1'"),
+        ],
+        ids=["gender", "duplicate"],
+    )
+    @pytest.mark.parametrize(
+        "dialect_row,dialect_message",
+        [
+            ('p3,1990,F,2010-01-01,2015-06-30,"CLAIMS"', "quoted field; persons.csv does not support quoting"),
+            ("p3,1990,F,2010-01-01,2015-06-30", "expected 6 columns, got 5"),
+        ],
+        ids=["quote", "columns"],
+    )
+    def test_earlier_bad_persons_line_wins(self, tmp_path, table_row, table_message, dialect_row, dialect_message):
+        path = tmp_path / "persons.csv"
+        good = "p1,1990,F,2010-01-01,2015-06-30,CLAIMS"
+        for first, second, message in (
+            (table_row, dialect_row, table_message), (dialect_row, table_row, dialect_message)
+        ):
+            path.write_text(PERSONS_HEADER + "\n".join([good, first, "p4,1990,F,2010-01-01,2015-06-30,CLAIMS", second]) + "\n")
+            with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
+                load_persons(str(path))
 
     @pytest.mark.parametrize("name", list(PLAIN_TABLES))
     @pytest.mark.parametrize("case,row,message", DIALECT_ROWS, ids=DIALECT_IDS)
@@ -560,10 +629,11 @@ class TestPlainTables:
     @pytest.mark.parametrize("name", list(PLAIN_TABLES))
     def test_crlf_without_final_newline_loads(self, tmp_path, name):
         load, header, first, second = PLAIN_TABLES[name]
-        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf, crlf, written = tmp_path / "lf.csv", tmp_path / "crlf.csv", tmp_path / "written.csv"
         lf.write_bytes(header.encode() + b"\n" + first + b"\n" + second + b"\n")
         crlf.write_bytes(header.encode() + b"\r\n" + first + b"\r\n\r\n" + second)
-        assert load(str(crlf)) == load(str(lf))
+        written.write_bytes(header.encode() + b"\r\n" + first + b"\r\n" + second + b"\r\n")
+        assert load(str(crlf)) == load(str(lf)) == load(str(written))
 
     @pytest.mark.parametrize("key", ["data.persons", "data.phecode_map"])
     @pytest.mark.parametrize("case,row,message", DIALECT_ROWS, ids=DIALECT_IDS)
@@ -593,5 +663,9 @@ class TestPlainTables:
         path = str(tmp_path / "t.csv")
         write_table(path, "t.csv", ["a", "b"], [["x", 1], ["", datetime.date(2010, 1, 2)]])
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\nx,1\r\n,2010-01-02\r\n"
-        rows = list(read_table(path, "t.csv", ["a", "b"]))
+        rows = [
+            (f"{path}:{line}", row)
+            for block in read_table(path, "t.csv", ["a", "b"])
+            for line, *row in table_rows(block, 2)
+        ]
         assert rows == [(f"{path}:2", ["x", "1"]), (f"{path}:3", ["", "2010-01-02"])]

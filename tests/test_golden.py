@@ -22,6 +22,7 @@ why, and update the hashes in the same change.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -141,3 +142,11 @@ def test_artifacts_match_golden_hashes(runs, run):
         if (runs[run] / name).exists()
     }
     assert got == GOLDEN[run]
+
+
+def test_manifest_says_blas_was_pinned(runs):
+    # `_cli` sets every thread variable to 1
+    for run, out in runs.items():
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["blas_thread_env"] == {name: "1" for name in THREAD_ENV}, run
+        assert manifest["blas_pinned"] is True, run

@@ -25,6 +25,7 @@ from smiscreen.pipeline import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 SMALL_NNET = {
     "nnet.embedding_dim": "24",
@@ -212,7 +213,8 @@ class TestConfig:
         assert cfg.synth.seed == 3
         assert cfg.synth.risk_weights  # planted defaults resolved
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    # non-finite, or not an ASCII decimal though float() reads it
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1_0e-3", "\u0661e-3", "+0.5", "\uff10.5"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_exits_2_naming_key(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", key: value})
@@ -221,6 +223,15 @@ class TestConfig:
         assert f"config key {key}: bad value {value!r}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,text,value",
+        [("nnet.learning_rate", "1e-3", 1e-3), ("nnet.learning_rate", "1E-3", 1e-3), ("split.train", "0.6", 0.6),
+         ("synth.rate_cap", ".5", 0.5), ("synth.base_logit", "-2.0", -2.0), ("synth.event_rate", "5.", 5.0)],
+    )
+    def test_float_keys_read_ascii_decimals(self, key, text, value):
+        cfg = RunConfig.from_mapping({"synth.n_persons": "50", "synth.source": "CLAIMS", key: text})
+        assert cfg.flat()[key] == value
 
     def test_invalid_utf8_config_exits_2_naming_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -345,7 +356,9 @@ class TestTrainCommand:
             importable = True
         except ImportError:
             importable = False
-        assert manifest["blas_pinned"] is importable
+        env = {name: os.environ.get(name) for name in THREAD_ENV}
+        assert manifest["blas_thread_env"] == env
+        assert manifest["blas_pinned"] is (importable or all(v == "1" for v in env.values()))
 
     def test_artifacts_written(self, workspace):
         out = workspace["train"]

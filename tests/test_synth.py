@@ -201,6 +201,14 @@ class TestGroundTruthFile:
         assert again.latent_logit == truth.latent_logit
         assert again.onset_date == truth.onset_date
 
+    def test_every_repr_loads(self, tmp_path):
+        values = [1e-05, -1.5, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 1.2345e20, 0.1 + 0.2, 3.0]
+        truth = GroundTruth({f"p{i}": v for i, v in enumerate(values)}, {f"p{i}": None for i in range(len(values))})
+        path = str(tmp_path / "gt.csv")
+        write_ground_truth(truth, path)
+        again = load_ground_truth(path)
+        assert [repr(again.latent_logit[f"p{i}"]) for i in range(len(values))] == [repr(v) for v in values]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("who,what\n")
@@ -216,8 +224,13 @@ class TestGroundTruthFile:
             ("p1,0.5,", "duplicate person_id 'p1'"),
             ("p2,nan,", "non-finite latent_logit 'nan'"),
             ("p2,-inf,", "non-finite latent_logit '-inf'"),
+            ("p2,1_0,", "unparseable latent_logit '1_0'"),
+            ("p2, 1.5,", "unparseable latent_logit ' 1.5'"),
+            ("p2,\u0663,", "unparseable latent_logit '\u0663'"),
+            ("p2,+1.5,", "unparseable latent_logit '+1.5'"),
         ],
-        ids=["basic-format onset", "non-float logit", "4 columns", "duplicate id", "nan", "-inf"],
+        ids=["basic-format onset", "non-float logit", "4 columns", "duplicate id", "nan", "-inf",
+             "underscore", "space", "arabic-indic", "plus"],
     )
     def test_bad_row_names_path_and_line(self, tmp_path, row, message):
         path = tmp_path / "gt.csv"
