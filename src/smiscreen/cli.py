@@ -74,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
             paths = pipeline.run_synth(cfg)
             print(f"wrote {paths['persons']}, {paths['events']}, {paths['ground_truth']}")
         elif args.command == "cohort":
-            examples = pipeline.run_cohort(cfg)
-            print(f"wrote {len(examples)} cohort rows to {cfg.out_dir}/cohort.csv")
+            cohort = pipeline.run_cohort(cfg)
+            print(f"wrote {len(cohort)} cohort rows to {cfg.out_dir}/cohort.csv")
         elif args.command == "train":
             reports = pipeline.run_single_source(cfg)
             _print_reports(reports)

@@ -9,18 +9,23 @@ gender, and prior diagnosis count, and inherit the case's exact window.
 Two further cohorts cover the fine-tuning scenarios: risk at the 18th
 birthday and risk after a first substance-related diagnosis. Persons in
 those cohorts are kept out of the all-age cohort.
+
+A cohort is one `Cohort` of int64 columns (dataset rows and date ordinals),
+built from per-row arrays and read as columns by the splits, features,
+benchmarks and cohort.csv. `CohortExample` is only a row view; `Cohort.of`
+builds a cohort from views assembled by hand.
 """
 
 from __future__ import annotations
 
 import datetime
-from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import Dataset, write_table
+from .datamodel import GENDERS, Dataset, write_table
 from .dates import add_months, window_start_for_end
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags
@@ -40,10 +45,6 @@ class ObservationWindow:
     end: datetime.date
     gap_days: int | None = None  # cases in the all-age cohort only
 
-    @property
-    def length_days(self) -> int:
-        return (self.end - self.start).days + 1
-
 
 @dataclass(frozen=True, slots=True)
 class CohortExample:
@@ -53,6 +54,59 @@ class CohortExample:
     match_group: str
     cohort_kind: str
     index_date: datetime.date | None
+
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """A cohort of one kind as columns, an entry per example: its dataset
+    row, its 0/1 label, the first and last day of its window (date
+    ordinals), the case's gap in days, the row of its match group's case
+    and its index day; `gap` and `index_day` hold -1 where absent. `ids`
+    is the dataset's person ids by row. An int index (so iteration) gives
+    `CohortExample` views; a mask, an index array or a slice gives a
+    sub-cohort."""
+
+    kind: str
+    ids: list[str]
+    row: np.ndarray
+    label: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    gap: np.ndarray
+    group: np.ndarray
+    index_day: np.ndarray
+
+    def __len__(self) -> int:
+        return self.row.size
+
+    def __getitem__(self, i) -> "CohortExample | Cohort":
+        if not isinstance(i, (int, np.integer)):
+            return replace(self, **{name: getattr(self, name)[i] for name in _COLUMNS})
+        row, label, start, end, gap, group, index_day = (int(getattr(self, name)[i]) for name in _COLUMNS)
+        day = datetime.date.fromordinal
+        window = ObservationWindow(day(start), day(end), None if gap < 0 else gap)
+        index_date = None if index_day < 0 else day(index_day)
+        return CohortExample(self.ids[row], label, window, self.ids[group], self.kind, index_date)
+
+    @classmethod
+    def of(cls, examples: Sequence[CohortExample], d: Dataset) -> "Cohort":
+        """The cohort of `examples`, all of one kind (ALL_AGE when there
+        are none), on the rows of `d`; an example of an unknown person or
+        match group is a DataError."""
+        try:
+            columns = [
+                (d.row_of[ex.person_id], ex.label, ex.window.start.toordinal(), ex.window.end.toordinal(),
+                 -1 if ex.window.gap_days is None else ex.window.gap_days, d.row_of[ex.match_group],
+                 -1 if ex.index_date is None else ex.index_date.toordinal())
+                for ex in examples
+            ]
+        except KeyError as exc:
+            raise DataError(f"unknown person_id {exc.args[0]!r}") from None
+        kind = examples[0].cohort_kind if examples else ALL_AGE
+        return cls(kind, d.ids, *np.array(columns, dtype=np.int64).reshape(-1, len(_COLUMNS)).T)
+
+
+_COLUMNS = tuple(f.name for f in fields(Cohort))[2:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,30 +122,32 @@ class CohortBuildStats:
     cases_without_controls: int = 0
 
 
-def _first_dates(d: Dataset, m: PhecodeMap, bit: int) -> list[tuple[str, datetime.date]]:
-    """(person_id, date) of each person's first event tagged `bit`, by id."""
+def first_days(d: Dataset, m: PhecodeMap, bit: int) -> np.ndarray:
+    """Each dataset row's first date ordinal with an event tagged `bit`, or -1."""
     rows, pos = d.first_events((d.per_code(code_tags, m) & bit) != 0)
-    return [
-        (d.ids[row], datetime.date.fromordinal(day))
-        for row, day in zip(rows.tolist(), d.day[pos].tolist())
-    ]
+    days = np.full(len(d.ids), -1, dtype=np.int64)
+    days[rows] = d.day[pos]
+    return days
 
 
 def find_cases(d: Dataset, m: PhecodeMap) -> list[tuple[str, datetime.date]]:
     """All persons with an SMI-mapped diagnosis, with their first onset date."""
-    return _first_dates(d, m, TAG_SMI)
+    onset = first_days(d, m, TAG_SMI)
+    rows = np.flatnonzero(onset >= 0)
+    return [(d.ids[r], datetime.date.fromordinal(day)) for r, day in zip(rows.tolist(), onset[rows].tolist())]
 
 
-def example_windows(examples: list[CohortExample], d: Dataset) -> tuple[np.ndarray, ...]:
-    """(rows, start, end) of the examples' windows as arrays of dataset rows
-    and date ordinals; an example of an unknown person is a DataError."""
-    try:
-        rows = np.array([d.row_of[ex.person_id] for ex in examples], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unknown person_id {exc.args[0]!r}") from None
-    start = np.array([ex.window.start.toordinal() for ex in examples], dtype=np.int64)
-    end = np.array([ex.window.end.toordinal() for ex in examples], dtype=np.int64)
-    return rows, start, end
+def _ordinals(f: Callable[[datetime.date], datetime.date], days: np.ndarray) -> np.ndarray:
+    """The ordinal of f(date) for each date ordinal of `days`, computed once
+    per distinct day; -1 where the day or f's result is off the calendar."""
+    distinct, inverse = np.unique(days, return_inverse=True)
+    out = np.full(distinct.size, -1, dtype=np.int64)
+    for i, day in enumerate(distinct.tolist()):
+        try:
+            out[i] = f(datetime.date.fromordinal(day)).toordinal()
+        except ValueError:
+            pass
+    return out[inverse]
 
 
 def gap_stream(seed: int, person_id: str) -> np.random.Generator:
@@ -103,57 +159,38 @@ def sample_gap(rng: np.random.Generator) -> int:
     return int(rng.integers(GAP_MIN_DAYS, GAP_MAX_DAYS + 1))
 
 
-@dataclass(frozen=True, slots=True)
-class CaseWindow:
-    person_id: str
-    onset: datetime.date
-    window: ObservationWindow
-
-
-def build_case_windows(
-    cases: list[tuple[str, datetime.date]], d: Dataset, seed: int
-) -> tuple[list[CaseWindow], int]:
-    """Assign gap-shifted 12-month windows; drop cases that do not fit.
+def build_case_windows(d: Dataset, onset: np.ndarray, seed: int) -> tuple[Cohort, int]:
+    """The cases of `onset` (each row's first SMI day, -1 for none), with
+    gap-shifted 12-month windows; drop cases that do not fit.
 
     window.end = onset - gap; window.start = end - 12 months + 1 day.
     Cases whose window leaves enrollment or the calendar are dropped (second
     return value counts them), keeping feature windows uniformly 12 months long.
     """
-    out: list[CaseWindow] = []
-    dropped = 0
-    for person_id, onset in cases:
-        person = d.persons_by_id[person_id]
-        gap = sample_gap(gap_stream(seed, person_id))
-        try:
-            end = onset - datetime.timedelta(days=gap)
-            start = window_start_for_end(end)
-        except (OverflowError, ValueError):  # the window runs off the calendar
-            start = None
-        if start is None or start < person.enroll_start or end > person.enroll_end:
-            dropped += 1
-            continue
-        out.append(CaseWindow(person_id, onset, ObservationWindow(start, end, gap_days=gap)))
-    return out, dropped
+    rows = np.flatnonzero(onset >= 0)
+    gap = np.array([sample_gap(gap_stream(seed, d.ids[row])) for row in rows.tolist()], dtype=np.int64)
+    end = onset[rows] - gap
+    start = _ordinals(window_start_for_end, end)
+    fits = (start >= d.enroll_start[rows]) & (end <= d.enroll_end[rows])  # -1, off the calendar, fails
+    cases = Cohort(ALL_AGE, d.ids, rows, np.ones_like(rows), start, end, gap, rows, onset[rows])
+    return cases[fits], int(rows.size - fits.sum())
 
 
 class _ControlPool:
-    """Never-SMI persons of one (birth_year, gender) stratum, in id order,
-    with their enrollment ordinals, tie-break keys and whether a case has
-    taken them yet."""
+    """Never-SMI persons of one (birth_year, gender) stratum by row (so in id
+    order), with enrollment ordinals, tie-break keys and whether a case took them."""
 
-    def __init__(self, d: Dataset, pids: list[str], seed: int):
-        self.pids = sorted(pids)
-        self.rows = np.array([d.row_of[pid] for pid in self.pids], dtype=np.int64)
-        self.start = d.enroll_start[self.rows]
-        self.end = d.enroll_end[self.rows]
+    def __init__(self, d: Dataset, rows: np.ndarray, seed: int):
+        self.rows = rows
+        self.start = d.enroll_start[rows]
+        self.end = d.enroll_end[rows]
         self.tie = np.array(
-            [rngmod.stable_seed(seed, "ctl-tie", pid) for pid in self.pids], dtype=np.uint64
+            [rngmod.stable_seed(seed, "ctl-tie", d.ids[row]) for row in rows.tolist()], dtype=np.uint64
         )
-        self.free = np.ones(len(self.pids), dtype=bool)
+        self.free = np.ones(rows.size, dtype=bool)
 
-    def take(self, d: Dataset, window: ObservationWindow, case_count: int, k: int) -> list[str]:
-        """The k best free candidates for one case window, now taken."""
-        start, end = window.start.toordinal(), window.end.toordinal()
+    def take(self, d: Dataset, start: int, end: int, case_count: int, k: int) -> np.ndarray:
+        """Rows of the k best free candidates for one case window, now taken."""
         cand = np.flatnonzero(self.free & (self.start <= start) & (self.end >= end))
         rows = self.rows[cand]
         before = d.dx_counts_before(rows, start)
@@ -162,18 +199,14 @@ class _ControlPool:
         diff = np.abs(before - case_count)
         chosen = cand[np.lexsort((cand, self.tie[cand], diff))[:k]]
         self.free[chosen] = False
-        return [self.pids[j] for j in chosen.tolist()]
+        return self.rows[chosen]
 
 
 def match_controls(
-    case_windows: list[CaseWindow],
-    d: Dataset,
-    m: PhecodeMap,
-    k: int = 10,
-    seed: int = 0,
-    exclude: frozenset[str] = frozenset(),
-) -> list[CohortExample]:
-    """Pair each case with up to k matched, never-SMI controls.
+    cases: Cohort, d: Dataset, m: PhecodeMap, k: int = 10, seed: int = 0, exclude: np.ndarray | None = None
+) -> Cohort:
+    """The cases, each followed by up to k matched, never-SMI controls that
+    are not in the row mask `exclude`, sorted by match group.
 
     Matching is exact on (birth_year, gender), nearest on the raw count of
     DX events before the window start, greedy in descending case count so
@@ -182,112 +215,88 @@ def match_controls(
     one case and must be observable over the case's whole window with at
     least one in-window diagnosis.
     """
-    smi_pids = {pid for pid, _ in find_cases(d, m)}
-    strata: dict[tuple[int, str], list[str]] = {}
-    for p in d.persons:
-        if p.person_id in smi_pids or p.person_id in exclude:
-            continue
-        strata.setdefault((p.birth_year, p.gender), []).append(p.person_id)
-    pools: dict[tuple[int, str], _ControlPool] = {}
+    eligible = first_days(d, m, TAG_SMI) < 0
+    if exclude is not None:
+        eligible &= ~exclude
+    stratum = d.birth_year * len(GENDERS) + d.gender
+    pools: dict[int, _ControlPool] = {}
 
-    case_rows = np.array([d.row_of[cw.person_id] for cw in case_windows], dtype=np.int64)
-    case_starts = np.array([cw.window.start.toordinal() for cw in case_windows], dtype=np.int64)
-    case_counts = d.dx_counts_before(case_rows, case_starts).tolist()
-    order = sorted(
-        range(len(case_windows)), key=lambda i: (-case_counts[i], case_windows[i].person_id)
-    )
-    examples: list[CohortExample] = []
-    for i in order:
-        cw = case_windows[i]
-        person = d.persons_by_id[cw.person_id]
-        window = cw.window
-        stratum = (person.birth_year, person.gender)
-        pool = pools.get(stratum)
+    counts = d.dx_counts_before(cases.row, cases.start)
+    owner, rows = list(range(len(cases))), cases.row.tolist()
+    for i in np.lexsort((cases.row, -counts)).tolist():
+        s = int(stratum[cases.row[i]])
+        pool = pools.get(s)
         if pool is None:
-            pool = pools[stratum] = _ControlPool(d, strata.get(stratum, []), seed)
-        chosen = pool.take(d, window, case_counts[i], k)
-        examples.append(
-            CohortExample(cw.person_id, 1, window, cw.person_id, ALL_AGE, cw.onset)
-        )
-        shared = ObservationWindow(window.start, window.end)
-        for pid in chosen:
-            examples.append(CohortExample(pid, 0, shared, cw.person_id, ALL_AGE, None))
-    examples.sort(key=lambda ex: (ex.match_group, -ex.label, ex.person_id))
-    return examples
+            pool = pools[s] = _ControlPool(d, np.flatnonzero(eligible & (stratum == s)), seed)
+        chosen = pool.take(d, int(cases.start[i]), int(cases.end[i]), int(counts[i]), k).tolist()
+        owner += [i] * len(chosen)
+        rows += chosen
+    out = replace(cases[np.array(owner, dtype=np.int64)], row=np.array(rows, dtype=np.int64))  # fresh columns
+    control = out.row != out.group
+    out.label[control], out.gap[control], out.index_day[control] = 0, -1, -1
+    return out[np.lexsort((out.row, -out.label, out.group))]
 
 
 def build_all_age_cohort(
     d: Dataset, m: PhecodeMap, seed: int, k: int = 10
-) -> tuple[list[CohortExample], CohortBuildStats]:
+) -> tuple[Cohort, CohortBuildStats]:
     """Full all-age matched cohort; use-case cohort members are excluded."""
     exclude = use_case_person_ids(d, m)
-    found = find_cases(d, m)
-    cases = [(pid, onset) for pid, onset in found if pid not in exclude]
-    case_windows, dropped = build_case_windows(cases, d, seed)
-    examples = match_controls(case_windows, d, m, k=k, seed=seed, exclude=exclude)
-    alone = sum(n == 1 for n in Counter(ex.match_group for ex in examples).values())
-    return examples, CohortBuildStats(len(found), len(found) - len(cases), dropped, alone)
+    onset = first_days(d, m, TAG_SMI)
+    found = onset >= 0
+    cases, dropped = build_case_windows(d, np.where(exclude, -1, onset), seed)
+    examples = match_controls(cases, d, m, k=k, seed=seed, exclude=exclude)
+    alone = int((np.unique(examples.group, return_counts=True)[1] == 1).sum())
+    stats = CohortBuildStats(int(found.sum()), int((found & exclude).sum()), dropped, alone)
+    return examples, stats
 
 
-def build_age18_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
+def build_age18_cohort(d: Dataset, m: PhecodeMap) -> Cohort:
     """Risk-at-18 cohort: observe the year before the 18th birthday,
     label by SMI onset in the year after. Natural prevalence, no matching.
+    Examples follow the order the persons were given in.
 
     Persons with any SMI diagnosis before the birthday are excluded; the
     target is future risk, not prevalent disease.
     """
-    onsets = dict(find_cases(d, m))
-    spans: dict[int, tuple[datetime.date, datetime.date, datetime.date]] = {}
-    candidates: list[CohortExample] = []
-    for p in d.persons:
-        span = spans.get(p.birth_year)
-        if span is None:
-            birthday = datetime.date(p.birth_year + 18, 1, 1)  # year of birth only: Jan 1
-            span = spans[p.birth_year] = (
-                birthday, add_months(birthday, -12), add_months(birthday, 12)
-            )
-        birthday, span_start, span_end = span
-        if p.enroll_start > span_start or p.enroll_end < span_end:
-            continue
-        onset = onsets.get(p.person_id)
-        if onset is not None and onset < birthday:
-            continue
-        label = int(onset is not None and birthday <= onset < span_end)
-        window = ObservationWindow(span_start, birthday - datetime.timedelta(days=1))
-        candidates.append(CohortExample(p.person_id, label, window, p.person_id, AGE18, birthday))
-    _, owner = d.window_events(*example_windows(candidates, d))
-    seen = np.bincount(owner, minlength=len(candidates)) > 0
-    return [ex for ex, keep in zip(candidates, seen.tolist()) if keep]
+    rows = d.input_rows
+    years, year_of = np.unique(d.birth_year[rows], return_inverse=True)
+    # year of birth only: the 18th birthday is Jan 1 of birth_year + 18
+    jan1 = [[datetime.date(year + age, 1, 1).toordinal() for age in (17, 18, 19)] for year in years.tolist()]
+    span_start, birthday, span_end = np.array(jan1, dtype=np.int64).reshape(-1, 3)[year_of].T
+    onset = first_days(d, m, TAG_SMI)[rows]
+    _, owner = d.window_events(rows, span_start, birthday - 1)
+    keep = (
+        (d.enroll_start[rows] <= span_start) & (d.enroll_end[rows] >= span_end)
+        & ~((onset >= 0) & (onset < birthday)) & (np.bincount(owner, minlength=rows.size) > 0)
+    )
+    label = ((birthday <= onset) & (onset < span_end)).astype(np.int64)
+    no_gap = np.full(rows.size, -1, dtype=np.int64)
+    return Cohort(AGE18, d.ids, rows, label, span_start, birthday - 1, no_gap, rows, birthday)[keep]
 
 
-def build_substance_cohort(d: Dataset, m: PhecodeMap) -> list[CohortExample]:
+def build_substance_cohort(d: Dataset, m: PhecodeMap) -> Cohort:
     """Post-substance-diagnosis cohort: observe the year up to and including
-    the first substance-related diagnosis, label by SMI in the year after."""
-    onsets = dict(find_cases(d, m))
-    index_dates = dict(_first_dates(d, m, TAG_SUBSTANCE))
-    out: list[CohortExample] = []
-    for p in d.persons:
-        index_date = index_dates.get(p.person_id)
-        if index_date is None:
-            continue
-        try:
-            window = ObservationWindow(window_start_for_end(index_date), index_date)
-            test_end = add_months(index_date, 12)
-        except ValueError:  # the window or the follow-up year runs off the calendar
-            continue
-        if p.enroll_start > window.start or p.enroll_end < test_end:
-            continue
-        onset = onsets.get(p.person_id)
-        if onset is not None and onset <= index_date:
-            continue
-        label = int(onset is not None and onset <= test_end)
-        out.append(CohortExample(p.person_id, label, window, p.person_id, SUBSTANCE, index_date))
-    return out
+    the first substance-related diagnosis, label by SMI in the year after.
+    Examples follow the order the persons were given in."""
+    index = first_days(d, m, TAG_SUBSTANCE)[d.input_rows]
+    rows, index = d.input_rows[index >= 0], index[index >= 0]
+    start = _ordinals(window_start_for_end, index)
+    test_end = _ordinals(lambda day: add_months(day, 12), index)
+    onset = first_days(d, m, TAG_SMI)[rows]
+    keep = (
+        (start >= 0) & (test_end >= 0)  # the window or the follow-up year runs off the calendar
+        & (d.enroll_start[rows] <= start) & (d.enroll_end[rows] >= test_end)
+        & ~((onset >= 0) & (onset <= index))
+    )
+    label = ((onset > index) & (onset <= test_end)).astype(np.int64)
+    no_gap = np.full(rows.size, -1, dtype=np.int64)
+    return Cohort(SUBSTANCE, d.ids, rows, label, start, index, no_gap, rows, index)[keep]
 
 
 def build_cohort(
     d: Dataset, m: PhecodeMap, kind: str, seed: int, k: int = 10
-) -> tuple[list[CohortExample], CohortBuildStats]:
+) -> tuple[Cohort, CohortBuildStats]:
     """Dispatch on cohort kind; errors when nobody is eligible."""
     if kind == ALL_AGE:
         examples, stats = build_all_age_cohort(d, m, seed, k=k)
@@ -301,26 +310,27 @@ def build_cohort(
     return examples, stats
 
 
-def use_case_person_ids(d: Dataset, m: PhecodeMap) -> frozenset[str]:
-    """Persons belonging to either use-case cohort."""
-    ids = {ex.person_id for ex in build_age18_cohort(d, m)}
-    ids.update(ex.person_id for ex in build_substance_cohort(d, m))
-    return frozenset(ids)
+def use_case_person_ids(d: Dataset, m: PhecodeMap) -> np.ndarray:
+    """Row mask of the persons belonging to either use-case cohort."""
+    mask = np.zeros(len(d.ids), dtype=bool)
+    mask[build_age18_cohort(d, m).row] = True
+    mask[build_substance_cohort(d, m).row] = True
+    return mask
 
 
-def prevalence(examples: list[CohortExample]) -> float:
-    if not examples:
-        return 0.0
-    return sum(ex.label for ex in examples) / len(examples)
+def prevalence(c: Cohort) -> float:
+    return int(c.label.sum()) / len(c) if len(c) else 0.0
 
 
-def write_cohort(examples: list[CohortExample], path: str) -> None:
+def write_cohort(c: Cohort, path: str) -> None:
     """cohort.csv, one row per example (empty fields where not applicable)."""
     header = ["person_id", "label", "cohort_kind", "match_group",
               "window_start", "window_end", "gap_days", "index_date"]
+    days = np.unique(np.concatenate([c.start, c.end, c.index_day])).tolist()
+    text = {day: "" if day < 0 else datetime.date.fromordinal(day).isoformat() for day in days}
+    ids = c.ids
     rows = (
-        [ex.person_id, ex.label, ex.cohort_kind, ex.match_group, ex.window.start, ex.window.end,
-         "" if ex.window.gap_days is None else ex.window.gap_days, ex.index_date or ""]
-        for ex in examples
+        [ids[row], label, c.kind, ids[group], text[start], text[end], "" if gap < 0 else gap, text[index]]
+        for row, label, start, end, gap, group, index in zip(*(getattr(c, name).tolist() for name in _COLUMNS))
     )
     write_table(path, "cohort.csv", header, rows)

@@ -27,12 +27,13 @@ Events are held as columns, never as one object per event. A `Dataset`
 keeps int arrays of date ordinals and code ids, sorted by (person_id,
 date) with ties in input order, plus per-person offsets into them; a code
 id names one distinct (kind, system, code) triple of a `CodeTable`. The
-vocabulary, features, benchmarks and the AGE18 coverage test each scan a
-whole split at once: one `window_events` gather of the positions inside
-its windows, then per-code mask tests. `ClinicalEvent` is only a row view:
-built on demand by `events_for`, `events_in_window` and `events`, and
-accepted by `from_events` from callers that assemble small datasets by
-hand.
+cohort builders read each person's enrollment, birth year and gender
+from arrays by row too. The vocabulary, features, benchmarks and the
+AGE18 coverage test each scan many windows at once: one `window_events`
+gather of the positions inside them, then per-code mask tests.
+`ClinicalEvent` is only a row view: built on demand by `events_for`,
+`events_in_window` and `events`, and accepted by `from_events` from
+callers that assemble small datasets by hand.
 
 Every plain table (persons.csv, events.csv, phecode_map.csv,
 ground_truth.csv, cohort.csv, report.csv) has one dialect: UTF-8, comma
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import DataError
 
-GENDERS = frozenset({"F", "M", "U"})
+GENDERS = ("F", "M", "U")  # a Dataset's `gender` holds positions in this tuple
 SOURCES = frozenset({"CLAIMS", "EHR"})
 
 # The event kinds: kind=DX carries an ICD code, kind=RX an NDC fill
@@ -450,14 +451,16 @@ def write_events(d: "Dataset", path: str) -> None:
 class Dataset:
     """Immutable person table plus its events as columns.
 
-    Row r is person `ids[r]` (ids sorted; `row_of` maps an id to its row).
-    Its events occupy positions offsets[r]:offsets[r + 1] of `day` (int32
-    date ordinals) and `code` (int32 ids into `codes`), sorted by date with
-    ties in input order. Construction refuses, with a `DataError` naming the
-    person, any record that breaks an invariant listed in the module
-    docstring. Treat instances as frozen after construction: derived
-    datasets come from `replace_person_events`, which checks its new events
-    the same way.
+    Row r is person `ids[r]` (ids sorted; `row_of` maps an id to its row,
+    `input_rows[i]` is the row of persons[i]); int64 arrays hold each row's
+    `enroll_start`, `enroll_end` (date ordinals), `birth_year` and `gender`
+    (a position in GENDERS). Row r's events occupy positions
+    offsets[r]:offsets[r + 1] of `day` (int32 date ordinals) and `code`
+    (int32 ids into `codes`), sorted by date with ties in input order.
+    Construction refuses, with a `DataError` naming the person, any record
+    that breaks an invariant listed in the module docstring. Treat
+    instances as frozen after construction: derived datasets come from
+    `replace_person_events`, which checks its new events the same way.
     """
 
     def __init__(
@@ -487,9 +490,10 @@ class Dataset:
         self.row_of = {pid: row for row, pid in enumerate(self.ids)}
         self.enroll_start = np.array([p.enroll_start.toordinal() for p in by_row], dtype=np.int64)
         self.enroll_end = np.array([p.enroll_end.toordinal() for p in by_row], dtype=np.int64)
-        rank = np.empty(len(persons), dtype=np.int64)
-        rank[order] = np.arange(len(persons))
-        rows = rank[person_pos]
+        self.birth_year = np.array([p.birth_year for p in by_row], dtype=np.int64)
+        self.gender = np.array([GENDERS.index(p.gender) for p in by_row], dtype=np.int64)
+        self.input_rows = np.argsort(np.array(order, dtype=np.int64))  # the inverse permutation
+        rows = self.input_rows[person_pos]
         sort = np.argsort(rows * DAY_SPAN + day, kind="stable")
         offsets = np.zeros(len(persons) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(persons)), out=offsets[1:])

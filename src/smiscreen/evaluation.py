@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import COHORT_KINDS, CohortExample, example_windows
+from .cohort import COHORT_KINDS, Cohort, CohortExample
 from .datamodel import SOURCES, Dataset, write_table
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_AXIS1, TAG_PSYCH, TAG_SUBSTANCE, PhecodeMap, code_tags
@@ -124,17 +124,17 @@ def confusion_at(s: ScoredSet, threshold: float) -> tuple[float, float, float]:
 
 
 def benchmark_predictions(
-    examples: list[CohortExample], d: Dataset, m: PhecodeMap, exclude_substance: bool = False
+    c: Cohort, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> dict[str, np.ndarray]:
     """BENCH1 and BENCH2 of each example: True iff any in-window diagnosis
     carries the psychological-category (BENCH1) or axis I (BENCH2) tag bit
     and, with `exclude_substance`, not the substance bit."""
-    positions, owner = d.window_events(*example_windows(examples, d))
+    positions, owner = d.window_events(c.row, c.start, c.end)
     tags = d.per_code(code_tags, m)[d.code[positions]]
     if exclude_substance:
         tags = np.where((tags & TAG_SUBSTANCE) != 0, 0, tags)
     return {
-        method: np.bincount(owner[(tags & trigger) != 0], minlength=len(examples)) > 0
+        method: np.bincount(owner[(tags & trigger) != 0], minlength=len(c)) > 0
         for method, trigger in (("BENCH1", TAG_PSYCH), ("BENCH2", TAG_AXIS1))
     }
 
@@ -143,14 +143,14 @@ def benchmark1(
     ex: CohortExample, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> int:
     """1 iff any in-window diagnosis maps into the psychological category."""
-    return int(benchmark_predictions([ex], d, m, exclude_substance)["BENCH1"][0])
+    return int(benchmark_predictions(Cohort.of([ex], d), d, m, exclude_substance)["BENCH1"][0])
 
 
 def benchmark2(
     ex: CohortExample, d: Dataset, m: PhecodeMap, exclude_substance: bool = False
 ) -> int:
     """1 iff any in-window diagnosis maps into the axis I set."""
-    return int(benchmark_predictions([ex], d, m, exclude_substance)["BENCH2"][0])
+    return int(benchmark_predictions(Cohort.of([ex], d), d, m, exclude_substance)["BENCH2"][0])
 
 
 def evaluate_model(

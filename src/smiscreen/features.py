@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohort import CohortExample, example_windows
+from .cohort import Cohort, CohortExample
 from .datamodel import ClinicalEvent, Code, Dataset, read_text
 from .errors import DataError
 
-DEMOGRAPHICS_DIM = 4  # age_norm, gender one-hot F/M/U
-_GENDER_SLOT = {"F": 1, "M": 2, "U": 3}
+DEMOGRAPHICS_DIM = 4  # age_norm, then gender one-hot in GENDERS order (F/M/U)
 
 
 def namespaced_code(e: ClinicalEvent | Code) -> str:
@@ -88,11 +87,11 @@ def _vocab_indices(v: Vocabulary, codes: list[Code]) -> np.ndarray:
     return np.array([index.get(namespaced_code(c), -1) for c in codes], dtype=np.int64)
 
 
-def build_vocabulary(train_examples: list[CohortExample], d: Dataset) -> Vocabulary:
+def build_vocabulary(train: Cohort, d: Dataset) -> Vocabulary:
     """Union of namespaced codes inside training windows, sorted."""
-    if not train_examples:
+    if not train:
         raise DataError("cannot build a vocabulary from an empty training set")
-    positions, _ = d.window_events(*example_windows(train_examples, d))
+    positions, _ = d.window_events(train.row, train.start, train.end)
     entries = d.codes.entries
     seen = np.unique(d.code[positions])
     return Vocabulary(tuple(sorted({namespaced_code(entries[c]) for c in seen.tolist()})))
@@ -105,25 +104,24 @@ def intersect_vocabularies(a: Vocabulary, b: Vocabulary) -> Vocabulary:
     return Vocabulary(tuple(sorted(shared)))
 
 
-def featurize_split(examples: list[CohortExample], d: Dataset, v: Vocabulary) -> FeatureMatrix:
+def featurize_split(c: Cohort, d: Dataset, v: Vocabulary) -> FeatureMatrix:
     """One row per example; out-of-vocabulary codes are skipped."""
-    positions, owner = d.window_events(*example_windows(examples, d))
+    positions, owner = d.window_events(c.row, c.start, c.end)
     index = d.per_code(_vocab_indices, v)[d.code[positions]]
     hit = index >= 0
     # sorted unique (example, index) keys: each row's indices come out sorted and unique
     keys = np.unique(owner[hit] * len(v) + index[hit])
-    indptr = np.searchsorted(keys // len(v), np.arange(len(examples) + 1))
-    persons = [d.persons_by_id[ex.person_id] for ex in examples]
-    demographics = np.zeros((len(examples), DEMOGRAPHICS_DIM), dtype=np.float64)
-    end_years = np.array([ex.window.end.year for ex in examples], dtype=np.int64)
-    demographics[:, 0] = (end_years - [p.birth_year for p in persons]) / 100.0
-    demographics[np.arange(len(examples)), [_GENDER_SLOT[p.gender] for p in persons]] = 1.0
+    indptr = np.searchsorted(keys // len(v), np.arange(len(c) + 1))
+    demographics = np.zeros((len(c), DEMOGRAPHICS_DIM), dtype=np.float64)
+    end_years = (np.datetime64("0001-01-01") + (c.end - 1)).astype("datetime64[Y]").astype(np.int64) + 1970
+    demographics[:, 0] = (end_years - d.birth_year[c.row]) / 100.0
+    demographics[np.arange(len(c)), 1 + d.gender[c.row]] = 1.0
     return FeatureMatrix(indptr, keys % len(v), demographics)
 
 
 def featurize(ex: CohortExample, d: Dataset, v: Vocabulary) -> FeatureMatrix:
     """One-row feature matrix of one example: `featurize_split` of a one-element split."""
-    return featurize_split([ex], d, v)
+    return featurize_split(Cohort.of([ex], d), d, v)
 
 
 def write_vocabulary(v: Vocabulary, path: str) -> None:

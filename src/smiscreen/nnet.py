@@ -369,7 +369,7 @@ def check_fingerprint(m: ModelParams, vocab: Vocabulary) -> None:
     if m.vocab_fingerprint != vocab.fingerprint():
         raise FingerprintMismatchError(
             "model was trained against a different vocabulary "
-            f"(fingerprint {m.vocab_fingerprint[:12]}... != {vocab.fingerprint()[:12]}...)"
+            f"(fingerprint {m.vocab_fingerprint} != {vocab.fingerprint()})"
         )
 
 

@@ -39,8 +39,8 @@ from .cohort import (
     ALL_AGE,
     COHORT_KINDS,
     SUBSTANCE,
+    Cohort,
     CohortBuildStats,
-    CohortExample,
     build_cohort,
     prevalence,
     write_cohort,
@@ -137,21 +137,19 @@ class SplitFractions:
 class SplitAssignment:
     by_group: dict[str, str]  # match_group -> TRAIN/VAL/TEST
 
-    def split_examples(self, examples: list[CohortExample]) -> dict[str, list[CohortExample]]:
-        out: dict[str, list[CohortExample]] = {name: [] for name in SPLITS}
-        for ex in examples:
-            out[self.by_group[ex.match_group]].append(ex)
-        return out
+    def split_examples(self, cohort: Cohort) -> dict[str, Cohort]:
+        """The sub-cohort of each split, in cohort order."""
+        groups, group_at = np.unique(cohort.group, return_inverse=True)
+        split_of = np.array([SPLITS.index(self.by_group[cohort.ids[g]]) for g in groups.tolist()])
+        return {name: cohort[split_of[group_at] == j] for j, name in enumerate(SPLITS)}
 
 
-def split_cohort(
-    examples: list[CohortExample], fractions: SplitFractions, seed: int
-) -> SplitAssignment:
+def split_cohort(cohort: Cohort, fractions: SplitFractions, seed: int) -> SplitAssignment:
     """Shuffle match groups and partition by largest-remainder rounding."""
     fractions.validate()
-    if not examples:
+    if not cohort:
         raise DegenerateCohortError("cannot split an empty cohort")
-    groups = sorted({ex.match_group for ex in examples})
+    groups = [cohort.ids[g] for g in np.unique(cohort.group).tolist()]  # rows ascend as ids do
     order = rngmod.stream(seed, "split").permutation(len(groups))
     shuffled = [groups[i] for i in order]
     n = len(groups)
@@ -162,20 +160,14 @@ def split_cohort(
         i = max(range(3), key=lambda j: (remainders[j], -j))
         sizes[i] += 1
         remainders[i] = -1.0
-    by_group: dict[str, str] = {}
-    cursor = 0
-    for name, size in zip(SPLITS, sizes):
-        for g in shuffled[cursor : cursor + size]:
-            by_group[g] = name
-        cursor += size
-    assignment = SplitAssignment(by_group)
-    splits = assignment.split_examples(examples)
+    names = [name for name, size in zip(SPLITS, sizes) for _ in range(size)]
+    assignment = SplitAssignment(dict(zip(shuffled, names)))
+    splits = assignment.split_examples(cohort)
     for name in SPLITS:
-        labels = {ex.label for ex in splits[name]}
-        if labels != {0, 1}:
+        if set(np.unique(splits[name].label).tolist()) != {0, 1}:
             raise DegenerateCohortError(
                 f"{name} split is single-class or empty "
-                f"(cohort prevalence {prevalence(examples):.4f}); "
+                f"(cohort prevalence {prevalence(cohort):.4f}); "
                 "try a different seed or a larger cohort"
             )
     return assignment
@@ -389,17 +381,13 @@ class Prepared:
 
     dataset: Dataset
     phemap: PhecodeMap
-    examples: list[CohortExample]
+    cohort: Cohort
     stats: CohortBuildStats
-    splits: dict[str, list[CohortExample]]
+    splits: dict[str, Cohort]
     labels: dict[str, np.ndarray]
 
-    @property
-    def cohort_kind(self) -> str:
-        return self.examples[0].cohort_kind
-
     def counts(self) -> dict[str, object]:
-        return _cohort_counts(self.dataset, self.examples, self.stats, self.splits)
+        return _cohort_counts(self.dataset, self.cohort, self.stats, self.splits)
 
 
 @dataclass
@@ -415,13 +403,11 @@ class FittedSource(Prepared):
 def prepare(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> Prepared:
     """Cohort -> match-group split -> per-split labels."""
     with stage("cohort"):
-        examples, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
+        cohort, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
     with stage("split"):
-        splits = split_cohort(examples, cfg.fractions, cfg.seed).split_examples(examples)
-    labels = {
-        name: np.array([ex.label for ex in splits[name]], dtype=np.float64) for name in SPLITS
-    }
-    return Prepared(dataset, phemap, examples, stats, splits, labels)
+        splits = split_cohort(cohort, cfg.fractions, cfg.seed).split_examples(cohort)
+    labels = {name: splits[name].label.astype(np.float64) for name in SPLITS}
+    return Prepared(dataset, phemap, cohort, stats, splits, labels)
 
 
 def _featurize(
@@ -463,7 +449,7 @@ def fit_source(cfg: RunConfig, dataset: Dataset, phemap: PhecodeMap) -> FittedSo
 def _benchmark_reports(prepared: Prepared) -> list[EvalReport]:
     """BENCH1/BENCH2 on the test split; substance cohorts drop substance
     codes from the trigger sets."""
-    kind, d = prepared.cohort_kind, prepared.dataset
+    kind, d = prepared.cohort.kind, prepared.dataset
     preds = benchmark_predictions(prepared.splits[TEST], d, prepared.phemap, kind == SUBSTANCE)
     return [
         evaluate_benchmark(p, prepared.labels[TEST], method=method, dataset=d.source, cohort_kind=kind)
@@ -483,23 +469,23 @@ def _model_report(
         ScoredSet(test_scores, prepared.labels[TEST].astype(np.int64)),
         method=method,
         dataset=prepared.dataset.source,
-        cohort_kind=prepared.cohort_kind,
+        cohort_kind=prepared.cohort.kind,
     )
 
 
 def _cohort_counts(
-    dataset: Dataset, examples: list[CohortExample], stats: CohortBuildStats, splits: dict | None = None
+    dataset: Dataset, cohort: Cohort, stats: CohortBuildStats, splits: dict | None = None
 ) -> dict[str, object]:
     """The cohort's filter chain for manifest.json, the same in every mode
     that builds a cohort; `split_sizes` only when the cohort was split."""
-    cases = sum(ex.label for ex in examples)
+    cases = int(cohort.label.sum())
     counts = {
         "persons": len(dataset.persons),
         **asdict(stats),
         "cases_retained": cases,
-        "controls": len(examples) - cases,
-        "examples": len(examples),
-        "prevalence": prevalence(examples),
+        "controls": len(cohort) - cases,
+        "examples": len(cohort),
+        "prevalence": prevalence(cohort),
     }
     if splits is not None:
         counts["split_sizes"] = {name: len(splits[name]) for name in SPLITS}
@@ -515,7 +501,7 @@ def _emit(
     mode: str,
     counts: dict[str, object],
     *,
-    examples: list[CohortExample] | None = None,
+    cohort: Cohort | None = None,
     vocab: Vocabulary | None = None,
     model: ModelParams | None = None,
     reports: list[EvalReport] | None = None,
@@ -523,8 +509,8 @@ def _emit(
     """Write the given artifacts, then manifest.json, under cfg.out_dir."""
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    if examples is not None:
-        write_cohort(examples, os.path.join(out, "cohort.csv"))
+    if cohort is not None:
+        write_cohort(cohort, os.path.join(out, "cohort.csv"))
     if vocab is not None:
         write_vocabulary(vocab, os.path.join(out, VOCAB_FILE))
     if model is not None:
@@ -544,7 +530,7 @@ def _report_fitted(
         reports = [_model_report(fitted, fitted.model, fitted.features, method)]
         if benchmarks:
             reports.extend(_benchmark_reports(fitted))
-    _emit(cfg, mode, _counts(fitted), examples=fitted.examples, vocab=fitted.vocab,
+    _emit(cfg, mode, _counts(fitted), cohort=fitted.cohort, vocab=fitted.vocab,
           model=fitted.model, reports=reports)
     return reports
 
@@ -570,14 +556,14 @@ def run_synth(cfg: RunConfig) -> dict[str, str]:
     return paths
 
 
-def run_cohort(cfg: RunConfig) -> list[CohortExample]:
+def run_cohort(cfg: RunConfig) -> Cohort:
     """Build and write the configured cohort without splitting or training:
     a valid cohort may be too small for two-class splits."""
     dataset, phemap = load_inputs(cfg)
     with stage("cohort"):
-        examples, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
-    _emit(cfg, "cohort", _cohort_counts(dataset, examples, stats), examples=examples)
-    return examples
+        cohort, stats = build_cohort(dataset, phemap, cfg.cohort_kind, cfg.seed, k=cfg.controls_per_case)
+    _emit(cfg, "cohort", _cohort_counts(dataset, cohort, stats), cohort=cohort)
+    return cohort
 
 
 def run_single_source(cfg: RunConfig) -> list[EvalReport]:
@@ -591,7 +577,7 @@ def run_bench(cfg: RunConfig) -> list[EvalReport]:
     prepared = prepare(cfg, *load_inputs(cfg))
     with stage("evaluate"):
         reports = _benchmark_reports(prepared)
-    _emit(cfg, "bench", prepared.counts(), examples=prepared.examples, reports=reports)
+    _emit(cfg, "bench", prepared.counts(), cohort=prepared.cohort, reports=reports)
     return reports
 
 
@@ -625,7 +611,7 @@ def run_cross_eval(cfg: RunConfig, model_dir: str) -> list[EvalReport]:
         "shared_vocabulary": len(shared),
         "model_hyperparams": asdict(model_hp),
     }
-    _emit(cfg, "cross-eval", counts, examples=prepared.examples, vocab=shared, reports=reports)
+    _emit(cfg, "cross-eval", counts, cohort=prepared.cohort, vocab=shared, reports=reports)
     return reports
 
 

@@ -93,28 +93,30 @@ class SynthConfig:
     seed: int = 42
 
     def validate(self) -> None:
+        """Refuse values the generator cannot use, naming their config keys."""
         if self.n_persons < 1:
-            raise ConfigError("synth: n_persons must be >= 1")
+            raise ConfigError("synth.n_persons must be >= 1")
         if self.source not in ("CLAIMS", "EHR"):
-            raise ConfigError(f"synth: unknown source {self.source!r}")
+            raise ConfigError(f"synth.source: unknown source {self.source!r}")
         if not 0 < self.event_rate <= MAX_EVENT_RATE:
-            raise ConfigError(f"synth: event_rate must be in (0, {MAX_EVENT_RATE}] events per person-year")
+            raise ConfigError(f"synth.event_rate must be in (0, {MAX_EVENT_RATE}] events per person-year")
         if not 0.0 < self.smi_annual_rate_cap < 1.0:
-            raise ConfigError("synth: smi_annual_rate_cap must be in (0, 1)")
+            raise ConfigError("synth.rate_cap must be in (0, 1)")
+        years = "synth.year_min, synth.year_max: need"
         if not 1 <= self.year_range[0] <= self.year_range[1] <= 9999:  # datetime's range
-            raise ConfigError(f"synth: need 1 <= year_min <= year_max <= 9999, got {self.year_range}")
+            raise ConfigError(f"{years} 1 <= year_min <= year_max <= 9999, got {self.year_range}")
         # birth year = enrollment start year - AGE_AT_START_RANGE, and persons.csv must load it back
         lo, hi = BIRTH_YEARS[0] + AGE_AT_START_RANGE[1] - 1, BIRTH_YEARS[1] + AGE_AT_START_RANGE[0]
         if not lo <= self.year_range[0] <= self.year_range[1] <= hi:
-            raise ConfigError(f"synth: need {lo} <= year_min <= year_max <= {hi} for loadable birth years, "
+            raise ConfigError(f"{years} {lo} <= year_min <= year_max <= {hi} for loadable birth years, "
                               f"got {self.year_range}")
         mapped = len(_mapped_base_codes(load_default_map()))
         if self.vocab.n_shared_dx < mapped:
-            raise ConfigError(
-                f"synth: n_shared_dx must be >= {mapped} to hold the mapped code pool"
-            )
-        if self.vocab.n_specific_dx < 0 or self.vocab.n_rx < 1:
-            raise ConfigError("synth: vocab counts out of range")
+            raise ConfigError(f"synth.n_shared_dx must be >= {mapped} to hold the mapped code pool")
+        if self.vocab.n_specific_dx < 0:
+            raise ConfigError("synth.n_specific_dx must be >= 0")
+        if self.vocab.n_rx < 1:
+            raise ConfigError("synth.n_rx must be >= 1")
 
     @classmethod
     def default(cls, source: str, n_persons: int, seed: int = 42) -> "SynthConfig":

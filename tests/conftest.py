@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from smiscreen.cohort import ObservationWindow, build_all_age_cohort
+from smiscreen.cohort import Cohort, ObservationWindow, build_all_age_cohort
 from smiscreen.datamodel import ClinicalEvent, Dataset, Person
 from smiscreen.phecode import load_default_map
 from smiscreen.pipeline import SplitFractions, split_cohort
@@ -80,12 +80,15 @@ def pop5k_splits(pop5k, phemap):
     window ends the day before enrollment (so it holds no event), and one
     whose window is a year before the cohort window (the person twice)."""
     dataset, _ = pop5k
-    examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
-    splits = split_cohort(examples, SplitFractions(), seed=42).split_examples(examples)
+    cohort, _ = build_all_age_cohort(dataset, phemap, seed=42)
+    splits = split_cohort(cohort, SplitFractions(), seed=42).split_examples(cohort)
     year = datetime.timedelta(days=365)
-    for split in splits.values():
-        ex = split[0]
+    out = {}
+    for name, split in splits.items():
+        examples = list(split)
+        ex = examples[0]
         before = dataset.persons_by_id[ex.person_id].enroll_start - datetime.timedelta(days=1)
         for start, end in ((before - year, before), (ex.window.start - year, ex.window.end - year)):
-            split.append(dataclasses.replace(ex, window=ObservationWindow(start, end)))
-    return splits
+            examples.append(dataclasses.replace(ex, window=ObservationWindow(start, end)))
+        out[name] = Cohort.of(examples, dataset)
+    return out

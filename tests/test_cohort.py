@@ -10,9 +10,11 @@ from smiscreen.cli import main
 from smiscreen.cohort import (
     AGE18,
     ALL_AGE,
+    COHORT_KINDS,
     SUBSTANCE,
-    CaseWindow,
+    Cohort,
     CohortBuildStats,
+    CohortExample,
     ObservationWindow,
     build_age18_cohort,
     build_all_age_cohort,
@@ -20,6 +22,7 @@ from smiscreen.cohort import (
     build_cohort,
     build_substance_cohort,
     find_cases,
+    first_days,
     gap_stream,
     match_controls,
     prevalence,
@@ -27,9 +30,10 @@ from smiscreen.cohort import (
     use_case_person_ids,
     write_cohort,
 )
-from smiscreen.datamodel import write_events, write_persons
+from smiscreen.datamodel import Dataset, write_events, write_persons
 from smiscreen.dates import add_months, window_start_for_end
 from smiscreen.errors import DegenerateCohortError
+from smiscreen.phecode import TAG_SMI
 
 SMI_CODE = "F20.0"  # maps to 295.1
 
@@ -106,29 +110,30 @@ class TestCaseWindows:
         persons = [make_person("p1", start="2008-01-01", end="2015-12-31")]
         events = [make_event("p1", "2014-12-31", code=SMI_CODE)]
         ds = make_dataset(persons, events)
-        windows, dropped = build_case_windows(find_cases(ds, phemap), ds, seed=3)
+        windows, dropped = build_case_windows(ds, first_days(ds, phemap, TAG_SMI), seed=3)
         assert dropped == 0 and len(windows) == 1
         w = windows[0].window
         assert 14 <= w.gap_days <= 365
         assert w.end + datetime.timedelta(days=w.gap_days) == d("2014-12-31")
         assert w.start == window_start_for_end(w.end)
-        assert w.length_days in (365, 366)
+        assert (w.end - w.start).days + 1 in (365, 366)
 
     def test_window_before_enrollment_dropped(self, phemap):
         persons = [make_person("p1", start="2010-01-01", end="2015-12-31")]
         events = [make_event("p1", "2010-06-01", code=SMI_CODE)]
         ds = make_dataset(persons, events)
-        windows, dropped = build_case_windows(find_cases(ds, phemap), ds, seed=3)
-        assert windows == [] and dropped == 1
+        windows, dropped = build_case_windows(ds, first_days(ds, phemap, TAG_SMI), seed=3)
+        assert len(windows) == 0 and dropped == 1
 
     def test_full_scan_on_synthetic(self, pop5k, phemap):
         dataset, _ = pop5k
         cases = find_cases(dataset, phemap)
-        windows, dropped = build_case_windows(cases, dataset, seed=42)
+        windows, dropped = build_case_windows(dataset, first_days(dataset, phemap, TAG_SMI), seed=42)
         assert len(windows) + dropped == len(cases)
         by_pid = dict(cases)
         for cw in windows:
             w = cw.window
+            assert cw.index_date == by_pid[cw.person_id] and cw.match_group == cw.person_id
             assert w.end + datetime.timedelta(days=w.gap_days) == by_pid[cw.person_id]
             person = dataset.persons_by_id[cw.person_id]
             assert person.enroll_start <= w.start and w.end <= person.enroll_end
@@ -153,6 +158,11 @@ def control_pool_dataset():
     return persons, events, window, add_candidate
 
 
+def case_cohort(ds, *cases):
+    """The cases (person id, onset, window) as a cohort of case windows."""
+    return Cohort.of([CohortExample(pid, 1, w, pid, ALL_AGE, d(onset)) for pid, onset, w in cases], ds)
+
+
 class TestMatchControls:
     def test_nearest_count_ranking(self, phemap):
         persons, events, window, add = control_pool_dataset()
@@ -160,7 +170,7 @@ class TestMatchControls:
         add("c5", 5)
         add("c9", 9)
         ds = make_dataset(persons, events)
-        case_windows = [CaseWindow("case", d("2014-06-01"), window)]
+        case_windows = case_cohort(ds, ("case", "2014-06-01", window))
         out = match_controls(case_windows, ds, phemap, k=2, seed=0)
         controls = [ex.person_id for ex in out if ex.label == 0]
         assert set(controls) == {"c5", "c4"}
@@ -170,7 +180,7 @@ class TestMatchControls:
         for pid, n in (("a", 1), ("b", 2), ("c", 3)):
             add(pid, n)
         ds = make_dataset(persons, events)
-        case_windows = [CaseWindow("case", d("2014-06-01"), window)]
+        case_windows = case_cohort(ds, ("case", "2014-06-01", window))
         out = match_controls(case_windows, ds, phemap, k=10, seed=0)
         assert len(out) == 4  # case + all 3 controls
         assert sorted(ex.label for ex in out) == [0, 0, 0, 1]
@@ -184,7 +194,7 @@ class TestMatchControls:
         add("shortenroll", 5, end="2012-06-30")  # does not cover the window
         persons.append(make_person("nodx", birth_year=1990, start="2008-01-01"))  # no in-window dx
         ds = make_dataset(persons, events)
-        case_windows = [CaseWindow("case", d("2014-06-01"), window)]
+        case_windows = case_cohort(ds, ("case", "2014-06-01", window))
         out = match_controls(case_windows, ds, phemap, k=10, seed=0)
         controls = [ex.person_id for ex in out if ex.label == 0]
         assert controls == ["ok"]
@@ -196,10 +206,11 @@ class TestMatchControls:
         events.append(make_event("case2", "2010-01-01", code="Q1"))
         add("only", 5)
         ds = make_dataset(persons, events)
-        case_windows = [
-            CaseWindow("case", d("2014-06-01"), window),
-            CaseWindow("case2", d("2014-07-01"), ObservationWindow(window.start, window.end, gap_days=30)),
-        ]
+        case_windows = case_cohort(
+            ds,
+            ("case", "2014-06-01", window),
+            ("case2", "2014-07-01", ObservationWindow(window.start, window.end, gap_days=30)),
+        )
         out = match_controls(case_windows, ds, phemap, k=10, seed=0)
         controls = [ex for ex in out if ex.label == 0]
         assert len(controls) == 1  # "only" serves a single match group
@@ -234,7 +245,7 @@ class TestAge18Cohort:
 
     def test_prior_smi_excluded(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2012-07-01")  # age 17
-        assert build_age18_cohort(make_dataset(persons, events), phemap) == []
+        assert len(build_age18_cohort(make_dataset(persons, events), phemap)) == 0
 
     def test_smi_after_test_year_is_negative(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2014-03-01", end="2014-06-30")
@@ -243,12 +254,12 @@ class TestAge18Cohort:
 
     def test_needs_pre_window_event(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2013-07-01", pre_event=False)
-        assert build_age18_cohort(make_dataset(persons, events), phemap) == []
+        assert len(build_age18_cohort(make_dataset(persons, events), phemap)) == 0
 
     def test_needs_enrollment_coverage(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2013-07-01", pre_event=False, start="2012-06-01")
         events.append(make_event("p1", "2012-07-01", code="E11.9"))  # enrolled, inside the 2012 window
-        assert build_age18_cohort(make_dataset(persons, events), phemap) == []
+        assert len(build_age18_cohort(make_dataset(persons, events), phemap)) == 0
 
 
 class TestSubstanceCohort:
@@ -271,15 +282,15 @@ class TestSubstanceCohort:
 
     def test_insufficient_followup_excluded(self, phemap):
         out = build_substance_cohort(self.build(end="2012-08-31"), phemap)
-        assert out == []
+        assert len(out) == 0
 
     def test_smi_before_index_excluded(self, phemap):
         out = build_substance_cohort(self.build(smi_date="2012-01-01"), phemap)
-        assert out == []
+        assert len(out) == 0
 
     def test_smi_on_index_date_excluded(self, phemap):
         ds = self.build(smi_date="2012-05-05")
-        assert build_substance_cohort(ds, phemap) == []
+        assert len(build_substance_cohort(ds, phemap)) == 0
 
     def test_window_covers_index_event_for_features(self, phemap):
         from smiscreen.features import build_vocabulary, featurize
@@ -311,10 +322,10 @@ class TestOffCalendarDates:
     @pytest.mark.parametrize("case", sorted(OFF_CALENDAR))
     def test_builders_skip_the_person(self, phemap, case):
         ds = self.dataset(*OFF_CALENDAR[case])
-        assert build_substance_cohort(ds, phemap) == []
+        assert len(build_substance_cohort(ds, phemap)) == 0
         examples, stats = build_all_age_cohort(ds, phemap, seed=1)
         smi = int(case.startswith("smi"))
-        assert examples == [] and stats == CohortBuildStats(smi, 0, smi, 0)
+        assert len(examples) == 0 and stats == CohortBuildStats(smi, 0, smi, 0)
 
     @pytest.mark.parametrize("kind", [ALL_AGE, SUBSTANCE])
     @pytest.mark.parametrize("case", sorted(OFF_CALENDAR))
@@ -358,13 +369,43 @@ class TestCohortInvariantsOnSynthetic:
         dataset, _ = pop5k
         examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
         use_case = use_case_person_ids(dataset, phemap)
-        assert not use_case & {ex.person_id for ex in examples}
+        assert use_case.any() and not use_case[examples.row].any()
 
     def test_age18_prevalence_below_matched_prevalence(self, pop5k, phemap):
         dataset, _ = pop5k
         all_age, _ = build_all_age_cohort(dataset, phemap, seed=42)
         age18 = build_age18_cohort(dataset, phemap)
         assert prevalence(age18) < prevalence(all_age)
+
+
+class TestCohortColumns:
+    @pytest.mark.parametrize("kind", COHORT_KINDS)
+    def test_views_give_back_the_columns(self, pop5k, phemap, kind):
+        dataset, _ = pop5k
+        cohort, _ = build_cohort(dataset, phemap, kind, seed=42)
+        again = Cohort.of(list(cohort), dataset)
+        assert again.kind == cohort.kind == kind and again.ids is cohort.ids is dataset.ids
+        for name in ("row", "label", "start", "end", "gap", "group", "index_day"):
+            assert getattr(cohort, name).dtype == np.int64, name
+            assert np.array_equal(getattr(again, name), getattr(cohort, name)), name
+        views = list(cohort)
+        mask = np.random.default_rng(5).random(len(cohort)) < 0.5
+        assert 0 < mask.sum() < len(cohort)
+        assert list(cohort[mask]) == [ex for ex, keep in zip(views, mask.tolist()) if keep]
+        assert cohort[np.int64(3)] == cohort[3] == views[3] and cohort[-1] == views[-1]
+
+    def test_persons_order_kept_by_use_case_cohorts(self, pop5k, phemap):
+        dataset, _ = pop5k
+        persons = list(dataset.persons)
+        np.random.default_rng(3).shuffle(persons)
+        pos = {p.person_id: i for i, p in enumerate(persons)}
+        person_pos = np.repeat([pos[pid] for pid in dataset.ids], np.diff(dataset.offsets))
+        shuffled = Dataset(persons, dataset.source, person_pos, dataset.day, dataset.code, dataset.codes)
+        for build in (build_age18_cohort, build_substance_cohort):
+            by_id = [ex.person_id for ex in build(dataset, phemap)]
+            given = [ex.person_id for ex in build(shuffled, phemap)]
+            assert len(given) > 10 and sorted(given) == by_id
+            assert given == sorted(given, key=pos.get)
 
 
 class TestBuildCohortDispatch:

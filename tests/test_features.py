@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person
-from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
+from smiscreen.cohort import ALL_AGE, Cohort, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import DataError
 from smiscreen.features import (
     FeatureMatrix,
@@ -47,7 +47,7 @@ def dataset():
 
 class TestBuildVocabulary:
     def test_union_sorted(self, dataset):
-        vocab = build_vocabulary([example("p1"), example("p2")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1"), example("p2")], dataset), dataset)
         assert vocab.entries == (
             "dx:ICD10:A10",
             "dx:ICD10:B20",
@@ -56,16 +56,16 @@ class TestBuildVocabulary:
         )
 
     def test_post_window_code_excluded(self, dataset):
-        vocab = build_vocabulary([example("p1")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1")], dataset), dataset)
         assert "dx:ICD10:Late9" not in vocab.entries
 
     def test_rebuild_identical(self, dataset):
-        exs = [example("p1"), example("p2")]
+        exs = Cohort.of([example("p1"), example("p2")], dataset)
         assert build_vocabulary(exs, dataset).entries == build_vocabulary(exs, dataset).entries
 
     def test_empty_training_set_rejected(self, dataset):
         with pytest.raises(DataError):
-            build_vocabulary([], dataset)
+            build_vocabulary(Cohort.of([], dataset), dataset)
 
 
 class TestIntersect:
@@ -91,10 +91,10 @@ class TestIntersect:
         for source, seed in (("CLAIMS", 5), ("EHR", 6)):
             cfg = SynthConfig.default(source, 2500, seed=seed)
             ds, _ = generate_population(cfg)
-            everyone = [
+            everyone = Cohort.of([
                 example(p.person_id, p.enroll_start.isoformat(), p.enroll_end.isoformat())
                 for p in ds.persons
-            ]
+            ], ds)
             vocabs[source] = build_vocabulary(everyone, ds)
         shared = intersect_vocabularies(vocabs["CLAIMS"], vocabs["EHR"])
         probe = SynthConfig.default("CLAIMS", 1, seed=0)
@@ -105,17 +105,17 @@ class TestIntersect:
 
 class TestFeaturize:
     def test_empty_window_keeps_demographics(self, dataset):
-        vocab = build_vocabulary([example("p1")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1")], dataset), dataset)
         out = featurize(example("p1", "2014-01-01", "2014-12-31"), dataset, vocab)
         assert row(out, 0) == ([], [(2014 - 1990) / 100, 1.0, 0.0, 0.0])
 
     def test_age_norm_from_window_end(self, dataset):
-        vocab = build_vocabulary([example("p1")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1")], dataset), dataset)
         out = featurize(example("p1"), dataset, vocab)
         assert out.demographics[0, 0] == pytest.approx(0.22)  # born 1990, window ends 2012
 
     def test_indices_sorted_unique_in_vocab(self, dataset):
-        vocab = build_vocabulary([example("p1"), example("p2")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1"), example("p2")], dataset), dataset)
         out = featurize(example("p2"), dataset, vocab)
         names = [vocab.entries[i] for i in out.indices]
         assert names == ["dx:ICD10:B20", "dx:ICD10:C30", "rx:NDC:111-22"]
@@ -124,7 +124,7 @@ class TestFeaturize:
         persons = [make_person("p1")]
         events = [make_event("p1", f"2012-0{k}-01", code="A10") for k in range(1, 6)]
         ds = make_dataset(persons, events)
-        vocab = build_vocabulary([example("p1")], ds)
+        vocab = build_vocabulary(Cohort.of([example("p1")], ds), ds)
         once = make_dataset(persons, events[:1])
         assert featurize(example("p1"), ds, vocab) == featurize(example("p1"), once, vocab)
 
@@ -194,7 +194,7 @@ class TestFeaturize:
             assert [row(got, j) for j in range(sel.size)] == [row(x, i) for i in sel]
 
     def test_post_window_mutation_leaves_features_identical(self, dataset):
-        vocab = build_vocabulary([example("p1")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1")], dataset), dataset)
         ex = example("p1")
         base = featurize(ex, dataset, vocab)
         pruned = dataset.replace_person_events(
@@ -203,7 +203,7 @@ class TestFeaturize:
         assert featurize(ex, pruned, vocab) == base
 
     def test_refeaturize_under_intersection_is_subset(self, dataset):
-        full = build_vocabulary([example("p1"), example("p2")], dataset)
+        full = build_vocabulary(Cohort.of([example("p1"), example("p2")], dataset), dataset)
         sub = intersect_vocabularies(full, Vocabulary(("dx:ICD10:B20", "rx:NDC:111-22")))
         ex = example("p2")
         wide = featurize(ex, dataset, full)
@@ -215,7 +215,7 @@ class TestFeaturize:
 
 class TestVocabularyFile:
     def test_round_trip(self, tmp_path, dataset):
-        vocab = build_vocabulary([example("p1"), example("p2")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1"), example("p2")], dataset), dataset)
         path = str(tmp_path / "vocabulary.txt")
         write_vocabulary(vocab, path)
         again = load_vocabulary(path)
@@ -223,7 +223,7 @@ class TestVocabularyFile:
         assert again.fingerprint() == vocab.fingerprint()
 
     def test_line_number_is_index(self, tmp_path, dataset):
-        vocab = build_vocabulary([example("p1")], dataset)
+        vocab = build_vocabulary(Cohort.of([example("p1")], dataset), dataset)
         path = str(tmp_path / "vocabulary.txt")
         write_vocabulary(vocab, path)
         lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()

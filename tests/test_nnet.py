@@ -554,6 +554,16 @@ class TestSerialization:
         with pytest.raises(FingerprintMismatchError):
             check_fingerprint(m, other)
 
+    def test_fingerprint_refusal_names_both_in_full(self, saved, tmp_path):
+        _, _, vocab, path = saved
+        good = vocab.fingerprint()
+        near = good[:-1] + ("1" if good[-1] == "0" else "0")  # differs in the last hex digit only
+        edited = rewrite_header(path, lambda h: h.update(vocab_fingerprint=near), str(tmp_path / "near.bin"))
+        m, _ = load_model(edited)
+        with pytest.raises(FingerprintMismatchError) as info:
+            check_fingerprint(m, vocab)
+        assert f"(fingerprint {near} != {good})" in str(info.value)
+
 
 HEADER_DAMAGE = [
     ("no V", lambda h: h.pop("V"), "header lacks V"),

@@ -14,7 +14,7 @@ import pytest
 from conftest import d, make_dataset, make_event, make_person
 from nnet_checks import rewrite_header
 from smiscreen.cli import _config_from_args, build_parser, main
-from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow, build_all_age_cohort
+from smiscreen.cohort import ALL_AGE, Cohort, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import ConfigError, DegenerateCohortError
 from smiscreen.pipeline import (
     CONFIG_KEYS,
@@ -76,9 +76,9 @@ class TestSplitCohort:
     def groups(n, controls=2):
         out = []
         for g in range(n):
-            out.append(example(f"case{g}", f"g{g}", 1))
-            out.extend(example(f"ctl{g}-{j}", f"g{g}", 0) for j in range(controls))
-        return out
+            out.append(example(f"case{g}", f"case{g}", 1))
+            out.extend(example(f"ctl{g}-{j}", f"case{g}", 0) for j in range(controls))
+        return Cohort.of(out, make_dataset([make_person(ex.person_id) for ex in out], []))
 
     def test_largest_remainder_sizes(self):
         assignment = split_cohort(self.groups(10), SplitFractions(), seed=4)
@@ -281,6 +281,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("synth.n_persons", "0"),
+            ("synth.event_rate", "0"),
+            ("synth.rate_cap", "0."),
+            ("synth.rate_cap", "1"),
+            ("synth.year_min", "0"),
+            ("synth.year_max", "10000"),
+            ("synth.n_shared_dx", "1"),
+            ("synth.n_specific_dx", "-1"),
+            ("synth.n_rx", "0"),
+        ],
+    )
+    def test_synth_check_names_its_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "50", "synth.source": "CLAIMS", key: value})
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -846,7 +866,7 @@ class TestNoTestLeakage:
             splits = assignment.split_examples(cohort)
             vocab = build_vocabulary(splits[TRAIN], dataset)
             feats = {k: featurize_split(splits[k], dataset, vocab) for k in (TRAIN, VAL)}
-            labs = {k: np.array([ex.label for ex in splits[k]], float) for k in (TRAIN, VAL)}
+            labs = {k: splits[k].label.astype(float) for k in (TRAIN, VAL)}
             model0 = init_model(len(vocab), hp, vocab.fingerprint())
             model, _ = train(model0, feats[TRAIN], labs[TRAIN], feats[VAL], labs[VAL], hp, _auc_eval)
             val_scores = score_batch(model, feats[VAL])
@@ -854,12 +874,12 @@ class TestNoTestLeakage:
             return assignment, model, threshold
 
         base_assignment, base_model, base_threshold = run(examples)
-        scrambled = [
+        scrambled = Cohort.of([
             dc_replace(ex, label=1 - ex.label)
             if base_assignment.by_group[ex.match_group] == TEST
             else ex
             for ex in examples
-        ]
+        ], dataset)
         _, model2, threshold2 = run(scrambled)
         assert threshold2 == base_threshold
         for name, arr in base_model.arrays().items():
