@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import GENDERS, Dataset, write_table
+from .datamodel import GENDERS, Dataset, distinct, write_table
 from .dates import add_months, window_start_for_end
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags
@@ -140,9 +140,9 @@ def find_cases(d: Dataset, m: PhecodeMap) -> list[tuple[str, datetime.date]]:
 def _ordinals(f: Callable[[datetime.date], datetime.date], days: np.ndarray) -> np.ndarray:
     """The ordinal of f(date) for each date ordinal of `days`, computed once
     per distinct day; -1 where the day or f's result is off the calendar."""
-    distinct, inverse = np.unique(days, return_inverse=True)
-    out = np.full(distinct.size, -1, dtype=np.int64)
-    for i, day in enumerate(distinct.tolist()):
+    unique_days, inverse = np.unique(days, return_inverse=True)
+    out = np.full(unique_days.size, -1, dtype=np.int64)
+    for i, day in enumerate(unique_days.tolist()):
         try:
             out[i] = f(datetime.date.fromordinal(day)).toordinal()
         except ValueError:
@@ -203,10 +203,11 @@ class _ControlPool:
 
 
 def match_controls(
-    cases: Cohort, d: Dataset, m: PhecodeMap, k: int = 10, seed: int = 0, exclude: np.ndarray | None = None
+    cases: Cohort, d: Dataset, onset: np.ndarray, k: int = 10, seed: int = 0, exclude: np.ndarray | None = None
 ) -> Cohort:
-    """The cases, each followed by up to k matched, never-SMI controls that
-    are not in the row mask `exclude`, sorted by match group.
+    """The cases, each followed by up to k matched, never-SMI controls (-1
+    in `onset`, each row's first SMI day) that are not in the row mask
+    `exclude`, sorted by match group.
 
     Matching is exact on (birth_year, gender), nearest on the raw count of
     DX events before the window start, greedy in descending case count so
@@ -215,7 +216,7 @@ def match_controls(
     one case and must be observable over the case's whole window with at
     least one in-window diagnosis.
     """
-    eligible = first_days(d, m, TAG_SMI) < 0
+    eligible = onset < 0
     if exclude is not None:
         eligible &= ~exclude
     stratum = d.birth_year * len(GENDERS) + d.gender
@@ -241,20 +242,21 @@ def build_all_age_cohort(
     d: Dataset, m: PhecodeMap, seed: int, k: int = 10
 ) -> tuple[Cohort, CohortBuildStats]:
     """Full all-age matched cohort; use-case cohort members are excluded."""
-    exclude = use_case_person_ids(d, m)
     onset = first_days(d, m, TAG_SMI)
+    exclude = use_case_person_ids(d, m, onset)
     found = onset >= 0
     cases, dropped = build_case_windows(d, np.where(exclude, -1, onset), seed)
-    examples = match_controls(cases, d, m, k=k, seed=seed, exclude=exclude)
+    examples = match_controls(cases, d, onset, k=k, seed=seed, exclude=exclude)
     alone = int((np.unique(examples.group, return_counts=True)[1] == 1).sum())
     stats = CohortBuildStats(int(found.sum()), int((found & exclude).sum()), dropped, alone)
     return examples, stats
 
 
-def build_age18_cohort(d: Dataset, m: PhecodeMap) -> Cohort:
+def build_age18_cohort(d: Dataset, onset: np.ndarray) -> Cohort:
     """Risk-at-18 cohort: observe the year before the 18th birthday,
-    label by SMI onset in the year after. Natural prevalence, no matching.
-    Examples follow the order the persons were given in.
+    label by SMI onset (`onset`, each row's first SMI day) in the year
+    after. Natural prevalence, no matching. Examples follow the order the
+    persons were given in.
 
     Persons with any SMI diagnosis before the birthday are excluded; the
     target is future risk, not prevalent disease.
@@ -264,7 +266,7 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> Cohort:
     # year of birth only: the 18th birthday is Jan 1 of birth_year + 18
     jan1 = [[datetime.date(year + age, 1, 1).toordinal() for age in (17, 18, 19)] for year in years.tolist()]
     span_start, birthday, span_end = np.array(jan1, dtype=np.int64).reshape(-1, 3)[year_of].T
-    onset = first_days(d, m, TAG_SMI)[rows]
+    onset = onset[rows]
     _, owner = d.window_events(rows, span_start, birthday - 1)
     keep = (
         (d.enroll_start[rows] <= span_start) & (d.enroll_end[rows] >= span_end)
@@ -275,15 +277,16 @@ def build_age18_cohort(d: Dataset, m: PhecodeMap) -> Cohort:
     return Cohort(AGE18, d.ids, rows, label, span_start, birthday - 1, no_gap, rows, birthday)[keep]
 
 
-def build_substance_cohort(d: Dataset, m: PhecodeMap) -> Cohort:
+def build_substance_cohort(d: Dataset, m: PhecodeMap, onset: np.ndarray) -> Cohort:
     """Post-substance-diagnosis cohort: observe the year up to and including
-    the first substance-related diagnosis, label by SMI in the year after.
-    Examples follow the order the persons were given in."""
+    the first substance-related diagnosis, label by SMI (`onset`, each
+    row's first SMI day) in the year after. Examples follow the order the
+    persons were given in."""
     index = first_days(d, m, TAG_SUBSTANCE)[d.input_rows]
     rows, index = d.input_rows[index >= 0], index[index >= 0]
     start = _ordinals(window_start_for_end, index)
     test_end = _ordinals(lambda day: add_months(day, 12), index)
-    onset = first_days(d, m, TAG_SMI)[rows]
+    onset = onset[rows]
     keep = (
         (start >= 0) & (test_end >= 0)  # the window or the follow-up year runs off the calendar
         & (d.enroll_start[rows] <= start) & (d.enroll_end[rows] >= test_end)
@@ -301,7 +304,8 @@ def build_cohort(
     if kind == ALL_AGE:
         examples, stats = build_all_age_cohort(d, m, seed, k=k)
     elif kind in (AGE18, SUBSTANCE):
-        examples = build_age18_cohort(d, m) if kind == AGE18 else build_substance_cohort(d, m)
+        onset = first_days(d, m, TAG_SMI)
+        examples = build_age18_cohort(d, onset) if kind == AGE18 else build_substance_cohort(d, m, onset)
         stats = CohortBuildStats()
     else:
         raise ValueError(f"unknown cohort kind {kind!r}")
@@ -310,11 +314,12 @@ def build_cohort(
     return examples, stats
 
 
-def use_case_person_ids(d: Dataset, m: PhecodeMap) -> np.ndarray:
-    """Row mask of the persons belonging to either use-case cohort."""
+def use_case_person_ids(d: Dataset, m: PhecodeMap, onset: np.ndarray) -> np.ndarray:
+    """Row mask of the persons belonging to either use-case cohort, given
+    each row's first SMI day."""
     mask = np.zeros(len(d.ids), dtype=bool)
-    mask[build_age18_cohort(d, m).row] = True
-    mask[build_substance_cohort(d, m).row] = True
+    mask[build_age18_cohort(d, onset).row] = True
+    mask[build_substance_cohort(d, m, onset).row] = True
     return mask
 
 
@@ -326,7 +331,7 @@ def write_cohort(c: Cohort, path: str) -> None:
     """cohort.csv, one row per example (empty fields where not applicable)."""
     header = ["person_id", "label", "cohort_kind", "match_group",
               "window_start", "window_end", "gap_days", "index_date"]
-    days = np.unique(np.concatenate([c.start, c.end, c.index_day])).tolist()
+    days = distinct(np.concatenate([c.start, c.end, c.index_day])).tolist()
     text = {day: "" if day < 0 else datetime.date.fromordinal(day).isoformat() for day in days}
     ids = c.ids
     rows = (

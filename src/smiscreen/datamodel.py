@@ -7,64 +7,64 @@ enrollment are hard errors rather than silent drops, since downstream
 matching counts would be corrupted by quiet data loss.
 
 A `Dataset` is the one event store, and it is built one way: from
-unsorted columns (each event's person position, date ordinal and code id)
-plus the persons and their source. `Dataset.from_events`, `load_events`
+`Persons` columns plus unsorted event columns (each event's person
+position, date ordinal and code id). `Dataset.from_events`, `load_events`
 and `synth.generate_population` each produce those columns and call that
-constructor. It checks its invariants when it is built, and there is no
-separate validation pass. Each rule has one predicate, which the CSV
-loaders call too, so a file and an in-memory dataset are refused with the
-same text, after `path:line` or after the person id:
+constructor. Each rule has one predicate, which the CSV loaders call too,
+so a file and an in-memory dataset are refused with the same text, after
+`path:line` or after the person id:
   _person_problem      birth year in BIRTH_YEARS, gender, source,
                        enroll_start <= enroll_end, birth year <= end year
   _kind_problem        known kind (any case) with a system allowed for it
   _enrollment_problem  event date within the person's enrollment
-`load_persons` and `Dataset` refuse a repeated person id; `Dataset` also
-refuses a person whose source is not the dataset's.
-`replace_person_events` checks only the events it brings in, and refuses
-one of another person.
+Persons are checked once, where they come in: `load_persons` checks each
+line and `Persons.of` each `Person` (synth builds its persons from a
+validated config). `Dataset` refuses a repeated person
+id, a person whose source is not the dataset's, and any event that breaks
+a rule. `replace_person_events` checks only the events it brings in, and
+refuses one of another person.
 
-Events are held as columns, never as one object per event. A `Dataset`
-keeps int arrays of date ordinals and code ids, sorted by (person_id,
-date) with ties in input order, plus per-person offsets into them; a code
-id names one distinct (kind, system, code) triple of a `CodeTable`. The
-cohort builders read each person's enrollment, birth year and gender
-from arrays by row too. The vocabulary, features, benchmarks and the
-AGE18 coverage test each scan many windows at once: one `window_events`
-gather of the positions inside them, then per-code mask tests.
-`ClinicalEvent` is only a row view: built on demand by `events_for`,
-`events_in_window` and `events`, and accepted by `from_events` from
+Persons and events are held as columns, never as one object per record.
+`Persons` holds ids, birth years, genders, enrollment ordinals and sources
+in input order. A `Dataset` keeps int arrays of date ordinals and code
+ids, sorted by (person_id, date) with ties in input order, plus per-person
+offsets into them; a code id names one distinct (kind, system, code)
+triple of a `CodeTable`. The cohort builders read each person's
+enrollment, birth year and gender from arrays by row too. The vocabulary,
+features, benchmarks and the AGE18 coverage test each scan many windows
+at once: one `window_events` gather of the positions inside them, then
+per-code mask tests. `Person` and `ClinicalEvent` are only row views,
+built on demand, and accepted by `Persons.of` and `from_events` from
 callers that assemble small datasets by hand.
 
 Every plain table (persons.csv, events.csv, phecode_map.csv,
 ground_truth.csv, cohort.csv, report.csv) has one dialect: UTF-8, comma
 separated, a fixed header line, LF or CRLF line ends (CRLF when written),
 no quoting. Two functions own it. `write_table` refuses a field that would
-need quoting (events.csv keeps its own writer, for speed). `read_table`
-checks a file's header, then reads it in blocks of BLOCK_BYTES. Array
-scans find a block's first line that is not blank and lacks exactly n - 1
-commas (n columns), or holds a `"` or a lone carriage return. Before it,
-each line's first commas (all of them unless the caller asks for fewer)
-become newlines and blank lines' bytes are dropped, so one decode and one
-split give every field (the last keeps a CRLF line end's CR, which
-`table_rows` and the events.csv memo strip); invalid UTF-8 ends the block
-at its line. The block yields the line numbers and fields of its
-non-blank lines, and only then is the bad line a DataError naming
-path:line. Each loader checks its own rows block by block, so a load
-error names the first offending line in file order, whichever check it
-fails:
+need quoting (events.csv keeps its own writer, for speed). `_scan` checks
+a file's header, then reads it in blocks of BLOCK_BYTES. Array scans find
+a block's first line that is not blank and lacks exactly n - 1 commas (n
+columns), or holds a `"`, a lone carriage return or invalid UTF-8. The
+block gives the line numbers and field bounds of its non-blank lines
+before it, and only then is the bad line a DataError naming path:line.
+Each loader checks its own rows block by block, so a load error names the
+first offending line in file order, whichever check it fails:
   persons.csv: person_id,birth_year,gender,enroll_start,enroll_end,source
   events.csv:  person_id,date,kind,system,code
 dates are exactly YYYY-MM-DD (ASCII digits; the basic 20100101 and week
 2010-W01-1 forms are refused); kind is written lowercase (dx/rx) on disk.
-events.csv lines are cut at their first two commas only, into pid, date
-and "kind,system,code", and each is mapped through a memo; persons.csv
-birth years and dates go through memos too.
+`read_table` decodes every field (phecode_map.csv, ground_truth.csv).
+persons.csv and events.csv are mapped from the block's bytes instead: dates by array
+arithmetic on their ten bytes, an events.csv person id once per run of
+equal adjacent ids, and the other fields through an exact interner whose
+distinct values go through memos in first-seen order.
 """
 
 from __future__ import annotations
 
 import copy
 import datetime
+import functools
 import re
 import sys
 from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
@@ -75,8 +75,8 @@ import numpy as np
 
 from .errors import DataError
 
-GENDERS = ("F", "M", "U")  # a Dataset's `gender` holds positions in this tuple
-SOURCES = frozenset({"CLAIMS", "EHR"})
+GENDERS = ("F", "M", "U")  # gender columns hold positions in this tuple
+SOURCES = ("CLAIMS", "EHR")  # and source columns positions in this one
 
 # The event kinds: kind=DX carries an ICD code, kind=RX an NDC fill
 SYSTEMS_FOR_KIND = {"DX": frozenset({"ICD9", "ICD10"}), "RX": frozenset({"NDC"})}
@@ -121,6 +121,66 @@ class Code(NamedTuple):
     kind: str
     system: str
     code: str
+
+
+@dataclass(frozen=True, eq=False)
+class Persons:
+    """Persons as columns, an entry per person in input order: id, birth
+    year, gender (a position in GENDERS), first and last day of enrollment
+    (date ordinals) and source (a position in SOURCES). An int index (so
+    iteration) gives `Person` views; an index array gives the persons at
+    those positions. `load_persons` and `of` check what they build; the
+    constructor takes columns as they are."""
+
+    ids: list[str]
+    birth_year: np.ndarray
+    gender: np.ndarray
+    enroll_start: np.ndarray
+    enroll_end: np.ndarray
+    source: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i) -> "Person | Persons":
+        if isinstance(i, np.ndarray):
+            return Persons([self.ids[j] for j in i.tolist()], *(col[i] for col in self._columns()))
+        day = datetime.date.fromordinal
+        return Person(
+            self.ids[i], int(self.birth_year[i]), GENDERS[self.gender[i]],
+            day(int(self.enroll_start[i])), day(int(self.enroll_end[i])), SOURCES[self.source[i]],
+        )
+
+    def __iter__(self) -> Iterator[Person]:
+        day = datetime.date.fromordinal
+        for pid, year, gender, start, end, source in zip(self.ids, *(col.tolist() for col in self._columns())):
+            yield Person(pid, year, GENDERS[gender], day(start), day(end), SOURCES[source])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Persons):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())
+        )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.birth_year, self.gender, self.enroll_start, self.enroll_end, self.source
+
+    @classmethod
+    def of(cls, persons: Iterable[Person]) -> "Persons":
+        """The columns of `Person` views; a view that `_person_problem`
+        refuses is a DataError naming its id."""
+        persons = list(persons)
+        for p in persons:
+            problem = _person_problem(p)
+            if problem:
+                raise DataError(f"person {p.person_id!r}: {problem}")
+        rows = [
+            (p.birth_year, GENDERS.index(p.gender), p.enroll_start.toordinal(), p.enroll_end.toordinal(),
+             SOURCES.index(p.source))
+            for p in persons
+        ]
+        return cls([p.person_id for p in persons], *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
 
 def _person_problem(p: Person) -> str | None:
@@ -217,17 +277,33 @@ def _check_header(path: str, first: str, header: list[str]) -> None:
         raise DataError(f"{path}: expected header {','.join(header)}, got {got}")
 
 
-Block = tuple[np.ndarray, list[str]]
+# zero bytes after a block, so that the word and date reads of its last
+# line stay inside it
+_PAD = bytes(16)
 
 
-def read_table(path: str, name: str, header: list[str], split: int | None = None) -> Iterator[Block]:
+class _Lines(NamedTuple):
+    """The non-blank lines of one block of a plain table of n columns,
+    before its first line that breaks the dialect: their line numbers and
+    the bounds of their fields in `raw`, the block's bytes followed by
+    _PAD. `cut` holds n + 1 arrays: the byte before each line, its n - 1
+    commas and its content end (its CR or LF), so field j of line i is
+    raw[cut[j][i] + 1 : cut[j + 1][i]]."""
+
+    raw: bytes
+    numbers: np.ndarray
+    cut: list[np.ndarray]
+
+    def text(self, i: int, j: int, k: int | None = None) -> str:
+        """Fields j to k - 1 (j alone by default) of line i, as written."""
+        return self.raw[self.cut[j][i] + 1 : self.cut[j + 1 if k is None else k][i]].decode("utf-8")
+
+
+def _scan(path: str, name: str, header: list[str]) -> Iterator[_Lines]:
     """The plain table `name` at `path` (see the module docstring), block
-    by block, after checking its header. A block is (line numbers, fields)
-    of its non-blank lines: each line is cut at its first `split` commas
-    (at every comma by default), and its fields follow the previous line's;
-    a line's last field keeps the CR of a CRLF line end. A block ends
-    before its first line that breaks the dialect, and the DataError naming
-    that line comes after the block."""
+    by block, after checking its header. A block ends before its first line
+    that breaks the dialect, and the DataError naming that line comes after
+    the block."""
     with open(path, "rb") as fh:
         _check_header(path, _decode(path, fh.readline()), header)
         lineno, carry = 2, b""
@@ -236,65 +312,198 @@ def read_table(path: str, name: str, header: list[str], split: int | None = None
             cut = buf.rfind(b"\n") + 1
             carry = buf[cut:]
             if cut:
-                lineno = yield from _blocks(path, name, len(header), split, buf[:cut], lineno)
+                lineno = yield from _block_lines(path, name, len(header), buf[:cut], lineno)
         if carry:
-            yield from _blocks(path, name, len(header), split, carry + b"\n", lineno)
+            yield from _block_lines(path, name, len(header), carry + b"\n", lineno)
 
 
-def table_rows(block: Block, k: int) -> Iterator[tuple]:
-    """(line number, field 1, ..., field k) of each line of a block of
-    `read_table`, whose lines are cut into `k` fields; no field keeps a CR."""
-    lines, fields = block
-    last = (field.removesuffix("\r") for field in fields[k - 1 :: k])
-    return zip(lines.tolist(), *(fields[j::k] for j in range(k - 1)), last)
-
-
-def _blocks(
-    path: str, name: str, n: int, split: int | None, raw: bytes, first_line: int
-) -> Generator[Block, None, int]:
-    """`read_table` of whole lines (`raw` ends with a newline) numbered
-    from `first_line`; returns the number of the line after them."""
+def _block_lines(path: str, name: str, n: int, raw: bytes, first_line: int) -> Generator[_Lines, None, int]:
+    """`_scan` of whole lines (`raw` ends with a newline) numbered from
+    `first_line`; returns the number of the line after them."""
     a = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(a == 10)
+    sep = np.flatnonzero((a == 44) | (a == 10))  # every comma and line end
+    at_end = np.flatnonzero(a[sep] == 10)
+    ends = sep[at_end]
     starts = np.concatenate(([0], ends + 1))  # starts[-1] is len(raw)
     content_end = ends - ((ends > starts[:-1]) & (a[ends - 1] == 13))
     blank = content_end == starts[:-1]
-    comma = np.flatnonzero(a == 44)
-    upto = np.searchsorted(comma, ends)  # commas before each line end
-    bad = ~blank & (np.diff(upto, prepend=0) != n - 1)
+    commas = np.diff(at_end, prepend=-1) - 1  # on each line
+    bad = ~blank & (commas != n - 1)
     if b'"' in raw:
         bad[np.searchsorted(ends, np.flatnonzero(a == 34))] = True
-    cr = np.flatnonzero(a == 13)
-    bad[np.searchsorted(ends, cr[a[cr + 1] != 10])] = True  # raw ends with a newline
+    if np.count_nonzero(a == 13) > np.count_nonzero(content_end < ends):  # a CR before no LF
+        cr = np.flatnonzero(a == 13)
+        bad[np.searchsorted(ends, cr[a[cr + 1] != 10])] = True  # raw ends with a newline
     stop = int(np.argmax(bad)) if bad.any() else ends.size
-    cols = n - 1 if split is None else split
-    while True:
-        # Lines before `stop` are blank or hold n - 1 commas. Turning their first
-        # `cols` commas into newlines and dropping blank lines' bytes leaves their
-        # fields one per line, so one decode and one split give them all.
-        lines = np.flatnonzero(~blank[:stop])
-        b = a[: starts[stop]].copy()
-        first = upto[lines] - (n - 1)  # each line's first comma
-        for j in range(cols):
-            b[comma[first + j]] = 10
-        keep = None
-        if lines.size < stop:
-            keep = np.ones(b.size, dtype=bool)
-            gaps = np.flatnonzero(blank[:stop])
-            keep[starts[gaps]] = keep[ends[gaps]] = False  # a blank line is "\n" or "\r\n"
-            b = b[keep]
+    if not raw.isascii():
         try:
-            fields = str(b, "utf-8").split("\n")
-            break
+            str(memoryview(raw)[: starts[stop]], "utf-8")
         except UnicodeDecodeError as exc:  # the line holding it is the first bad one
-            at = exc.start if keep is None else int(np.flatnonzero(keep)[exc.start])
-            stop = int(np.searchsorted(ends, at))
-    fields.pop()  # the empty string after the last newline
-    yield first_line + lines, fields
+            stop = int(np.searchsorted(ends, exc.start))
+    lines = np.flatnonzero(~blank[:stop])
+    first = at_end[lines] - (n - 1)  # in `sep`, each line's first comma
+    cut = [starts[lines] - 1, *(sep[first + j] for j in range(n - 1)), content_end[lines]]
+    yield _Lines(raw + _PAD, first_line + lines, cut)
     if stop < ends.size:
         problem = _line_problem(raw[starts[stop] : content_end[stop]], name, n)
         raise DataError(f"{path}:{first_line + stop}: {problem}")
     return first_line + ends.size
+
+
+Block = tuple[np.ndarray, list[str]]
+
+
+def read_table(path: str, name: str, header: list[str]) -> Iterator[Block]:
+    """The plain table `name` at `path` block by block (see `_scan`): the
+    line numbers of a block's non-blank lines, and their fields, each
+    line's after the previous line's."""
+    for lines in _scan(path, name, header):
+        lo = np.stack(lines.cut[:-1], axis=1).ravel() + 1
+        hi = np.stack(lines.cut[1:], axis=1).ravel()
+        yield lines.numbers, _texts(lines.raw, lo, hi)
+
+
+def table_rows(block: Block, k: int) -> Iterator[tuple]:
+    """(line number, field 1, ..., field k) of each line of a block of
+    `read_table` of a table of `k` columns."""
+    lines, fields = block
+    return zip(lines.tolist(), *(fields[j::k] for j in range(k)))
+
+
+def _texts(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
+    """raw[lo[i]:hi[i]] of each i, decoded (`_scan` checked the UTF-8)."""
+    return [raw[i:j].decode("utf-8") for i, j in zip(lo.tolist(), hi.tolist())]
+
+
+# _MASKS[k] keeps the first k bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # an odd multiplier; a product's top bits mix all of a word
+# The interner hashes into 2**_SLOT_BITS slots; uint16 slots make their
+# stable argsort a radix sort.
+_SLOT_BITS = 16
+
+
+def _words(raw: bytes) -> np.ndarray:
+    """The little-endian 8-byte word starting at each byte of `raw`: an
+    unaligned view, so one gather reads a field's next eight bytes."""
+    return np.ndarray((len(raw) - 7,), dtype="<u8", buffer=raw, strides=(1,))
+
+
+def _cover(words: np.ndarray, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last eight bytes of each field (start `lo`, `width`
+    bytes) as words; a field under eight bytes gives its bytes, zero-filled,
+    twice. With the width they hold every byte of a field of up to 16."""
+    keep = _MASKS[np.minimum(width, 8)]
+    return words[lo] & keep, words[lo + np.maximum(width - 8, 0)] & keep
+
+
+def _same(words: np.ndarray, lo: np.ndarray, width: np.ndarray, cover: tuple, i, j) -> np.ndarray:
+    """Whether field i equals field j byte for byte, for each pair of the
+    indices (or slices) i and j: fields start at `lo`, are `width` bytes
+    long and `cover` is their `_cover`. The bytes between a long field's
+    first and last eight are compared a word at a time."""
+    lo_i, lo_j, width_i = lo[i], lo[j], width[i]
+    same = (width_i == width[j]) & (cover[0][i] == cover[0][j]) & (cover[1][i] == cover[1][j])
+    live = np.flatnonzero(same & (width_i > 16))
+    at = 8
+    while live.size:
+        equal = words[lo_i[live] + at] == words[lo_j[live] + at]
+        same[live[~equal]] = False
+        live = live[equal & (width_i[live] > at + 16)]
+        at += 8
+    return same
+
+
+def _slots(words: np.ndarray, lo: np.ndarray, width: np.ndarray, cover: tuple, salt: int) -> np.ndarray:
+    """Each field's slot: its width and words (see `_same`) hashed with `salt`."""
+    h = (width.astype(np.uint64) + np.uint64(salt)) * _MIX
+    h = ((h ^ cover[0]) * _MIX ^ cover[1]) * _MIX
+    live = np.flatnonzero(width > 16)
+    at = 8
+    while live.size:
+        h[live] = (h[live] ^ words[lo[live] + at]) * _MIX
+        live = live[width[live] > at + 16]
+        at += 8
+    return (h >> np.uint64(64 - _SLOT_BITS)).astype(np.uint16)
+
+
+def _intern(words: np.ndarray, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct byte strings among the fields (start `lo`, `width`
+    bytes): the index of each one's first field, ascending, and each
+    field's position among them. Each field is compared byte for byte with
+    the first field of its slot; only those that differ hash again, with a
+    new salt. Equal fields share every slot, so a value's fields settle
+    together, on its first field, and each round settles at least the first
+    field of every slot."""
+    cover = _cover(words, lo, width)
+    rep = np.empty(lo.size, dtype=np.int64)
+    todo = np.arange(lo.size)
+    salt = 0
+    while todo.size:
+        at = slice(None) if salt == 0 else todo  # every field, as views, in the first round
+        slot = _slots(words, lo[at], width[at], (cover[0][at], cover[1][at]), salt)
+        order = np.argsort(slot, kind="stable")
+        sorted_slot = slot[order]
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = sorted_slot[1:] != sorted_slot[:-1]
+        first_in_slot = np.empty(todo.size, dtype=np.int64)
+        first_in_slot[order] = order[np.flatnonzero(head)][np.cumsum(head) - 1]
+        cand = todo[first_in_slot]
+        same = _same(words, lo, width, cover, at, cand)
+        rep[todo[same]] = cand[same]
+        todo = todo[~same]
+        salt += 1
+    first = np.flatnonzero(rep == np.arange(lo.size))
+    position = np.empty(lo.size, dtype=np.int64)
+    position[first] = np.arange(first.size)
+    return first, position[rep]
+
+
+def _map_fields(raw: bytes, lo: np.ndarray, hi: np.ndarray, value: Callable[[bytes], int]) -> np.ndarray:
+    """value(raw[lo[i]:hi[i]]) of each field, called once per distinct
+    field in first-seen order."""
+    first, position = _intern(_words(raw), lo, hi - lo)
+    values = [value(raw[i:j]) for i, j in zip(lo[first].tolist(), hi[first].tolist())]
+    return np.array(values, dtype=np.int64)[position]
+
+
+def _map_runs(raw: bytes, lo: np.ndarray, hi: np.ndarray, value: Callable[[str], int]) -> np.ndarray:
+    """value(text) of each field raw[lo[i]:hi[i]], called once per run of
+    byte-equal adjacent fields."""
+    words, width = _words(raw), hi - lo
+    new = np.ones(lo.size, dtype=bool)
+    new[1:] = ~_same(words, lo, width, _cover(words, lo, width), slice(1, None), slice(None, -1))
+    heads = np.flatnonzero(new)
+    values = list(map(value, _texts(raw, lo[heads], hi[heads])))
+    return np.array(values, dtype=np.int64)[np.cumsum(new) - 1]
+
+
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS  # in a common year, by month 1..12
+_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])  # of YYYY-MM-DD
+
+
+def _jan1(year: np.ndarray) -> np.ndarray:
+    """The date ordinal of Jan 1 of each (proleptic Gregorian) year."""
+    y = year - 1
+    return y * 365 + y // 4 - y // 100 + y // 400 + 1
+
+
+def _iso_days(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The date ordinal of each field raw[lo[i]:hi[i]] that `_date` reads
+    (exactly YYYY-MM-DD in ASCII digits, a day of the calendar), else -1."""
+    text = np.ndarray((len(raw) - 9, 10), dtype=np.uint8, buffer=raw, strides=(1, 1))[lo]  # first ten bytes
+    digit = text - np.uint8(48)  # wraps past 9 unless the byte is an ASCII digit
+    ok = (hi - lo == 10) & (text[:, 4] == 45) & (text[:, 7] == 45) & (digit[:, _DIGITS] < 10).all(axis=1)
+    digit = digit.astype(np.int32)
+    year = digit[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
+    month, day = digit[:, 5] * 10 + digit[:, 6], digit[:, 8] * 10 + digit[:, 9]
+    ok &= (year >= 1) & (month >= 1) & (month <= 12)
+    month = np.where(ok, month, 0)
+    jan1 = _jan1(year)
+    leap = _jan1(year + 1) - jan1 == 366
+    ok &= (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+    return np.where(ok, jan1 + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - 1, -1)
 
 
 def write_table(path: str, name: str, header: list[str], rows: Iterable[Sequence[object]]) -> None:
@@ -313,8 +522,8 @@ def write_table(path: str, name: str, header: list[str], rows: Iterable[Sequence
 class _Memo(dict):
     """dict that fills a missing key from `make(key)`."""
 
-    def __init__(self, make: Callable, initial: dict | None = None):
-        super().__init__(initial or {})
+    def __init__(self, make: Callable):
+        super().__init__()
         self.make = make
 
     def __missing__(self, key):
@@ -322,29 +531,62 @@ class _Memo(dict):
         return value
 
 
-def load_persons(path: str) -> list[Person]:
-    """Parse persons.csv, rejecting malformed rows and duplicate ids."""
-    persons: list[Person] = []
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an array, by one sort. np.unique gives
+    the same, but without return_inverse or return_counts NumPy 2.3 and
+    later first import numpy.ma (about 35 ms) to test for a mask."""
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
+def _person_row_problem(fields: list[str], seen: set[str]) -> str | None:
+    """Why a persons.csv row (its six fields) is refused, or None, when the
+    ids in `seen` came before it: the reference for which row
+    `load_persons`' array tests refuse."""
+    pid, birth_raw, gender, start_raw, end_raw, source = fields
+    if pid in seen:
+        return f"duplicate person_id {pid!r}"
+    if not _YEAR.fullmatch(birth_raw):
+        return f"unparseable birth_year {birth_raw!r}"
+    start, end = _date(start_raw), _date(end_raw)
+    if start is None or end is None:
+        return f"unparseable date {(start_raw if start is None else end_raw)!r}"
+    return _person_problem(Person(pid, int(birth_raw), gender, start, end, source))
+
+
+def load_persons(path: str) -> Persons:
+    """persons.csv as columns; its first malformed row or repeated id is a
+    DataError naming the line."""
+    ids: list[str] = []
     seen: set[str] = set()
-    year_of = _Memo(lambda text: int(text) if _YEAR.fullmatch(text) else None)
-    date_of = _Memo(_date)
-    for block in read_table(path, "persons.csv", PERSONS_HEADER):
-        for line, pid, birth_raw, gender, start_raw, end_raw, source in table_rows(block, 6):
-            birth_year, start, end = year_of[birth_raw], date_of[start_raw], date_of[end_raw]
-            if pid in seen:
-                problem = f"duplicate person_id {pid!r}"
-            elif birth_year is None:
-                problem = f"unparseable birth_year {birth_raw!r}"
-            elif start is None or end is None:
-                problem = f"unparseable date {(start_raw if start is None else end_raw)!r}"
-            else:
-                person = Person(sys.intern(pid), birth_year, gender, start, end, source)
-                problem = _person_problem(person)
-            if problem:
-                raise DataError(f"{path}:{line}: {problem}")
-            seen.add(pid)
-            persons.append(person)
-    return persons
+    year_of = _Memo(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else BIRTH_YEARS[1] + 1)
+    gender_of = {g.encode(): i for i, g in enumerate(GENDERS)}
+    source_of = {s.encode(): i for i, s in enumerate(SOURCES)}
+    parts = [(np.zeros(0, dtype=np.int64),) * 5]
+    for lines in _scan(path, "persons.csv", PERSONS_HEADER):
+        raw, cut = lines.raw, lines.cut
+        n0 = len(ids)
+        ids += _texts(raw, cut[0] + 1, cut[1])
+        seen.update(ids[n0:])
+        year = _map_fields(raw, cut[1] + 1, cut[2], year_of.__getitem__)
+        gender = _map_fields(raw, cut[2] + 1, cut[3], lambda key: gender_of.get(key, -1))
+        start, end = _iso_days(raw, cut[3] + 1, cut[4]), _iso_days(raw, cut[4] + 1, cut[5])
+        source = _map_fields(raw, cut[5] + 1, cut[6], lambda key: source_of.get(key, -1))
+        bad = (
+            (year < BIRTH_YEARS[0]) | (year > BIRTH_YEARS[1]) | (gender < 0) | (source < 0)
+            | (start < 0) | (end < 0) | (start > end) | (end < _jan1(year))
+        )
+        if len(seen) < len(ids):  # an id repeats
+            first: dict[str, int] = {}
+            bad |= np.array([first.setdefault(pid, i) != i for i, pid in enumerate(ids)][n0:], dtype=bool)
+        if bad.any():
+            i = int(np.argmax(bad))
+            problem = _person_row_problem([lines.text(i, j) for j in range(6)], set(ids[: n0 + i]))
+            raise DataError(f"{path}:{lines.numbers[i]}: {problem}")
+        parts.append((year, gender, start, end, source))
+    return Persons(ids, *(np.concatenate(cols) for cols in zip(*parts)))
 
 
 class CodeTable:
@@ -365,10 +607,10 @@ class CodeTable:
         return cid
 
 
-def _row_problem(pid: str, date_raw: str, rest: str, by_id: dict[str, Person]) -> str | None:
-    """Why an events.csv row ("kind,system,code" in `rest`) is refused, or
-    None: the reference for which row `load_events`' array tests refuse."""
-    person = by_id.get(pid)
+def _row_problem(pid: str, date_raw: str, rest: str, person: Person | None) -> str | None:
+    """Why an events.csv row ("kind,system,code" in `rest`) of `person`
+    (None for an unknown id) is refused, or None: the reference for which
+    row `load_events`' array tests refuse."""
     if person is None:
         return f"unknown person_id {pid!r}"
     kind, system, _ = rest.split(",")
@@ -381,41 +623,45 @@ def _row_problem(pid: str, date_raw: str, rest: str, by_id: dict[str, Person]) -
     return _enrollment_problem(person, date)
 
 
-def load_events(path: str, persons: list[Person], source: str) -> "Dataset":
+def load_events(path: str, persons: Persons, source: str) -> "Dataset":
     """The dataset of `persons` and the events of events.csv at `path`,
     sorted by (person_id, date); ties keep file order."""
-    by_id = {p.person_id: p for p in persons}
-    pos_of = _Memo(lambda pid: -1, {p.person_id: i for i, p in enumerate(persons)})
+    index = dict(zip(persons.ids, range(len(persons))))
     # one trailing sentinel so position -1 (unknown person) indexes safely
-    start = np.array([p.enroll_start.toordinal() for p in persons] + [0], dtype=np.int64)
-    end = np.array([p.enroll_end.toordinal() for p in persons] + [0], dtype=np.int64)
+    start, end = np.append(persons.enroll_start, 0), np.append(persons.enroll_end, 0)
     codes = CodeTable()
 
-    def code_id(rest: str) -> int:
-        kind, system, code = rest.removesuffix("\r").split(",")
+    def code_id(rest: bytes) -> int:
+        kind, system, code = rest.decode("utf-8").split(",")
         return -1 if _kind_problem(kind, system) else codes.id(Code(kind.upper(), system, sys.intern(code)))
 
     code_of = _Memo(code_id)
-    day_of = _Memo(lambda text: -1 if (date := _date(text)) is None else date.toordinal())
     parts = [(np.zeros(0, dtype=np.int64),) * 3]
-    for lines, fields in read_table(path, "events.csv", EVENTS_HEADER, split=2):
-        # each column is sliced just before its one pass, which measured
-        # faster than slicing all three first
-        m = lines.size
-        pos = np.fromiter(map(pos_of.__getitem__, fields[0::3]), dtype=np.int64, count=m)
-        day = np.fromiter(map(day_of.__getitem__, fields[1::3]), dtype=np.int64, count=m)
-        code = np.fromiter(map(code_of.__getitem__, fields[2::3]), dtype=np.int64, count=m)
+    for lines in _scan(path, "events.csv", EVENTS_HEADER):
+        raw, cut = lines.raw, lines.cut
+        pos = _map_runs(raw, cut[0] + 1, cut[1], lambda pid: index.get(pid, -1))
+        day = _iso_days(raw, cut[1] + 1, cut[2])
+        code = _map_fields(raw, cut[2] + 1, cut[5], code_of.__getitem__)
         bad = (pos < 0) | (code < 0) | (day < 0) | (day < start[pos]) | (day > end[pos])
         if bad.any():
             i = int(np.argmax(bad))
-            raise DataError(f"{path}:{lines[i]}: {_row_problem(*fields[3 * i : 3 * i + 3], by_id)}")
+            person = persons[int(pos[i])] if pos[i] >= 0 else None
+            problem = _row_problem(lines.text(i, 0), lines.text(i, 1), lines.text(i, 2, 5), person)
+            raise DataError(f"{path}:{lines.numbers[i]}: {problem}")
         parts.append((pos, day, code))
     pos, day, code = (np.concatenate(cols) for cols in zip(*parts))
     return Dataset(persons, source, pos, day, code, codes)
 
 
-def write_persons(persons: list[Person], path: str) -> None:
-    rows = ([p.person_id, p.birth_year, p.gender, p.enroll_start, p.enroll_end, p.source] for p in persons)
+def write_persons(persons: Persons, path: str) -> None:
+    """persons.csv from the columns, CRLF line ends, in input order."""
+    days = distinct(np.concatenate([persons.enroll_start, persons.enroll_end])).tolist()
+    text = {day: datetime.date.fromordinal(day).isoformat() for day in days}
+    rows = zip(
+        persons.ids, persons.birth_year.tolist(), [GENDERS[g] for g in persons.gender.tolist()],
+        [text[day] for day in persons.enroll_start.tolist()], [text[day] for day in persons.enroll_end.tolist()],
+        [SOURCES[s] for s in persons.source.tolist()],
+    )
     write_table(path, "persons.csv", PERSONS_HEADER, rows)
 
 
@@ -449,7 +695,8 @@ def write_events(d: "Dataset", path: str) -> None:
 
 
 class Dataset:
-    """Immutable person table plus its events as columns.
+    """Immutable persons (`persons`, in input order) plus their events as
+    columns.
 
     Row r is person `ids[r]` (ids sorted; `row_of` maps an id to its row,
     `input_rows[i]` is the row of persons[i]); int64 arrays hold each row's
@@ -457,14 +704,15 @@ class Dataset:
     (a position in GENDERS). Row r's events occupy positions
     offsets[r]:offsets[r + 1] of `day` (int32 date ordinals) and `code`
     (int32 ids into `codes`), sorted by date with ties in input order.
-    Construction refuses, with a `DataError` naming the person, any record
-    that breaks an invariant listed in the module docstring. Treat
-    instances as frozen after construction: derived datasets come from
-    `replace_person_events`, which checks its new events the same way.
+    Construction refuses, with a `DataError` naming the person, a repeated
+    id, a person of another source and any event that breaks a rule of the
+    module docstring; each person's own rules were checked where it came
+    in. Treat instances as frozen after construction: derived datasets come
+    from `replace_person_events`, which checks its new events the same way.
     """
 
     def __init__(
-        self, persons: list[Person], source: str,
+        self, persons: Persons, source: str,
         person_pos: np.ndarray, day: np.ndarray, code: np.ndarray, codes: CodeTable,
     ):
         """Dataset from unsorted event columns: event i is dated `day[i]`
@@ -474,25 +722,23 @@ class Dataset:
             raise DataError(f"unknown dataset source {source!r}")
         self.persons = persons
         self.source = source
-        self.persons_by_id: dict[str, Person] = {}
-        for p in persons:
-            if p.person_id in self.persons_by_id:
-                raise DataError(f"duplicate person_id {p.person_id!r}")
-            problem = _person_problem(p)
-            if problem is None and p.source != source:
-                problem = f"source {p.source!r} != dataset source {source!r}"
-            if problem:
-                raise DataError(f"person {p.person_id!r}: {problem}")
-            self.persons_by_id[p.person_id] = p
-        order = sorted(range(len(persons)), key=lambda i: persons[i].person_id)
-        by_row = [persons[i] for i in order]
-        self.ids = [p.person_id for p in by_row]
+        order = np.array(sorted(range(len(persons)), key=persons.ids.__getitem__), dtype=np.int64)
+        self._by_row = persons[order]
+        self.ids = self._by_row.ids
         self.row_of = {pid: row for row, pid in enumerate(self.ids)}
-        self.enroll_start = np.array([p.enroll_start.toordinal() for p in by_row], dtype=np.int64)
-        self.enroll_end = np.array([p.enroll_end.toordinal() for p in by_row], dtype=np.int64)
-        self.birth_year = np.array([p.birth_year for p in by_row], dtype=np.int64)
-        self.gender = np.array([GENDERS.index(p.gender) for p in by_row], dtype=np.int64)
-        self.input_rows = np.argsort(np.array(order, dtype=np.int64))  # the inverse permutation
+        if len(self.row_of) < len(self.ids):
+            seen: set[str] = set()
+            for pid in persons.ids:
+                if pid in seen:
+                    raise DataError(f"duplicate person_id {pid!r}")
+                seen.add(pid)
+        other = np.flatnonzero(persons.source != SOURCES.index(source))
+        if other.size:
+            p = persons[int(other[0])]
+            raise DataError(f"person {p.person_id!r}: source {p.source!r} != dataset source {source!r}")
+        self.enroll_start, self.enroll_end = self._by_row.enroll_start, self._by_row.enroll_end
+        self.birth_year, self.gender = self._by_row.birth_year, self._by_row.gender
+        self.input_rows = np.argsort(order)  # the inverse permutation
         rows = self.input_rows[person_pos]
         sort = np.argsort(rows * DAY_SPAN + day, kind="stable")
         offsets = np.zeros(len(persons) + 1, dtype=np.int64)
@@ -512,7 +758,7 @@ class Dataset:
         bad = bad_code[new_code] | (new_day < self.enroll_start[rows]) | (new_day > self.enroll_end[rows])
         if bad.any():
             i = int(np.argmax(bad))
-            person, c = self.persons_by_id[self.ids[rows[i]]], entries[new_code[i]]
+            person, c = self._by_row[int(rows[i])], entries[new_code[i]]
             problem = _kind_problem(c.kind, c.system) or _enrollment_problem(
                 person, datetime.date.fromordinal(int(new_day[i]))
             )
@@ -524,10 +770,11 @@ class Dataset:
 
     @classmethod
     def from_events(
-        cls, persons: list[Person], events: Iterable[ClinicalEvent], source: str
+        cls, persons: Iterable[Person], events: Iterable[ClinicalEvent], source: str
     ) -> "Dataset":
-        """Dataset from event objects; kinds are stored upper case."""
-        pos = {p.person_id: i for i, p in enumerate(persons)}
+        """Dataset from person and event views; kinds are stored upper case."""
+        persons = Persons.of(persons)
+        pos = {pid: i for i, pid in enumerate(persons.ids)}
         codes = CodeTable()
         columns: list[tuple[int, int, int]] = []
         for e in events:
@@ -541,12 +788,17 @@ class Dataset:
     @classmethod
     def from_files(cls, persons_path: str, events_path: str) -> "Dataset":
         persons = load_persons(persons_path)
-        if not persons:
+        if not len(persons):
             raise DataError(f"{persons_path}: no persons")
-        sources = {p.source for p in persons}
+        sources = [SOURCES[s] for s in distinct(persons.source).tolist()]
         if len(sources) > 1:
-            raise DataError(f"{persons_path}: mixed sources {sorted(sources)}")
-        return load_events(events_path, persons, sources.pop())
+            raise DataError(f"{persons_path}: mixed sources {sources}")
+        return load_events(events_path, persons, sources[0])
+
+    @functools.cached_property
+    def persons_by_id(self) -> dict[str, Person]:
+        """Each person's `Person` view by id, built on first use."""
+        return dict(zip(self.ids, self._by_row))
 
     @property
     def n_events(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort, CohortExample
-from .datamodel import ClinicalEvent, Code, Dataset, read_text
+from .datamodel import ClinicalEvent, Code, Dataset, distinct, read_text
 from .errors import DataError
 
 DEMOGRAPHICS_DIM = 4  # age_norm, then gender one-hot in GENDERS order (F/M/U)
@@ -93,7 +93,7 @@ def build_vocabulary(train: Cohort, d: Dataset) -> Vocabulary:
         raise DataError("cannot build a vocabulary from an empty training set")
     positions, _ = d.window_events(train.row, train.start, train.end)
     entries = d.codes.entries
-    seen = np.unique(d.code[positions])
+    seen = distinct(d.code[positions])
     return Vocabulary(tuple(sorted({namespaced_code(entries[c]) for c in seen.tolist()})))
 
 
@@ -110,7 +110,7 @@ def featurize_split(c: Cohort, d: Dataset, v: Vocabulary) -> FeatureMatrix:
     index = d.per_code(_vocab_indices, v)[d.code[positions]]
     hit = index >= 0
     # sorted unique (example, index) keys: each row's indices come out sorted and unique
-    keys = np.unique(owner[hit] * len(v) + index[hit])
+    keys = distinct(owner[hit] * len(v) + index[hit])
     indptr = np.searchsorted(keys // len(v), np.arange(len(c) + 1))
     demographics = np.zeros((len(c), DEMOGRAPHICS_DIM), dtype=np.float64)
     end_years = (np.datetime64("0001-01-01") + (c.end - 1)).astype("datetime64[Y]").astype(np.int64) + 1970

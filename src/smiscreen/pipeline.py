@@ -45,7 +45,7 @@ from .cohort import (
     prevalence,
     write_cohort,
 )
-from .datamodel import DECIMAL, SOURCES, Dataset, write_events, write_persons
+from .datamodel import DECIMAL, SOURCES, Dataset, distinct, write_events, write_persons
 from .errors import ConfigError, DataError, DegenerateCohortError
 from .evaluation import (
     EvalReport,
@@ -149,7 +149,7 @@ def split_cohort(cohort: Cohort, fractions: SplitFractions, seed: int) -> SplitA
     fractions.validate()
     if not cohort:
         raise DegenerateCohortError("cannot split an empty cohort")
-    groups = [cohort.ids[g] for g in np.unique(cohort.group).tolist()]  # rows ascend as ids do
+    groups = [cohort.ids[g] for g in distinct(cohort.group).tolist()]  # rows ascend as ids do
     order = rngmod.stream(seed, "split").permutation(len(groups))
     shuffled = [groups[i] for i in order]
     n = len(groups)
@@ -164,7 +164,7 @@ def split_cohort(cohort: Cohort, fractions: SplitFractions, seed: int) -> SplitA
     assignment = SplitAssignment(dict(zip(shuffled, names)))
     splits = assignment.split_examples(cohort)
     for name in SPLITS:
-        if set(np.unique(splits[name].label).tolist()) != {0, 1}:
+        if set(distinct(splits[name].label).tolist()) != {0, 1}:
             raise DegenerateCohortError(
                 f"{name} split is single-class or empty "
                 f"(cohort prevalence {prevalence(cohort):.4f}); "

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .datamodel import (
-    BIRTH_YEARS, DECIMAL, Code, CodeTable, Dataset, Person, _date, read_table, table_rows, write_table
+    BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, read_table, table_rows,
+    write_table,
 )
 from .errors import ConfigError, DataError
 from .phecode import (
@@ -285,7 +286,8 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     smi_base = n_dx + n_rx
 
     prefix = "c" if cfg.source == "CLAIMS" else "e"
-    persons: list[Person] = []
+    ids: list[str] = []
+    person_columns: list[tuple[int, int, int, int]] = []  # birth year, gender, enrollment ordinals
     person_parts: list[np.ndarray] = []
     day_parts: list[np.ndarray] = []
     code_parts: list[np.ndarray] = []
@@ -302,7 +304,8 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         enroll_end = enroll_start + datetime.timedelta(days=span)
         age_at_start = int(gen.integers(*AGE_AT_START_RANGE))
         birth_year = enroll_start.year - age_at_start
-        gender = ("F", "M", "U")[int(gen.choice(3, p=GENDER_PROBS))]
+        gender_pos = int(gen.choice(3, p=GENDER_PROBS))
+        gender = GENDERS[gender_pos]
 
         # persistently active codes; guarantee at least one per kind
         active_dx = np.flatnonzero(gen.random(n_dx) < pi_dx)
@@ -356,10 +359,16 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             n_person_events += len(smi_offsets)
         person_parts.append(np.full(n_person_events, i))
 
-        persons.append(Person(pid, birth_year, gender, enroll_start, enroll_end, cfg.source))
+        ids.append(pid)
+        person_columns.append((birth_year, gender_pos, day0, enroll_end.toordinal()))
         logits[pid] = logit
         onsets[pid] = onset_date
 
+    # valid by construction: `SynthConfig.validate` keeps every birth year loadable
+    persons = Persons(
+        ids, *np.array(person_columns, dtype=np.int64).reshape(-1, 4).T,
+        np.full(len(ids), SOURCES.index(cfg.source), dtype=np.int64),
+    )
     dataset = Dataset(
         persons,
         cfg.source,

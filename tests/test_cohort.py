@@ -30,12 +30,20 @@ from smiscreen.cohort import (
     use_case_person_ids,
     write_cohort,
 )
-from smiscreen.datamodel import Dataset, write_events, write_persons
+from smiscreen.datamodel import Dataset, Persons, write_events, write_persons
 from smiscreen.dates import add_months, window_start_for_end
 from smiscreen.errors import DegenerateCohortError
-from smiscreen.phecode import TAG_SMI
+from smiscreen.phecode import TAG_SMI, TAG_SUBSTANCE
 
 SMI_CODE = "F20.0"  # maps to 295.1
+
+
+def age18(ds, phemap):
+    return build_age18_cohort(ds, first_days(ds, phemap, TAG_SMI))
+
+
+def substance(ds, phemap):
+    return build_substance_cohort(ds, phemap, first_days(ds, phemap, TAG_SMI))
 
 
 class TestDates:
@@ -80,7 +88,7 @@ class TestFindCases:
                 if tags & TAG_SUBSTANCE:
                     first_substance.setdefault(p.person_id, e.date)
         assert find_cases(dataset, phemap) == sorted(first_smi.items())
-        cohort = build_substance_cohort(dataset, phemap)
+        cohort = substance(dataset, phemap)
         assert cohort
         for ex in cohort:
             assert ex.index_date == first_substance[ex.person_id]
@@ -171,7 +179,7 @@ class TestMatchControls:
         add("c9", 9)
         ds = make_dataset(persons, events)
         case_windows = case_cohort(ds, ("case", "2014-06-01", window))
-        out = match_controls(case_windows, ds, phemap, k=2, seed=0)
+        out = match_controls(case_windows, ds, first_days(ds, phemap, TAG_SMI), k=2, seed=0)
         controls = [ex.person_id for ex in out if ex.label == 0]
         assert set(controls) == {"c5", "c4"}
 
@@ -181,7 +189,7 @@ class TestMatchControls:
             add(pid, n)
         ds = make_dataset(persons, events)
         case_windows = case_cohort(ds, ("case", "2014-06-01", window))
-        out = match_controls(case_windows, ds, phemap, k=10, seed=0)
+        out = match_controls(case_windows, ds, first_days(ds, phemap, TAG_SMI), k=10, seed=0)
         assert len(out) == 4  # case + all 3 controls
         assert sorted(ex.label for ex in out) == [0, 0, 0, 1]
 
@@ -195,7 +203,7 @@ class TestMatchControls:
         persons.append(make_person("nodx", birth_year=1990, start="2008-01-01"))  # no in-window dx
         ds = make_dataset(persons, events)
         case_windows = case_cohort(ds, ("case", "2014-06-01", window))
-        out = match_controls(case_windows, ds, phemap, k=10, seed=0)
+        out = match_controls(case_windows, ds, first_days(ds, phemap, TAG_SMI), k=10, seed=0)
         controls = [ex.person_id for ex in out if ex.label == 0]
         assert controls == ["ok"]
 
@@ -211,7 +219,7 @@ class TestMatchControls:
             ("case", "2014-06-01", window),
             ("case2", "2014-07-01", ObservationWindow(window.start, window.end, gap_days=30)),
         )
-        out = match_controls(case_windows, ds, phemap, k=10, seed=0)
+        out = match_controls(case_windows, ds, first_days(ds, phemap, TAG_SMI), k=10, seed=0)
         controls = [ex for ex in out if ex.label == 0]
         assert len(controls) == 1  # "only" serves a single match group
         assert controls[0].window.start == window.start
@@ -236,7 +244,7 @@ class TestAge18Cohort:
 
     def test_smi_in_test_year_labels_positive(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2013-07-01")
-        out = build_age18_cohort(make_dataset(persons, events), phemap)
+        out = age18(make_dataset(persons, events), phemap)
         assert len(out) == 1
         ex = out[0]
         assert ex.label == 1 and ex.cohort_kind == AGE18
@@ -245,21 +253,21 @@ class TestAge18Cohort:
 
     def test_prior_smi_excluded(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2012-07-01")  # age 17
-        assert len(build_age18_cohort(make_dataset(persons, events), phemap)) == 0
+        assert len(age18(make_dataset(persons, events), phemap)) == 0
 
     def test_smi_after_test_year_is_negative(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2014-03-01", end="2014-06-30")
-        out = build_age18_cohort(make_dataset(persons, events), phemap)
+        out = age18(make_dataset(persons, events), phemap)
         assert len(out) == 1 and out[0].label == 0
 
     def test_needs_pre_window_event(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2013-07-01", pre_event=False)
-        assert len(build_age18_cohort(make_dataset(persons, events), phemap)) == 0
+        assert len(age18(make_dataset(persons, events), phemap)) == 0
 
     def test_needs_enrollment_coverage(self, phemap):
         persons, events = self.person_with_history("p1", smi_date="2013-07-01", pre_event=False, start="2012-06-01")
         events.append(make_event("p1", "2012-07-01", code="E11.9"))  # enrolled, inside the 2012 window
-        assert len(build_age18_cohort(make_dataset(persons, events), phemap)) == 0
+        assert len(age18(make_dataset(persons, events), phemap)) == 0
 
 
 class TestSubstanceCohort:
@@ -272,7 +280,7 @@ class TestSubstanceCohort:
         return make_dataset(persons, events)
 
     def test_smi_within_following_year_is_positive(self, phemap):
-        out = build_substance_cohort(self.build(smi_date="2012-11-01"), phemap)
+        out = substance(self.build(smi_date="2012-11-01"), phemap)
         assert len(out) == 1
         ex = out[0]
         assert ex.label == 1 and ex.cohort_kind == SUBSTANCE
@@ -281,22 +289,22 @@ class TestSubstanceCohort:
         assert ex.window.start == d("2011-05-06")
 
     def test_insufficient_followup_excluded(self, phemap):
-        out = build_substance_cohort(self.build(end="2012-08-31"), phemap)
+        out = substance(self.build(end="2012-08-31"), phemap)
         assert len(out) == 0
 
     def test_smi_before_index_excluded(self, phemap):
-        out = build_substance_cohort(self.build(smi_date="2012-01-01"), phemap)
+        out = substance(self.build(smi_date="2012-01-01"), phemap)
         assert len(out) == 0
 
     def test_smi_on_index_date_excluded(self, phemap):
         ds = self.build(smi_date="2012-05-05")
-        assert len(build_substance_cohort(ds, phemap)) == 0
+        assert len(substance(ds, phemap)) == 0
 
     def test_window_covers_index_event_for_features(self, phemap):
         from smiscreen.features import build_vocabulary, featurize
 
         ds = self.build(smi_date="2012-11-01")
-        out = build_substance_cohort(ds, phemap)
+        out = substance(ds, phemap)
         vocab = build_vocabulary(out, ds)
         feats = featurize(out[0], ds, vocab)
         assert "dx:ICD10:F10.10" in [vocab.entries[i] for i in feats.indices]
@@ -322,7 +330,7 @@ class TestOffCalendarDates:
     @pytest.mark.parametrize("case", sorted(OFF_CALENDAR))
     def test_builders_skip_the_person(self, phemap, case):
         ds = self.dataset(*OFF_CALENDAR[case])
-        assert len(build_substance_cohort(ds, phemap)) == 0
+        assert len(substance(ds, phemap)) == 0
         examples, stats = build_all_age_cohort(ds, phemap, seed=1)
         smi = int(case.startswith("smi"))
         assert len(examples) == 0 and stats == CohortBuildStats(smi, 0, smi, 0)
@@ -368,13 +376,24 @@ class TestCohortInvariantsOnSynthetic:
     def test_use_case_cohorts_disjoint_from_all_age(self, pop5k, phemap):
         dataset, _ = pop5k
         examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
-        use_case = use_case_person_ids(dataset, phemap)
+        use_case = use_case_person_ids(dataset, phemap, first_days(dataset, phemap, TAG_SMI))
         assert use_case.any() and not use_case[examples.row].any()
+
+    def test_each_tag_scanned_once(self, pop5k, phemap, monkeypatch):
+        scans = []
+
+        def counted(d, m, bit):
+            scans.append(bit)
+            return first_days(d, m, bit)
+
+        monkeypatch.setattr("smiscreen.cohort.first_days", counted)
+        build_all_age_cohort(pop5k[0], phemap, seed=42)
+        assert sorted(scans) == sorted([TAG_SMI, TAG_SUBSTANCE])
 
     def test_age18_prevalence_below_matched_prevalence(self, pop5k, phemap):
         dataset, _ = pop5k
         all_age, _ = build_all_age_cohort(dataset, phemap, seed=42)
-        age18 = build_age18_cohort(dataset, phemap)
+        age18 = build_age18_cohort(dataset, first_days(dataset, phemap, TAG_SMI))
         assert prevalence(age18) < prevalence(all_age)
 
 
@@ -400,8 +419,8 @@ class TestCohortColumns:
         np.random.default_rng(3).shuffle(persons)
         pos = {p.person_id: i for i, p in enumerate(persons)}
         person_pos = np.repeat([pos[pid] for pid in dataset.ids], np.diff(dataset.offsets))
-        shuffled = Dataset(persons, dataset.source, person_pos, dataset.day, dataset.code, dataset.codes)
-        for build in (build_age18_cohort, build_substance_cohort):
+        shuffled = Dataset(Persons.of(persons), dataset.source, person_pos, dataset.day, dataset.code, dataset.codes)
+        for build in (age18, substance):
             by_id = [ex.person_id for ex in build(dataset, phemap)]
             given = [ex.person_id for ex in build(shuffled, phemap)]
             assert len(given) > 10 and sorted(given) == by_id

@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import d, make_dataset, make_event, make_person, rebuild_from_columns
+from smiscreen import datamodel
 from smiscreen.cli import main
 from smiscreen.datamodel import (
     BLOCK_BYTES,
     ClinicalEvent,
     Dataset,
+    Persons,
+    _date,
+    _line_problem,
+    _row_problem,
     load_events,
     load_persons,
     read_table,
@@ -45,7 +50,7 @@ class TestLoadPersons:
         assert p.source == "CLAIMS"
 
     def test_header_only_is_empty(self, tmp_path):
-        assert load_persons(write(tmp_path / "p.csv", PERSONS_HEADER)) == []
+        assert len(load_persons(write(tmp_path / "p.csv", PERSONS_HEADER))) == 0
 
     def test_duplicate_id_names_the_id(self, tmp_path):
         path = write(
@@ -99,7 +104,7 @@ class TestLoadPersons:
 class TestLoadEvents:
     @pytest.fixture
     def persons(self):
-        return [make_person("p1", start="2010-01-01", end="2015-06-30")]
+        return Persons.of([make_person("p1", start="2010-01-01", end="2015-06-30")])
 
     def test_direct_parse(self, tmp_path, persons):
         path = write(tmp_path / "e.csv", EVENTS_HEADER + "p1,2012-03-04,dx,ICD10,F20.0\n")
@@ -124,7 +129,7 @@ class TestLoadEvents:
             load_events(path, persons, "CLAIMS")
 
     def test_output_sorted_by_person_then_date(self, tmp_path):
-        persons = [make_person("p2"), make_person("p1")]
+        persons = Persons.of([make_person("p2"), make_person("p1")])
         rows = (
             "p2,2012-05-01,dx,ICD10,A\n"
             "p1,2013-01-01,rx,NDC,123\n"
@@ -136,7 +141,7 @@ class TestLoadEvents:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_blocks_match_line_by_line_reference(self, tmp_path, seed):
-        persons = [make_person(f"p{i}") for i in range(40)]
+        persons = Persons.of(make_person(f"p{i}") for i in range(40))
         data = random_events_csv(np.random.default_rng(seed), persons)
         assert len(data) > 2 * BLOCK_BYTES
         path = tmp_path / "e.csv"
@@ -200,6 +205,154 @@ def reference_events(data: bytes, persons) -> Dataset:
     return Dataset.from_events(persons, events, "CLAIMS")
 
 
+def reference_load(data: bytes, persons: Persons) -> Dataset | str:
+    """events.csv read one line at a time: its dataset, or "line: message"
+    for its first bad line, by `_line_problem` and `_row_problem`."""
+    by_id = dict(zip(persons.ids, persons))
+    events = []
+    for number, line in enumerate(data.split(b"\n")[1:], start=2):
+        line = line.removesuffix(b"\r")
+        if not line:
+            continue
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            text = '"'
+        if text.count(",") != 4 or '"' in text or "\r" in text:
+            return f"{number}: {_line_problem(line, 'events.csv', 5)}"
+        pid, date, rest = text.split(",", 2)
+        problem = _row_problem(pid, date, rest, by_id.get(pid))
+        if problem:
+            return f"{number}: {problem}"
+        events.append(ClinicalEvent(pid, _date(date), *rest.split(",")))
+    return Dataset.from_events(persons, events, "CLAIMS")
+
+
+def near_misses(widths, letter="c"):
+    """Strings of each width, and the same with one byte changed at the
+    start, the middle and the end, so words differ in one byte only."""
+    out = []
+    for w in widths:
+        base = letter * w
+        out += [base] + [base[:k] + "d" + base[k + 1 :] for k in sorted({0, w // 2, w - 1}) if w]
+    return list(dict.fromkeys(out))
+
+
+# every word boundary up to four words, in ids and in "kind,system,code"
+ADVERSARIAL_IDS = near_misses([1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 33], letter="q")
+ADVERSARIAL_CODES = near_misses(range(34)) + ["a", "a\0", "\0a", "a\0\0", "\0", "Ünë", "症状"]
+ADVERSARIAL_KINDS = ["dx,ICD9", "DX,ICD10", "rx,NDC", "Rx,NDC"]
+BAD_EVENTS = {
+    "unknown id": "q" * 10 + ",2012-03-04,dx,ICD9,x",
+    "bad date": "q,2012-02-30,dx,ICD9,x",
+    "kind": "q,2012-03-04,rx,ICD9,x",
+    "enrollment": "q,2016-03-04,dx,ICD9,x",
+    "dialect": "q,2012-03-04,dx,ICD9,x,y",
+}
+
+
+def adversarial_events(rng, runs: bool, bad: str | None) -> tuple[Persons, bytes]:
+    """An events.csv of ADVERSARIAL_IDS and ADVERSARIAL_CODES: grouped by
+    person, so near-miss ids sit side by side, or in random order, with LF,
+    CRLF and blank lines mixed, and BAD_EVENTS[bad] at a random line."""
+    persons = Persons.of(make_person(pid) for pid in ADVERSARIAL_IDS)
+    n = 6000
+    owners = rng.integers(len(persons), size=n)
+    lines = [
+        f"{persons.ids[row]},{datetime.date.fromordinal(day)},{ADVERSARIAL_KINDS[kind]},{ADVERSARIAL_CODES[code]}"
+        for row, day, kind, code in zip(
+            np.sort(owners) if runs else owners,
+            rng.integers(d("2010-01-01").toordinal(), d("2015-12-31").toordinal() + 1, size=n).tolist(),
+            rng.integers(len(ADVERSARIAL_KINDS), size=n).tolist(),
+            rng.integers(len(ADVERSARIAL_CODES), size=n).tolist(),
+        )
+    ]
+    if bad:
+        lines.insert(int(rng.integers(n)), BAD_EVENTS[bad])
+    ends = rng.choice(["\n", "\r\n", "\n\n", "\r\n\r\n"], size=len(lines), p=[0.45, 0.45, 0.05, 0.05])
+    return persons, (EVENTS_HEADER + "".join(line + end for line, end in zip(lines, ends))).encode()
+
+# persons.csv values by column after the id: (any mix of these loads, each of these is refused)
+PERSON_VALUES = [
+    (["1980", "0", "-16", "2009"], ["-17", "9981", "01980", "-0", "1980 ", "x", "2016", "1_980", "999999999"]),
+    (["F", "M", "U"], ["X", "f", ""]),
+    (["2010-01-01", "2009-02-28", "2008-02-29"], ["2016-01-01", "2015-02-29", "20150630", "2015-13-01"]),
+    (["2015-06-30", "2012-12-31", "2010-01-01"], ["2015-02-29", "20150630", "x"]),
+    (["CLAIMS", "EHR"], ["ORACLE", "claims"]),
+]
+
+
+class TestBytesToColumns:
+    """persons.csv and events.csv are mapped from bytes; the per-field
+    references (`_date`, `_row_problem`, `_person_row_problem`) say what
+    each field reads as and which line is refused first."""
+
+    def test_dates_follow_the_reference(self):
+        cycle = [d("2000-01-01") + datetime.timedelta(days=i) for i in range(146097)]  # 400 years
+        texts = [day.isoformat() for day in cycle] + [
+            "0001-01-01", "9999-12-31", "0000-01-01", "0000-12-31", "2010-00-10", "2010-13-10",
+            "2010-05-00", "2010-05-32", "1900-02-29", "2000-02-29", "2023-02-29", "2024-02-29",
+            "2010-04-31", "2010-06-31", "2010-09-31", "2010-11-31", "2010-12-31", "2010-01-1",
+            "2010-1-01", "201-01-01", "2010-01-011", "2010-01-01 ", " 2010-01-01", "10000-01-01",
+            "2010-0a-01", "2010/01/01", "2010-01-0x", "+010-01-01", "-010-01-01", "20100101",
+            "2010-W01-1", "２０１０-01-01", "2010-01-0١", "2010-01-é", "2010-01-0é", "",
+        ]
+        widths = np.array([len(text.encode()) for text in texts])
+        hi = np.cumsum(widths + 1) - 1
+        raw = "".join(text + "," for text in texts).encode() + datamodel._PAD
+        want = [-1 if (day := _date(text)) is None else day.toordinal() for text in texts]
+        assert datamodel._iso_days(raw, hi - widths, hi).tolist() == want
+
+    @pytest.mark.parametrize("bad", [None, *BAD_EVENTS])
+    @pytest.mark.parametrize("runs", [True, False], ids=["runs", "shuffled"])
+    @pytest.mark.parametrize("slot_bits", [16, 2], ids=["slots", "fewer-slots-than-codes"])
+    def test_events_follow_the_reference(self, tmp_path, monkeypatch, slot_bits, runs, bad):
+        monkeypatch.setattr(datamodel, "_SLOT_BITS", slot_bits)
+        monkeypatch.setattr(datamodel, "BLOCK_BYTES", 1 << 14)  # codes first seen in later blocks too
+        persons, data = adversarial_events(np.random.default_rng([slot_bits, int(runs)]), runs, bad)
+        path = tmp_path / "e.csv"
+        path.write_bytes(data)
+        want = reference_load(data, persons)
+        if bad:
+            with pytest.raises(DataError) as exc:
+                load_events(str(path), persons, "CLAIMS")
+            assert str(exc.value) == f"{path}:{want}"
+            return
+        got = load_events(str(path), persons, "CLAIMS")
+        assert got.ids == want.ids and got.codes.entries == want.codes.entries
+        for name in ("offsets", "day", "code"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_persons_follow_the_reference(self, tmp_path, monkeypatch, seed):
+        monkeypatch.setattr(datamodel, "BLOCK_BYTES", 1 << 12)
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(600):
+            # any mix of the good values loads; seed 0 draws no bad one
+            fields = [f"p{i}", *(str(rng.choice(good)) for good, _ in PERSON_VALUES)]
+            for j, (_, bad) in enumerate(PERSON_VALUES, start=1):
+                if seed and rng.random() < 0.0005:
+                    fields[j] = str(rng.choice(bad))
+            if seed and rng.random() < 0.0005:
+                fields[0] = rows[int(rng.integers(len(rows)))][0] if rows else "p0"
+            rows.append(fields)
+        path = tmp_path / "p.csv"
+        path.write_text(PERSONS_HEADER + "".join(",".join(fields) + "\r\n" for fields in rows), encoding="utf-8")
+        seen: set[str] = set()
+        for number, fields in enumerate(rows, start=2):
+            problem = datamodel._person_row_problem(fields, seen)
+            if problem:
+                with pytest.raises(DataError) as exc:
+                    load_persons(str(path))
+                assert str(exc.value) == f"{path}:{number}: {problem}"
+                return
+            seen.add(fields[0])
+        assert seed == 0
+        views = [datamodel.Person(pid, int(y), g, d(start), d(end), src) for pid, y, g, start, end, src in rows]
+        assert load_persons(str(path)) == Persons.of(views)
+
+
 class TestDatasetAndValidation:
     def test_validate_clean(self):
         persons = [make_person(f"p{i}") for i in range(3)]
@@ -258,7 +411,7 @@ class TestDatasetAndValidation:
         assert ds.dx_counts_before(row, np.array([d("2012-06-02").toordinal()]))[0] == 2
 
     def test_ingestion_scales_roughly_linearly(self, tmp_path):
-        base = [make_person("p1", start="2000-01-01", end="2015-12-31")]
+        base = Persons.of([make_person("p1", start="2000-01-01", end="2015-12-31")])
 
         def build(n):
             events = [make_event("p1", f"20{10 + (i % 5):02d}-0{1 + (i % 9)}-15", code=f"C{i % 97}") for i in range(n)]
@@ -327,7 +480,8 @@ def test_construction_refuses_violation(tmp_path, case, persons, events, problem
         assert str(exc.value) in named
     if line is not None:
         path = str(tmp_path / "p.csv")
-        write_persons(persons, path)
+        rows = ([p.person_id, p.birth_year, p.gender, p.enroll_start, p.enroll_end, p.source] for p in persons)
+        write_table(path, "persons.csv", datamodel.PERSONS_HEADER, rows)  # as write_persons writes, unchecked
         with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {problem}")):
             load_persons(path)
 
@@ -450,7 +604,7 @@ class TestLoadErrors:
     def test_person_id_needing_quotes_is_not_written(self, tmp_path):
         person = make_person("p,1")
         with pytest.raises(DataError, match=re.escape("cannot write 'p,1' to persons.csv, which has no quoting")):
-            write_persons([person], str(tmp_path / "p.csv"))
+            write_persons(Persons.of([person]), str(tmp_path / "p.csv"))
 
     def test_bad_header(self, tmp_path, persons_csv):
         path = self.events_csv(tmp_path, GOOD_ROW, header=b"person_id,date,kind,code\n")

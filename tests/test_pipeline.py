@@ -365,6 +365,20 @@ class TestTrainCommand:
             assert r["seed"] == 42 and r["version"]
         assert "timestamp" in payload
 
+    def test_train_imports_numpy_ma_only_if_numpy_did(self, workspace, tmp_path):
+        # NumPy 2.3+ imports numpy.ma (about 35 ms) on a plain np.unique; 1.24 imports it with numpy
+        script = (
+            "import sys, numpy\n"
+            "eager = 'numpy.ma' in sys.modules\n"
+            "from smiscreen.cli import main\n"
+            f"code = main(['train', '--config', {str(workspace['train_cfg'])!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, eager, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        code, eager, after = proc.stdout.split()[-3:]
+        assert code == "0" and after == eager, proc.stderr
+
     def test_manifest_records_training_log_and_blas_pinning(self, workspace):
         manifest = json.loads((workspace["train"] / "manifest.json").read_text())
         counts = manifest["counts"]
@@ -749,8 +763,9 @@ class TestDegenerateCohortExit:
             events.append(make_event(pid, onset, code="F20.0"))
         from smiscreen.datamodel import write_events, write_persons
 
-        write_persons(persons, str(tmp_path / "p.csv"))
-        write_events(make_dataset(persons, events), str(tmp_path / "e.csv"))
+        dataset = make_dataset(persons, events)
+        write_persons(dataset.persons, str(tmp_path / "p.csv"))
+        write_events(dataset, str(tmp_path / "e.csv"))
         cfg = write_config(
             tmp_path / "c.cfg",
             {"data.persons": str(tmp_path / "p.csv"), "data.events": str(tmp_path / "e.csv"), "seed": "1"},
@@ -893,8 +908,9 @@ class TestStageTagging:
         events = [make_event(f"p{i}", "2012-01-01", code="E11.9") for i in range(3)]
         from smiscreen.datamodel import write_events, write_persons
 
-        write_persons(persons, str(tmp_path / "p.csv"))
-        write_events(make_dataset(persons, events), str(tmp_path / "e.csv"))
+        dataset = make_dataset(persons, events)
+        write_persons(dataset.persons, str(tmp_path / "p.csv"))
+        write_events(dataset, str(tmp_path / "e.csv"))
         cfg = RunConfig.from_mapping(
             {"data.persons": str(tmp_path / "p.csv"), "data.events": str(tmp_path / "e.csv")}
         )
