@@ -55,9 +55,9 @@ dates are exactly YYYY-MM-DD (ASCII digits; the basic 20100101 and week
 2010-W01-1 forms are refused); kind is written lowercase (dx/rx) on disk.
 `read_table` decodes every field (phecode_map.csv, ground_truth.csv).
 persons.csv and events.csv are mapped from the block's bytes instead: dates by array
-arithmetic on their ten bytes, an events.csv person id once per run of
-equal adjacent ids, and the other fields through an exact interner whose
-distinct values go through memos in first-seen order.
+arithmetic on their ten bytes, and every other field through an exact
+interner whose distinct values go through lookups or memos in first-seen
+order, once per block.
 """
 
 from __future__ import annotations
@@ -467,17 +467,6 @@ def _map_fields(raw: bytes, lo: np.ndarray, hi: np.ndarray, value: Callable[[byt
     return np.array(values, dtype=np.int64)[position]
 
 
-def _map_runs(raw: bytes, lo: np.ndarray, hi: np.ndarray, value: Callable[[str], int]) -> np.ndarray:
-    """value(text) of each field raw[lo[i]:hi[i]], called once per run of
-    byte-equal adjacent fields."""
-    words, width = _words(raw), hi - lo
-    new = np.ones(lo.size, dtype=bool)
-    new[1:] = ~_same(words, lo, width, _cover(words, lo, width), slice(1, None), slice(None, -1))
-    heads = np.flatnonzero(new)
-    values = list(map(value, _texts(raw, lo[heads], hi[heads])))
-    return np.array(values, dtype=np.int64)[np.cumsum(new) - 1]
-
-
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
 _DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS  # in a common year, by month 1..12
 _DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])  # of YYYY-MM-DD
@@ -639,7 +628,7 @@ def load_events(path: str, persons: Persons, source: str) -> "Dataset":
     parts = [(np.zeros(0, dtype=np.int64),) * 3]
     for lines in _scan(path, "events.csv", EVENTS_HEADER):
         raw, cut = lines.raw, lines.cut
-        pos = _map_runs(raw, cut[0] + 1, cut[1], lambda pid: index.get(pid, -1))
+        pos = _map_fields(raw, cut[0] + 1, cut[1], lambda pid: index.get(pid.decode("utf-8"), -1))
         day = _iso_days(raw, cut[1] + 1, cut[2])
         code = _map_fields(raw, cut[2] + 1, cut[5], code_of.__getitem__)
         bad = (pos < 0) | (code < 0) | (day < 0) | (day < start[pos]) | (day > end[pos])

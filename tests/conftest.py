@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smiscreen.cohort import Cohort, ObservationWindow, build_all_age_cohort
-from smiscreen.datamodel import ClinicalEvent, Dataset, Person
+from smiscreen.datamodel import ClinicalEvent, Dataset, Person, Persons
 from smiscreen.phecode import load_default_map
 from smiscreen.pipeline import SplitFractions, split_cohort
 from smiscreen.synth import SynthConfig, generate_population
@@ -42,12 +42,12 @@ def make_dataset(persons, events, source: str = "CLAIMS") -> Dataset:
 
 
 def rebuild_from_columns(dataset: Dataset) -> Dataset:
-    """A fresh dataset from `dataset`'s own columns, checked again in full."""
-    pos = {p.person_id: i for i, p in enumerate(dataset.persons)}
+    """A fresh dataset from `dataset`'s own columns, checked again in full:
+    each person by `Persons.of`, each event by the constructor."""
+    persons = Persons.of(dataset.persons)
+    pos = {pid: i for i, pid in enumerate(persons.ids)}
     person_pos = np.repeat([pos[pid] for pid in dataset.ids], np.diff(dataset.offsets))
-    return Dataset(
-        dataset.persons, dataset.source, person_pos, dataset.day, dataset.code, dataset.codes
-    )
+    return Dataset(persons, dataset.source, person_pos, dataset.day, dataset.code, dataset.codes)
 
 
 @pytest.fixture(scope="session")

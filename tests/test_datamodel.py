@@ -370,6 +370,16 @@ class TestDatasetAndValidation:
         dataset, _, _ = pop50k
         rebuild_from_columns(dataset)  # raises on any violation
 
+    def test_rebuild_checks_every_person(self):
+        # the constructor takes person columns as they are; the helper the
+        # synthetic-population tests use must still check each person
+        ds = make_dataset([make_person("p0"), make_person("p1")], [make_event("p0", "2012-01-01")])
+        persons = ds.persons[np.arange(2)]
+        persons.birth_year[1] = 2016  # after enrollment ends in 2015
+        unchecked = Dataset(persons, "CLAIMS", np.zeros(1, dtype=np.int64), ds.day, ds.code, ds.codes)
+        with pytest.raises(DataError, match="'p1': birth_year 2016 after enrollment end"):
+            rebuild_from_columns(unchecked)
+
     def test_round_trip(self, tmp_path):
         persons = [make_person("p1"), make_person("p2", gender="M", source="CLAIMS")]
         events = [
