@@ -1,10 +1,13 @@
 """Golden artifacts: seeded CLI runs must reproduce these exact bytes.
 
-Every subcommand that writes a model or cohort artifact is pinned, each in
-a child process with every BLAS pool held to one thread:
+Every subcommand that writes a population, model or cohort artifact is
+pinned, each in a child process with every BLAS pool held to one thread:
 
-* `train`: a 1,200-person CLAIMS population (seed 42), two epochs.
+* `synth`: the persons, events and ground truth of a 1,200-person CLAIMS
+  population (seed 42).
+* `train`: that population, two epochs.
 * `cohort` and `bench`: the same population and seed.
+* `cohort-age18`: the AGE18 cohort of the same population.
 * `cross-eval`: a 1,200-person EHR population (seed 42) scored with the
   `train` run's model.
 * `two-step`: pretrained on the EHR population, fine-tuned on the CLAIMS
@@ -32,9 +35,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
-ARTIFACTS = ("cohort.csv", "vocabulary.txt", "report.csv", "model.bin")
+ARTIFACTS = (
+    "persons.csv", "events.csv", "ground_truth.csv", "cohort.csv", "vocabulary.txt", "report.csv", "model.bin",
+)
 
 GOLDEN = {
+    "synth": {
+        "persons.csv": "88b14cf0e1b6ea2d8e75b9ceeec0dbc5440e4cc511edbd60c17d04672c6978af",
+        "events.csv": "806cfa8d1a13452efc0da4ec4b1cf17a8ed9a8a84289523c7f8a8ccf5920f6b6",
+        "ground_truth.csv": "35dcd4f2afa72c70893067fe77f9572ccbb482fac21b2fe222dd962bc229996d",
+    },
     "train": {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
         "vocabulary.txt": "a54ec65c3b1c40873b0804bd185b2b5f163cd414c590f264db4382eb99812499",
@@ -43,6 +53,9 @@ GOLDEN = {
     },
     "cohort": {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
+    },
+    "cohort-age18": {
+        "cohort.csv": "c46fad075c06cd3a01519cae665ffd9ce97a3c3a5494aa75aa3c6c8ac562290f",
     },
     "bench": {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
@@ -103,10 +116,13 @@ def runs(tmp_path_factory):
     train_out = root / "train"
     cfg = _config(root / "train.cfg", {**_data(small), **two_epochs})
     _cli("train", "--config", cfg, "--out", str(train_out))
-    outs = {"train": train_out}
+    outs = {"synth": small, "train": train_out}
     for mode in ("cohort", "bench"):
         outs[mode] = root / mode
         _cli(mode, "--config", cfg, "--out", str(outs[mode]))
+    outs["cohort-age18"] = root / "cohort-age18"
+    cfg = _config(root / "cohort-age18.cfg", {**_data(small), "seed": 42, "cohort.kind": "AGE18"})
+    _cli("cohort", "--config", cfg, "--out", str(outs["cohort-age18"]))
     outs["cross-eval"] = root / "cross-eval"
     cfg = _config(root / "cross-eval.cfg", {**_data(ehr), **two_epochs})
     _cli("cross-eval", "--config", cfg, "--out", str(outs["cross-eval"]), "--model-dir", str(train_out))
