@@ -19,14 +19,14 @@ builds a cohort from views assembled by hand.
 from __future__ import annotations
 
 import datetime
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import rng as rngmod
 from .datamodel import GENDERS, Dataset, distinct, write_table
-from .dates import add_months, window_start_for_end
+from .dates import add_months, days_from_civil, iso_text, window_start_for_end
 from .errors import DataError, DegenerateCohortError
 from .phecode import TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags
 
@@ -137,19 +137,6 @@ def find_cases(d: Dataset, m: PhecodeMap) -> list[tuple[str, datetime.date]]:
     return [(d.ids[r], datetime.date.fromordinal(day)) for r, day in zip(rows.tolist(), onset[rows].tolist())]
 
 
-def _ordinals(f: Callable[[datetime.date], datetime.date], days: np.ndarray) -> np.ndarray:
-    """The ordinal of f(date) for each date ordinal of `days`, computed once
-    per distinct day; -1 where the day or f's result is off the calendar."""
-    unique_days, inverse = np.unique(days, return_inverse=True)
-    out = np.full(unique_days.size, -1, dtype=np.int64)
-    for i, day in enumerate(unique_days.tolist()):
-        try:
-            out[i] = f(datetime.date.fromordinal(day)).toordinal()
-        except ValueError:
-            pass
-    return out[inverse]
-
-
 def gap_stream(seed: int, person_id: str) -> np.random.Generator:
     return rngmod.stream(seed, "gap", person_id)
 
@@ -170,7 +157,7 @@ def build_case_windows(d: Dataset, onset: np.ndarray, seed: int) -> tuple[Cohort
     rows = np.flatnonzero(onset >= 0)
     gap = np.array([sample_gap(gap_stream(seed, d.ids[row])) for row in rows.tolist()], dtype=np.int64)
     end = onset[rows] - gap
-    start = _ordinals(window_start_for_end, end)
+    start = window_start_for_end(end)
     fits = (start >= d.enroll_start[rows]) & (end <= d.enroll_end[rows])  # -1, off the calendar, fails
     cases = Cohort(ALL_AGE, d.ids, rows, np.ones_like(rows), start, end, gap, rows, onset[rows])
     return cases[fits], int(rows.size - fits.sum())
@@ -262,10 +249,8 @@ def build_age18_cohort(d: Dataset, onset: np.ndarray) -> Cohort:
     target is future risk, not prevalent disease.
     """
     rows = d.input_rows
-    years, year_of = np.unique(d.birth_year[rows], return_inverse=True)
     # year of birth only: the 18th birthday is Jan 1 of birth_year + 18
-    jan1 = [[datetime.date(year + age, 1, 1).toordinal() for age in (17, 18, 19)] for year in years.tolist()]
-    span_start, birthday, span_end = np.array(jan1, dtype=np.int64).reshape(-1, 3)[year_of].T
+    span_start, birthday, span_end = (days_from_civil(d.birth_year[rows] + age, 1, 1) for age in (17, 18, 19))
     onset = onset[rows]
     _, owner = d.window_events(rows, span_start, birthday - 1)
     keep = (
@@ -284,8 +269,8 @@ def build_substance_cohort(d: Dataset, m: PhecodeMap, onset: np.ndarray) -> Coho
     persons were given in."""
     index = first_days(d, m, TAG_SUBSTANCE)[d.input_rows]
     rows, index = d.input_rows[index >= 0], index[index >= 0]
-    start = _ordinals(window_start_for_end, index)
-    test_end = _ordinals(lambda day: add_months(day, 12), index)
+    start = window_start_for_end(index)
+    test_end = add_months(index, 12)
     onset = onset[rows]
     keep = (
         (start >= 0) & (test_end >= 0)  # the window or the follow-up year runs off the calendar
@@ -331,8 +316,8 @@ def write_cohort(c: Cohort, path: str) -> None:
     """cohort.csv, one row per example (empty fields where not applicable)."""
     header = ["person_id", "label", "cohort_kind", "match_group",
               "window_start", "window_end", "gap_days", "index_date"]
-    days = distinct(np.concatenate([c.start, c.end, c.index_day])).tolist()
-    text = {day: "" if day < 0 else datetime.date.fromordinal(day).isoformat() for day in days}
+    days = distinct(np.concatenate([c.start, c.end, c.index_day]))
+    text = dict(zip(days.tolist(), iso_text(days).astype(str).tolist()))  # "" for -1
     ids = c.ids
     rows = (
         [ids[row], label, c.kind, ids[group], text[start], text[end], "" if gap < 0 else gap, text[index]]

@@ -73,6 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dates import civil_from_days, days_from_civil, iso_text
 from .errors import DataError
 
 GENDERS = ("F", "M", "U")  # gender columns hold positions in this tuple
@@ -467,15 +468,7 @@ def _map_fields(raw: bytes, lo: np.ndarray, hi: np.ndarray, value: Callable[[byt
     return np.array(values, dtype=np.int64)[position]
 
 
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
-_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS  # in a common year, by month 1..12
 _DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])  # of YYYY-MM-DD
-
-
-def _jan1(year: np.ndarray) -> np.ndarray:
-    """The date ordinal of Jan 1 of each (proleptic Gregorian) year."""
-    y = year - 1
-    return y * 365 + y // 4 - y // 100 + y // 400 + 1
 
 
 def _iso_days(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -487,12 +480,7 @@ def _iso_days(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     digit = digit.astype(np.int32)
     year = digit[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
     month, day = digit[:, 5] * 10 + digit[:, 6], digit[:, 8] * 10 + digit[:, 9]
-    ok &= (year >= 1) & (month >= 1) & (month <= 12)
-    month = np.where(ok, month, 0)
-    jan1 = _jan1(year)
-    leap = _jan1(year + 1) - jan1 == 366
-    ok &= (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
-    return np.where(ok, jan1 + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - 1, -1)
+    return np.where(ok, days_from_civil(year, month, day), -1)
 
 
 def write_table(path: str, name: str, header: list[str], rows: Iterable[Sequence[object]]) -> None:
@@ -565,7 +553,7 @@ def load_persons(path: str) -> Persons:
         source = _map_fields(raw, cut[5] + 1, cut[6], lambda key: source_of.get(key, -1))
         bad = (
             (year < BIRTH_YEARS[0]) | (year > BIRTH_YEARS[1]) | (gender < 0) | (source < 0)
-            | (start < 0) | (end < 0) | (start > end) | (end < _jan1(year))
+            | (start < 0) | (end < 0) | (start > end) | (year > civil_from_days(end)[0])
         )
         if len(seen) < len(ids):  # an id repeats
             first: dict[str, int] = {}
@@ -644,11 +632,9 @@ def load_events(path: str, persons: Persons, source: str) -> "Dataset":
 
 def write_persons(persons: Persons, path: str) -> None:
     """persons.csv from the columns, CRLF line ends, in input order."""
-    days = distinct(np.concatenate([persons.enroll_start, persons.enroll_end])).tolist()
-    text = {day: datetime.date.fromordinal(day).isoformat() for day in days}
     rows = zip(
         persons.ids, persons.birth_year.tolist(), [GENDERS[g] for g in persons.gender.tolist()],
-        [text[day] for day in persons.enroll_start.tolist()], [text[day] for day in persons.enroll_end.tolist()],
+        iso_text(persons.enroll_start).astype(str).tolist(), iso_text(persons.enroll_end).astype(str).tolist(),
         [SOURCES[s] for s in persons.source.tolist()],
     )
     write_table(path, "persons.csv", PERSONS_HEADER, rows)
@@ -666,7 +652,7 @@ def write_events(d: "Dataset", path: str) -> None:
         f"{_plain(c.kind.lower())},{_plain(c.system)},{_plain(c.code)}" for c in d.codes.entries
     ]
     days, day_index = np.unique(d.day, return_inverse=True)
-    date_text = [datetime.date.fromordinal(day).isoformat() for day in days.tolist()]
+    date_text = iso_text(days).astype(str).tolist()
     day_index = day_index.tolist()
     code = d.code.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -835,16 +821,6 @@ class Dataset:
         owner = np.repeat(np.arange(lo.size), counts)
         # window i fills output slots from its cumsum start, positions up from its lo
         return np.arange(owner.size) + (lo - np.cumsum(counts) + counts)[owner], owner
-
-    def events_in_window(
-        self, person_id: str, start: datetime.date, end: datetime.date
-    ) -> list[ClinicalEvent]:
-        """Events dated within [start, end], inclusive both ends."""
-        row = self.row_of.get(person_id)
-        if row is None:
-            return []
-        pos, _ = self.window_events(np.array([row]), start.toordinal(), end.toordinal())
-        return self._row_events(row, int(pos[0]), int(pos[-1]) + 1) if pos.size else []
 
     def dx_counts_before(self, rows: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
         """Raw DX event count of each row strictly before its cutoff ordinal."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cohort import Cohort, CohortExample
 from .datamodel import ClinicalEvent, Code, Dataset, distinct, read_text
+from .dates import civil_from_days
 from .errors import DataError
 
 DEMOGRAPHICS_DIM = 4  # age_norm, then gender one-hot in GENDERS order (F/M/U)
@@ -113,8 +114,7 @@ def featurize_split(c: Cohort, d: Dataset, v: Vocabulary) -> FeatureMatrix:
     keys = distinct(owner[hit] * len(v) + index[hit])
     indptr = np.searchsorted(keys // len(v), np.arange(len(c) + 1))
     demographics = np.zeros((len(c), DEMOGRAPHICS_DIM), dtype=np.float64)
-    end_years = (np.datetime64("0001-01-01") + (c.end - 1)).astype("datetime64[Y]").astype(np.int64) + 1970
-    demographics[:, 0] = (end_years - d.birth_year[c.row]) / 100.0
+    demographics[:, 0] = (civil_from_days(c.end)[0] - d.birth_year[c.row]) / 100.0
     demographics[np.arange(len(c)), 1 + d.gender[c.row]] = 1.0
     return FeatureMatrix(indptr, keys % len(v), demographics)
 

@@ -34,6 +34,7 @@ from .datamodel import (
     BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, read_table, table_rows,
     write_table,
 )
+from .dates import civil_from_days, days_from_civil
 from .errors import ConfigError, DataError
 from .phecode import (
     TAG_AXIS1, TAG_PSYCH, TAG_SMI, TAG_SUBSTANCE, PhecodeMap, code_tags, load_default_map, phecode_tags
@@ -181,14 +182,6 @@ def code_pools(cfg: SynthConfig) -> CodePools:
     )
 
 
-def shared_feature_codes(cfg: SynthConfig) -> set[str]:
-    """Namespaced feature codes common to both sources under this vocab."""
-    pools = code_pools(cfg)
-    out = {f"dx:{system}:{code}" for system, code in pools.dx_shared}
-    out.update(f"rx:NDC:{code}" for code in pools.rx)
-    return out
-
-
 def default_risk_weights(cfg: SynthConfig) -> dict[str, float]:
     """Planted signal: axis I and other psychiatric codes raise risk (so
     the benchmarks work), a disjoint block of non-psychiatric filler codes
@@ -269,9 +262,8 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         n_rx, _frequency_order(n_rx, cfg.source, "rx"), tilt, MEAN_ACTIVE_RX
     )
 
-    cal_start = datetime.date(cfg.year_range[0], 1, 1)
-    cal_end = datetime.date(cfg.year_range[1], 12, 31)
-    total_days = (cal_end - cal_start).days
+    cal_start, cal_end = days_from_civil(cfg.year_range, (1, 12), (1, 31)).tolist()
+    total_days = cal_end - cal_start
     max_span = min(SPAN_DAYS_RANGE[1], total_days + 1)
     min_span = min(SPAN_DAYS_RANGE[0], max_span - 1)
 
@@ -287,7 +279,7 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
     prefix = "c" if cfg.source == "CLAIMS" else "e"
     ids: list[str] = []
-    person_columns: list[tuple[int, int, int, int]] = []  # birth year, gender, enrollment ordinals
+    person_columns: list[tuple[int, int, int, int]] = []  # age at start, gender, enrollment ordinals
     person_parts: list[np.ndarray] = []
     day_parts: list[np.ndarray] = []
     code_parts: list[np.ndarray] = []
@@ -300,10 +292,8 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
         span = int(gen.integers(min_span, max_span))
         start_offset = int(gen.integers(0, total_days - span + 1))
-        enroll_start = cal_start + datetime.timedelta(days=start_offset)
-        enroll_end = enroll_start + datetime.timedelta(days=span)
+        day0 = cal_start + start_offset
         age_at_start = int(gen.integers(*AGE_AT_START_RANGE))
-        birth_year = enroll_start.year - age_at_start
         gender_pos = int(gen.choice(3, p=GENDER_PROBS))
         gender = GENDERS[gender_pos]
 
@@ -340,13 +330,12 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         p_annual = cfg.smi_annual_rate_cap * _sigmoid_scalar(LINK_STEEPNESS * logit)
         p_onset = 1.0 - (1.0 - p_annual) ** span_years
 
-        day0 = enroll_start.toordinal()
         day_parts.append(day0 + offsets)
         code_parts.append(event_codes)
         n_person_events = n_events
         onset_date: datetime.date | None = None
         if u_onset < p_onset:
-            onset_date = enroll_start + datetime.timedelta(days=candidate_offset)
+            onset_date = datetime.date.fromordinal(day0 + candidate_offset)
             n_smi = 1 + int(gen.poisson(SMI_EXTRA_EVENT_MEAN))
             smi_offsets = [candidate_offset]
             if n_smi > 1:
@@ -360,15 +349,14 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         person_parts.append(np.full(n_person_events, i))
 
         ids.append(pid)
-        person_columns.append((birth_year, gender_pos, day0, enroll_end.toordinal()))
+        person_columns.append((age_at_start, gender_pos, day0, day0 + span))
         logits[pid] = logit
         onsets[pid] = onset_date
 
     # valid by construction: `SynthConfig.validate` keeps every birth year loadable
-    persons = Persons(
-        ids, *np.array(person_columns, dtype=np.int64).reshape(-1, 4).T,
-        np.full(len(ids), SOURCES.index(cfg.source), dtype=np.int64),
-    )
+    age, gender_pos, start, end = np.array(person_columns, dtype=np.int64).reshape(-1, 4).T
+    source = np.full(len(ids), SOURCES.index(cfg.source), dtype=np.int64)
+    persons = Persons(ids, civil_from_days(start)[0] - age, gender_pos, start, end, source)
     dataset = Dataset(
         persons,
         cfg.source,

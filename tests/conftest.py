@@ -13,7 +13,7 @@ from smiscreen.cohort import Cohort, ObservationWindow, build_all_age_cohort
 from smiscreen.datamodel import ClinicalEvent, Dataset, Person, Persons
 from smiscreen.phecode import load_default_map
 from smiscreen.pipeline import SplitFractions, split_cohort
-from smiscreen.synth import SynthConfig, generate_population
+from smiscreen.synth import SynthConfig, code_pools, generate_population
 
 
 def d(text: str) -> datetime.date:
@@ -48,6 +48,27 @@ def rebuild_from_columns(dataset: Dataset) -> Dataset:
     pos = {pid: i for i, pid in enumerate(persons.ids)}
     person_pos = np.repeat([pos[pid] for pid in dataset.ids], np.diff(dataset.offsets))
     return Dataset(persons, dataset.source, person_pos, dataset.day, dataset.code, dataset.codes)
+
+
+def events_in_window(
+    dataset: Dataset, person_id: str, start: datetime.date, end: datetime.date
+) -> list[ClinicalEvent]:
+    """The events of `person_id` dated within [start, end], inclusive both
+    ends, found by `Dataset.window_events`."""
+    row = dataset.row_of.get(person_id)
+    if row is None:
+        return []
+    pos, _ = dataset.window_events(np.array([row]), start.toordinal(), end.toordinal())
+    events = dataset.events_for(person_id)
+    return [events[i] for i in (pos - dataset.offsets[row]).tolist()]
+
+
+def shared_feature_codes(cfg: SynthConfig) -> set[str]:
+    """Namespaced feature codes common to both sources under this vocab."""
+    pools = code_pools(cfg)
+    out = {f"dx:{system}:{code}" for system, code in pools.dx_shared}
+    out.update(f"rx:NDC:{code}" for code in pools.rx)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import d, make_dataset, make_event, make_person, rebuild_from_columns
+from conftest import d, events_in_window, make_dataset, make_event, make_person, rebuild_from_columns
 from smiscreen import datamodel
 from smiscreen.cli import main
 from smiscreen.datamodel import (
@@ -406,7 +406,7 @@ class TestDatasetAndValidation:
     def test_events_in_window_bounds(self):
         events = [make_event("p1", day) for day in ("2012-01-01", "2012-06-15", "2013-01-01")]
         ds = make_dataset([make_person("p1")], events)
-        got = ds.events_in_window("p1", d("2012-01-01"), d("2012-12-31"))
+        got = events_in_window(ds, "p1", d("2012-01-01"), d("2012-12-31"))
         assert [e.date for e in got] == [d("2012-01-01"), d("2012-06-15")]
 
     def test_dx_count_before(self):
@@ -517,7 +517,7 @@ def test_replaced_dataset_equals_fresh_build():
     window = ("p1", d("2011-01-01"), d("2013-12-31"))
     # fill the parent's caches, which the replaced dataset must not reuse
     assert parent.dx_counts_before(rows, cutoff).tolist() == [2, 0, 1]
-    assert len(parent.events_in_window(*window)) == 2
+    assert len(events_in_window(parent, *window)) == 2
     new = [
         make_event("p1", "2014-01-01", code="NEW1"),
         make_event("p1", "2011-06-01", kind="rx", system="NDC"),
@@ -533,8 +533,8 @@ def test_replaced_dataset_equals_fresh_build():
     assert shorter.key.tolist() == make_dataset(persons, kept + new[:1]).key.tolist()
     assert replaced.dx_counts_before(rows, cutoff).tolist() == [1, 0, 1]
     assert fresh.dx_counts_before(rows, cutoff).tolist() == [1, 0, 1]
-    got = replaced.events_in_window(*window)
-    assert got == fresh.events_in_window(*window) and [e.date for e in got] == [d("2011-06-01")]
+    got = events_in_window(replaced, *window)
+    assert got == events_in_window(fresh, *window) and [e.date for e in got] == [d("2011-06-01")]
     assert parent == make_dataset(persons, kept + old)
 
 

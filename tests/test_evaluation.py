@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import d, make_dataset, make_event, make_person
+from conftest import d, events_in_window, make_dataset, make_event, make_person
 from smiscreen.cohort import ALL_AGE, CohortExample, ObservationWindow
 from smiscreen.errors import DataError, DegenerateCohortError
 from smiscreen.evaluation import (
@@ -238,7 +238,7 @@ class TestBenchmarks:
         examples, _ = build_all_age_cohort(dataset, phemap, seed=42)
 
         def reference(ex, trigger, exclude_substance):
-            for e in dataset.events_in_window(ex.person_id, ex.window.start, ex.window.end):
+            for e in events_in_window(dataset, ex.person_id, ex.window.start, ex.window.end):
                 code = map_event(e, phemap)
                 tags = 0 if code is None else phecode_tags(code)
                 if not tags & trigger:

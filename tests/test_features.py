@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import d, make_dataset, make_event, make_person
+from conftest import d, events_in_window, make_dataset, make_event, make_person, shared_feature_codes
 from smiscreen.cohort import ALL_AGE, Cohort, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import DataError
 from smiscreen.features import (
@@ -19,7 +19,7 @@ from smiscreen.features import (
     namespaced_code,
     write_vocabulary,
 )
-from smiscreen.synth import SynthConfig, code_pools, generate_population, shared_feature_codes
+from smiscreen.synth import SynthConfig, code_pools, generate_population
 
 
 def example(pid, start="2012-01-01", end="2012-12-31", label=0):
@@ -144,7 +144,7 @@ class TestFeaturize:
         train = examples[::2]
 
         def window_codes(ex):
-            events = dataset.events_in_window(ex.person_id, ex.window.start, ex.window.end)
+            events = events_in_window(dataset, ex.person_id, ex.window.start, ex.window.end)
             return {namespaced_code(e) for e in events}
 
         vocab = build_vocabulary(train, dataset)

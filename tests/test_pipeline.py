@@ -327,6 +327,23 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data_dir, "train": train_dir, "train_cfg": train_cfg}
 
 
+def assert_no_numpy_ma_import(args: list[str]) -> None:
+    """The CLI run of `args` exits 0 in a fresh interpreter and imports
+    numpy.ma only if importing numpy did. NumPy 2.3+ imports numpy.ma
+    (about 35 ms) on a plain np.unique; 1.24 imports it with numpy."""
+    script = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from smiscreen.cli import main\n"
+        f"code = main({args!r})\n"
+        "print(code, eager, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    code, eager, after = proc.stdout.split()[-3:]
+    assert code == "0" and after == eager, proc.stderr
+
+
 def read_report(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -343,6 +360,10 @@ class TestSynthCommand:
         manifest = json.loads((data / "manifest.json").read_text())
         assert manifest["mode"] == "synth"
         assert manifest["counts"]["persons"] == 1500
+
+    def test_synth_imports_numpy_ma_only_if_numpy_did(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", {"synth.n_persons": "1500", "synth.source": "CLAIMS", "seed": "42"})
+        assert_no_numpy_ma_import(["synth", "--config", cfg, "--out", str(tmp_path / "out")])
 
     def test_synth_requires_synth_keys(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", {"seed": "1"})
@@ -366,18 +387,7 @@ class TestTrainCommand:
         assert "timestamp" in payload
 
     def test_train_imports_numpy_ma_only_if_numpy_did(self, workspace, tmp_path):
-        # NumPy 2.3+ imports numpy.ma (about 35 ms) on a plain np.unique; 1.24 imports it with numpy
-        script = (
-            "import sys, numpy\n"
-            "eager = 'numpy.ma' in sys.modules\n"
-            "from smiscreen.cli import main\n"
-            f"code = main(['train', '--config', {str(workspace['train_cfg'])!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-            "print(code, eager, 'numpy.ma' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
-        code, eager, after = proc.stdout.split()[-3:]
-        assert code == "0" and after == eager, proc.stderr
+        assert_no_numpy_ma_import(["train", "--config", workspace["train_cfg"], "--out", str(tmp_path / "out")])
 
     def test_manifest_records_training_log_and_blas_pinning(self, workspace):
         manifest = json.loads((workspace["train"] / "manifest.json").read_text())
@@ -633,6 +643,21 @@ class TestTwoStepAndUseCase:
         rows = read_report(out / "report.json")["reports"]
         assert [r["method"] for r in rows] == ["MODEL", "BENCH1", "BENCH2"]
         assert all(r["cohort"] == "SUBSTANCE" for r in rows)
+
+    def test_use_case_imports_numpy_ma_only_if_numpy_did(self, boosted_claims, workspace, tmp_path):
+        cfg = write_config(
+            tmp_path / "uc.cfg",
+            {
+                "data.persons": str(boosted_claims / "persons.csv"),
+                "data.events": str(boosted_claims / "events.csv"),
+                "cohort.kind": "SUBSTANCE",
+                "seed": "42",
+                **SMALL_NNET,
+            },
+        )
+        assert_no_numpy_ma_import(
+            ["use-case", "--config", cfg, "--out", str(tmp_path / "out"), "--model-dir", str(workspace["train"])]
+        )
 
     def test_use_case_layer_mismatch_exits_2(self, boosted_claims, workspace, tmp_path, capsys):
         cfg = write_config(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rebuild_from_columns
+from conftest import rebuild_from_columns, shared_feature_codes
 from mc_oracle import mc_prevalence
 from smiscreen.cohort import build_all_age_cohort
 from smiscreen.datamodel import write_events, write_persons
@@ -25,7 +25,6 @@ from smiscreen.synth import (
     generate_population,
     ground_truth_auc,
     load_ground_truth,
-    shared_feature_codes,
     write_ground_truth,
 )
 
