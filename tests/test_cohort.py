@@ -31,7 +31,7 @@ from smiscreen.cohort import (
     write_cohort,
 )
 from smiscreen.datamodel import Dataset, Persons, write_events, write_persons
-from smiscreen.dates import window_start_for_end
+from smiscreen.dates import add_months, window_start_for_end
 from smiscreen.errors import DegenerateCohortError
 from smiscreen.phecode import TAG_SMI, TAG_SUBSTANCE
 
@@ -44,6 +44,24 @@ def age18(ds, phemap):
 
 def substance(ds, phemap):
     return build_substance_cohort(ds, phemap, first_days(ds, phemap, TAG_SMI))
+
+
+def o(text: str) -> int:
+    return d(text).toordinal()
+
+
+class TestDates:
+    def test_window_start_for_end(self):
+        assert window_start_for_end(o("2014-12-17")) == o("2013-12-18")
+
+    def test_window_length_is_365_or_366(self):
+        for end in ("2014-12-17", "2016-02-29", "2016-03-15", "2015-02-28"):
+            start = window_start_for_end(o(end))
+            assert o(end) - start + 1 in (365, 366)
+
+    def test_add_months_clamps(self):
+        assert add_months(o("2016-02-29"), -12) == o("2015-02-28")
+        assert add_months(o("2015-01-31"), 1) == o("2015-02-28")
 
 
 class TestFindCases:
