@@ -10,19 +10,20 @@ A `Dataset` is the one event store, and it is built one way: from
 `Persons` columns plus unsorted event columns (each event's person
 position, date ordinal and code id). `Dataset.from_events`, `load_events`
 and `synth.generate_population` each produce those columns and call that
-constructor. Each rule has one predicate, which the CSV loaders call too,
-so a file and an in-memory dataset are refused with the same text, after
-`path:line` or after the person id:
+constructor. Each rule has one predicate, so a file and an in-memory
+dataset are refused with the same text, after `path:line` or after the
+person id:
   _person_problem      birth year in BIRTH_YEARS, gender, source,
                        enroll_start <= enroll_end, birth year <= end year
-  _kind_problem        known kind (any case) with a system allowed for it
+  _kind_problem        known kind (any case) with a system allowed for it;
+                       `CodeTable.id` gives -1 for a code it refuses
   _enrollment_problem  event date within the person's enrollment
-Persons are checked once, where they come in: `load_persons` checks each
-line and `Persons.of` each `Person` (synth builds its persons from a
-validated config). `Dataset` refuses a repeated person
-id, a person whose source is not the dataset's, and any event that breaks
-a rule. `replace_person_events` checks only the events it brings in, and
-refuses one of another person.
+Each rule is checked once, where the data comes in (synth builds its
+persons and events from a validated config). `load_persons` checks each
+line and `Persons.of` each `Person`. `load_events` checks each block, and
+`from_events` and `replace_person_events` the event views they bring in,
+through one array test, `_bad_events`. The constructor refuses only a
+repeated person id and a person whose source is not the dataset's.
 
 Persons and events are held as columns, never as one object per record.
 `Persons` holds ids, birth years, genders, enrollment ordinals and sources
@@ -67,7 +68,7 @@ import datetime
 import functools
 import re
 import sys
-from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -308,20 +309,25 @@ def _scan(path: str, name: str, header: list[str]) -> Iterator[_Lines]:
     with open(path, "rb") as fh:
         _check_header(path, _decode(path, fh.readline()), header)
         lineno, carry = 2, b""
-        while chunk := fh.read(BLOCK_BYTES):
-            buf = carry + chunk if carry else chunk
-            cut = buf.rfind(b"\n") + 1
-            carry = buf[cut:]
+        while chunk := fh.read(BLOCK_BYTES) or carry and b"\n":  # a last line without one gets a newline
+            chunk = carry + chunk
+            cut = chunk.rfind(b"\n") + 1
+            raw, carry = chunk[:cut] + _PAD, chunk[cut:]
+            del chunk  # hold each block's bytes once, and only while the caller maps it
             if cut:
-                lineno = yield from _block_lines(path, name, len(header), buf[:cut], lineno)
-        if carry:
-            yield from _block_lines(path, name, len(header), carry + b"\n", lineno)
+                lines, problem, lineno = _block_lines(name, len(header), raw, lineno)
+                yield lines
+                if problem:
+                    raise DataError(f"{path}:{problem}")
+                del lines, raw
 
 
-def _block_lines(path: str, name: str, n: int, raw: bytes, first_line: int) -> Generator[_Lines, None, int]:
-    """`_scan` of whole lines (`raw` ends with a newline) numbered from
-    `first_line`; returns the number of the line after them."""
-    a = np.frombuffer(raw, dtype=np.uint8)
+def _block_lines(name: str, n: int, raw: bytes, first_line: int) -> tuple[_Lines, str | None, int]:
+    """The `_Lines` of whole lines (`raw` ends with a newline, then _PAD)
+    numbered from `first_line`, "line: problem" of the line that ends them
+    or None, and the number of the line after `raw`. A plain function, so
+    its arrays are gone before the caller maps the block."""
+    a = np.frombuffer(raw, dtype=np.uint8, count=len(raw) - len(_PAD))
     sep = np.flatnonzero((a == 44) | (a == 10))  # every comma and line end
     at_end = np.flatnonzero(a[sep] == 10)
     ends = sep[at_end]
@@ -344,11 +350,10 @@ def _block_lines(path: str, name: str, n: int, raw: bytes, first_line: int) -> G
     lines = np.flatnonzero(~blank[:stop])
     first = at_end[lines] - (n - 1)  # in `sep`, each line's first comma
     cut = [starts[lines] - 1, *(sep[first + j] for j in range(n - 1)), content_end[lines]]
-    yield _Lines(raw + _PAD, first_line + lines, cut)
+    problem = None
     if stop < ends.size:
-        problem = _line_problem(raw[starts[stop] : content_end[stop]], name, n)
-        raise DataError(f"{path}:{first_line + stop}: {problem}")
-    return first_line + ends.size
+        problem = f"{first_line + stop}: {_line_problem(raw[starts[stop] : content_end[stop]], name, n)}"
+    return _Lines(raw, first_line + lines, cut), problem, first_line + ends.size
 
 
 Block = tuple[np.ndarray, list[str]]
@@ -496,18 +501,6 @@ def write_table(path: str, name: str, header: list[str], rows: Iterable[Sequence
             fh.write(line + "\r\n")
 
 
-class _Memo(dict):
-    """dict that fills a missing key from `make(key)`."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values of an array, by one sort. np.unique gives
     the same, but without return_inverse or return_counts NumPy 2.3 and
@@ -538,7 +531,7 @@ def load_persons(path: str) -> Persons:
     DataError naming the line."""
     ids: list[str] = []
     seen: set[str] = set()
-    year_of = _Memo(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else BIRTH_YEARS[1] + 1)
+    year_of = functools.cache(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else BIRTH_YEARS[1] + 1)
     gender_of = {g.encode(): i for i, g in enumerate(GENDERS)}
     source_of = {s.encode(): i for i, s in enumerate(SOURCES)}
     parts = [(np.zeros(0, dtype=np.int64),) * 5]
@@ -547,7 +540,7 @@ def load_persons(path: str) -> Persons:
         n0 = len(ids)
         ids += _texts(raw, cut[0] + 1, cut[1])
         seen.update(ids[n0:])
-        year = _map_fields(raw, cut[1] + 1, cut[2], year_of.__getitem__)
+        year = _map_fields(raw, cut[1] + 1, cut[2], year_of)
         gender = _map_fields(raw, cut[2] + 1, cut[3], lambda key: gender_of.get(key, -1))
         start, end = _iso_days(raw, cut[3] + 1, cut[4]), _iso_days(raw, cut[4] + 1, cut[5])
         source = _map_fields(raw, cut[5] + 1, cut[6], lambda key: source_of.get(key, -1))
@@ -567,21 +560,51 @@ def load_persons(path: str) -> Persons:
 
 
 class CodeTable:
-    """Interned codes; a code id is a position in `entries`."""
+    """Interned codes; a code id is a position in `entries`. Every entry
+    has a kind and system that `_kind_problem` accepts."""
 
     def __init__(self, entries: Iterable[Code] = ()):
         self.entries: list[Code] = list(entries)
         self._ids = {c: i for i, c in enumerate(self.entries)}
-        if len(self._ids) != len(self.entries):
-            raise ValueError("duplicate entries in a code table")
+        if len(self._ids) != len(self.entries) or any(_kind_problem(c.kind, c.system) for c in self._ids):
+            raise ValueError("duplicate or refused entries in a code table")
 
     def id(self, c: Code) -> int:
-        """Id of `c`, appending it when new."""
+        """Id of `c`, appending it when new; -1 if `_kind_problem` refuses it."""
         cid = self._ids.get(c)
         if cid is None:
+            if _kind_problem(c.kind, c.system):
+                return -1
             cid = self._ids[c] = len(self.entries)
             self.entries.append(c)
         return cid
+
+
+def _bad_events(persons: Persons, pos: np.ndarray, day: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Whether each event (position in `persons`, date ordinal, code id)
+    breaks a rule: -1 for an unknown person, a code `CodeTable.id` refused
+    or an unreadable date, or a day outside the person's enrollment."""
+    bad = (pos < 0) | (code < 0) | (day < 0)
+    if len(persons):  # else every position is -1
+        bad |= (day < persons.enroll_start[pos]) | (day > persons.enroll_end[pos])
+    return bad
+
+
+def _view_columns(events: list[ClinicalEvent], persons: Persons, pos_of: dict, codes: CodeTable) -> np.ndarray:
+    """The person positions (by `pos_of`), date ordinals and code ids (from
+    `codes`) of event views, as three int32 rows; the first event that
+    breaks a rule is a DataError naming its person."""
+    rows = [(pos_of.get(e.person_id, -1), e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code)))
+            for e in events]
+    columns = np.array(rows, dtype=np.int32).reshape(-1, 3).T
+    bad = np.flatnonzero(_bad_events(persons, *columns))
+    if bad.size:
+        e, at = events[bad[0]], int(columns[0, bad[0]])
+        if at < 0:
+            raise DataError(f"events reference unknown person_id {e.person_id!r}")
+        problem = _kind_problem(e.kind.upper(), e.system) or _enrollment_problem(persons[at], e.date)
+        raise DataError(f"person {e.person_id!r}: {problem}")
+    return columns
 
 
 def _row_problem(pid: str, date_raw: str, rest: str, person: Person | None) -> str | None:
@@ -604,29 +627,29 @@ def load_events(path: str, persons: Persons, source: str) -> "Dataset":
     """The dataset of `persons` and the events of events.csv at `path`,
     sorted by (person_id, date); ties keep file order."""
     index = dict(zip(persons.ids, range(len(persons))))
-    # one trailing sentinel so position -1 (unknown person) indexes safely
-    start, end = np.append(persons.enroll_start, 0), np.append(persons.enroll_end, 0)
     codes = CodeTable()
 
+    @functools.cache
     def code_id(rest: bytes) -> int:
         kind, system, code = rest.decode("utf-8").split(",")
-        return -1 if _kind_problem(kind, system) else codes.id(Code(kind.upper(), system, sys.intern(code)))
+        return codes.id(Code(kind.upper(), system, sys.intern(code)))
 
-    code_of = _Memo(code_id)
-    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    parts = [(np.zeros(0, dtype=np.int32),) * 3]
     for lines in _scan(path, "events.csv", EVENTS_HEADER):
         raw, cut = lines.raw, lines.cut
         pos = _map_fields(raw, cut[0] + 1, cut[1], lambda pid: index.get(pid.decode("utf-8"), -1))
         day = _iso_days(raw, cut[1] + 1, cut[2])
-        code = _map_fields(raw, cut[2] + 1, cut[5], code_of.__getitem__)
-        bad = (pos < 0) | (code < 0) | (day < 0) | (day < start[pos]) | (day > end[pos])
+        code = _map_fields(raw, cut[2] + 1, cut[5], code_id)
+        bad = _bad_events(persons, pos, day, code)
         if bad.any():
             i = int(np.argmax(bad))
             person = persons[int(pos[i])] if pos[i] >= 0 else None
             problem = _row_problem(lines.text(i, 0), lines.text(i, 1), lines.text(i, 2, 5), person)
             raise DataError(f"{path}:{lines.numbers[i]}: {problem}")
-        parts.append((pos, day, code))
+        parts.append(tuple(col.astype(np.int32) for col in (pos, day, code)))
+        del lines, raw, cut, pos, day, code  # the next block is read without them
     pos, day, code = (np.concatenate(cols) for cols in zip(*parts))
+    del parts
     return Dataset(persons, source, pos, day, code, codes)
 
 
@@ -679,11 +702,11 @@ class Dataset:
     (a position in GENDERS). Row r's events occupy positions
     offsets[r]:offsets[r + 1] of `day` (int32 date ordinals) and `code`
     (int32 ids into `codes`), sorted by date with ties in input order.
-    Construction refuses, with a `DataError` naming the person, a repeated
-    id, a person of another source and any event that breaks a rule of the
-    module docstring; each person's own rules were checked where it came
-    in. Treat instances as frozen after construction: derived datasets come
-    from `replace_person_events`, which checks its new events the same way.
+    Construction refuses, with a `DataError` naming the person, only a
+    repeated id and a person of another source: each person and event was
+    checked where it came in (see the module docstring). Treat instances as
+    frozen after construction: derived datasets come from
+    `replace_person_events`, which checks the events it brings in.
     """
 
     def __init__(
@@ -714,30 +737,18 @@ class Dataset:
         self.enroll_start, self.enroll_end = self._by_row.enroll_start, self._by_row.enroll_end
         self.birth_year, self.gender = self._by_row.birth_year, self._by_row.gender
         self.input_rows = np.argsort(order)  # the inverse permutation
-        rows = self.input_rows[person_pos]
-        sort = np.argsort(rows * DAY_SPAN + day, kind="stable")
+        key = self.input_rows[person_pos]  # each event's int64 row, then its sort key
         offsets = np.zeros(len(persons) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(persons)), out=offsets[1:])
+        np.cumsum(np.bincount(key, minlength=len(persons)), out=offsets[1:])
+        key *= DAY_SPAN
+        key += day
+        sort = np.argsort(key, kind="stable")
+        del key
         day, code = (np.asarray(col[sort], dtype=np.int32) for col in (day, code))
-        self._set_events(offsets, day, code, codes, 0, rows[sort])
+        self._set_events(offsets, day, code, codes)
 
-    def _set_events(
-        self, offsets: np.ndarray, day: np.ndarray, code: np.ndarray, codes: CodeTable,
-        lo: int, rows: np.ndarray,
-    ) -> None:
-        """Adopt the sorted columns after checking their events at positions
-        lo, lo + 1, ..., which belong to `rows`; the others were checked before."""
-        entries = codes.entries
-        bad_code = np.array([_kind_problem(c.kind, c.system) is not None for c in entries], dtype=bool)
-        new_day, new_code = day[lo : lo + rows.size], code[lo : lo + rows.size]
-        bad = bad_code[new_code] | (new_day < self.enroll_start[rows]) | (new_day > self.enroll_end[rows])
-        if bad.any():
-            i = int(np.argmax(bad))
-            person, c = self._by_row[int(rows[i])], entries[new_code[i]]
-            problem = _kind_problem(c.kind, c.system) or _enrollment_problem(
-                person, datetime.date.fromordinal(int(new_day[i]))
-            )
-            raise DataError(f"person {person.person_id!r}: {problem}")
+    def _set_events(self, offsets: np.ndarray, day: np.ndarray, code: np.ndarray, codes: CodeTable) -> None:
+        """Adopt sorted event columns, dropping what was derived from others."""
         self.offsets, self.day, self.code, self.codes = offsets, day, code, codes
         self._key: np.ndarray | None = None
         self._dx_key: np.ndarray | None = None
@@ -748,17 +759,9 @@ class Dataset:
         cls, persons: Iterable[Person], events: Iterable[ClinicalEvent], source: str
     ) -> "Dataset":
         """Dataset from person and event views; kinds are stored upper case."""
-        persons = Persons.of(persons)
-        pos = {pid: i for i, pid in enumerate(persons.ids)}
-        codes = CodeTable()
-        columns: list[tuple[int, int, int]] = []
-        for e in events:
-            i = pos.get(e.person_id)
-            if i is None:
-                raise DataError(f"events reference unknown person_id {e.person_id!r}")
-            columns.append((i, e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code))))
-        person_pos, day, code = np.array(columns, dtype=np.int64).reshape(-1, 3).T
-        return cls(persons, source, person_pos, day, code, codes)
+        persons, codes = Persons.of(persons), CodeTable()
+        pos_of = {pid: i for i, pid in enumerate(persons.ids)}
+        return cls(persons, source, *_view_columns(list(events), persons, pos_of, codes), codes)
 
     @classmethod
     def from_files(cls, persons_path: str, events_path: str) -> "Dataset":
@@ -779,16 +782,6 @@ class Dataset:
     def n_events(self) -> int:
         return len(self.day)
 
-    def _row_events(self, row: int, lo: int, hi: int) -> list[ClinicalEvent]:
-        """Row views of positions lo:hi, all belonging to `row`."""
-        pid = self.ids[row]
-        entries = self.codes.entries
-        from_ordinal = datetime.date.fromordinal
-        return [
-            ClinicalEvent(pid, from_ordinal(day), *entries[c])
-            for day, c in zip(self.day[lo:hi].tolist(), self.code[lo:hi].tolist())
-        ]
-
     @property
     def events(self) -> list[ClinicalEvent]:
         """Flat event list ordered by (person_id, date), built on demand."""
@@ -798,7 +791,12 @@ class Dataset:
         row = self.row_of.get(person_id)
         if row is None:
             return []
-        return self._row_events(row, int(self.offsets[row]), int(self.offsets[row + 1]))
+        lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
+        entries, from_ordinal = self.codes.entries, datetime.date.fromordinal
+        return [
+            ClinicalEvent(person_id, from_ordinal(day), *entries[c])
+            for day, c in zip(self.day[lo:hi].tolist(), self.code[lo:hi].tolist())
+        ]
 
     @property
     def key(self) -> np.ndarray:
@@ -861,21 +859,19 @@ class Dataset:
         row = self.row_of.get(person_id)
         if row is None:
             raise DataError(f"unknown person_id {person_id!r}")
-        codes = CodeTable(self.codes.entries)
-        pairs: list[tuple[int, int]] = []
         for e in events:
             if e.person_id != person_id:
                 raise DataError(f"event for {e.person_id!r} cannot replace the events of {person_id!r}")
-            pairs.append((e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code))))
-        pairs.sort(key=lambda pair: pair[0])
-        new_day, new_code = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+        codes = CodeTable(self.codes.entries)
+        events = sorted(events, key=lambda e: e.date.toordinal())
+        _, new_day, new_code = _view_columns(events, self._by_row, {person_id: row}, codes)
         lo, hi = int(self.offsets[row]), int(self.offsets[row + 1])
         offsets = self.offsets.copy()
-        offsets[row + 1 :] += len(pairs) - (hi - lo)
+        offsets[row + 1 :] += len(events) - (hi - lo)
         clone = copy.copy(self)  # shares persons, ids, row_of and the enrollment arrays
         day = np.concatenate([self.day[:lo], new_day, self.day[hi:]])
         code = np.concatenate([self.code[:lo], new_code, self.code[hi:]])
-        clone._set_events(offsets, day, code, codes, lo, np.full(len(pairs), row))
+        clone._set_events(offsets, day, code, codes)
         return clone
 
     def __eq__(self, other: object) -> bool:

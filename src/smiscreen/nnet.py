@@ -193,9 +193,9 @@ def _forward(m: ModelParams, x: FeatureMatrix):
     return p, (avg, inputs, z1, a1, z2, a2)
 
 
-def score_batch(m: ModelParams, batch: FeatureMatrix | list[FeatureMatrix]) -> np.ndarray:
-    """Scores of the rows of `batch`; a list of matrices is stacked first."""
-    p, _ = _forward(m, FeatureMatrix.stack(batch) if isinstance(batch, list) else batch)
+def score_batch(m: ModelParams, batch: FeatureMatrix) -> np.ndarray:
+    """Scores of the rows of `batch`."""
+    p, _ = _forward(m, batch)
     if not np.all(np.isfinite(p)):
         raise DataError("non-finite model output")
     return p

@@ -105,8 +105,6 @@ class SynthConfig:
         if not 0.0 < self.smi_annual_rate_cap < 1.0:
             raise ConfigError("synth.rate_cap must be in (0, 1)")
         years = "synth.year_min, synth.year_max: need"
-        if not 1 <= self.year_range[0] <= self.year_range[1] <= 9999:  # datetime's range
-            raise ConfigError(f"{years} 1 <= year_min <= year_max <= 9999, got {self.year_range}")
         # birth year = enrollment start year - AGE_AT_START_RANGE, and persons.csv must load it back
         lo, hi = BIRTH_YEARS[0] + AGE_AT_START_RANGE[1] - 1, BIRTH_YEARS[1] + AGE_AT_START_RANGE[0]
         if not lo <= self.year_range[0] <= self.year_range[1] <= hi:

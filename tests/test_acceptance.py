@@ -14,7 +14,7 @@ from nnet_checks import finite_difference_check, kink_distance, random_model_and
 from smiscreen.cli import main
 from smiscreen.cohort import build_all_age_cohort, find_cases, prevalence
 from smiscreen.evaluation import ScoredSet, auc, benchmark1, benchmark2, youden_threshold
-from smiscreen.features import build_vocabulary, featurize, intersect_vocabularies
+from smiscreen.features import FeatureMatrix, build_vocabulary, featurize, intersect_vocabularies
 from smiscreen.nnet import (
     Hyperparams,
     ModelCorruptError,
@@ -212,7 +212,7 @@ def test_criterion_05_temporal_leakage_mutations(pop5k, phemap):
                 before_fv,
                 benchmark1(ex, dataset, phemap),
                 benchmark2(ex, dataset, phemap),
-                score_batch(model, [before_fv])[0],
+                score_batch(model, before_fv)[0],
             )
             mutated_ds = dataset.replace_person_events(ex.person_id, new_events)
             after_fv = featurize(ex, mutated_ds, vocab)
@@ -220,7 +220,7 @@ def test_criterion_05_temporal_leakage_mutations(pop5k, phemap):
                 after_fv,
                 benchmark1(ex, mutated_ds, phemap),
                 benchmark2(ex, mutated_ds, phemap),
-                score_batch(model, [after_fv])[0],
+                score_batch(model, after_fv)[0],
             )
             assert before[0] == after[0]
             assert before[1:] == after[1:]
@@ -304,7 +304,7 @@ def test_criterion_07_cross_source_drop_and_two_step_recovery(phemap):
             overlap = len(shared) / len(tgt_fit.vocab)
             assert abs(overlap - 0.60) < 0.02, f"overlap {overlap:.2f} is not ~60%"
             restricted = restrict_model(src_fit.model, src_fit.vocab, shared)
-            feats = [featurize(ex, tgt_data, shared) for ex in tgt_fit.splits[TEST]]
+            feats = FeatureMatrix.stack([featurize(ex, tgt_data, shared) for ex in tgt_fit.splits[TEST]])
             with _limit_blas_threads():
                 scores = score_batch(restricted, feats)
             cross = auc(ScoredSet(scores, tgt_fit.labels[TEST].astype(np.int64)))

@@ -3,6 +3,7 @@
 import datetime
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from smiscreen.cli import main
 from smiscreen.datamodel import (
     BLOCK_BYTES,
     ClinicalEvent,
+    Code,
+    CodeTable,
     Dataset,
     Persons,
     _date,
@@ -379,6 +382,61 @@ class TestDatasetAndValidation:
         unchecked = Dataset(persons, "CLAIMS", np.zeros(1, dtype=np.int64), ds.day, ds.code, ds.codes)
         with pytest.raises(DataError, match="'p1': birth_year 2016 after enrollment end"):
             rebuild_from_columns(unchecked)
+
+    def test_rebuild_checks_every_event(self):
+        # the constructor takes event columns as they are too; the helper
+        # must still check each event
+        ds = make_dataset([make_person("p0"), make_person("p1")], [make_event("p1", "2012-01-01")])
+        day = np.array([d("2016-01-01").toordinal()], dtype=np.int32)  # after enrollment ends in 2015
+        unchecked = Dataset(ds.persons, "CLAIMS", np.ones(1, dtype=np.int64), day, ds.code, ds.codes)
+        assert unchecked.n_events == 1
+        with pytest.raises(DataError, match="'p1': event for 'p1' dated 2016-01-01 outside enrollment"):
+            rebuild_from_columns(unchecked)
+
+    def test_code_table_refuses_what_kind_problem_refuses(self):
+        dx = Code("DX", "ICD10", "F32.9")
+        codes = CodeTable([dx])
+        assert codes.id(Code("LAB", "LOINC", "1")) == -1  # unknown kind
+        assert codes.id(Code("RX", "ICD10", "F32.9")) == -1  # kind/system mismatch
+        assert codes.entries == [dx]
+        assert codes.id(Code("RX", "NDC", "1")) == 1
+        for entries in ([dx, Code("DX", "NDC", "1")], [dx, dx]):
+            with pytest.raises(ValueError, match="duplicate or refused entries"):
+                CodeTable(entries)
+
+    def test_narrow_columns_build_the_same_dataset(self):
+        # row * DAY_SPAN overflows int32 past row 511, so the sort key must
+        # stay int64 whatever the dtype of the columns
+        rng = np.random.default_rng(7)
+        persons = Persons.of([make_person(f"p{i:04d}") for i in rng.permutation(700)])
+        codes = CodeTable([Code("DX", "ICD10", "F32.9"), Code("RX", "NDC", "1")])
+        pos = rng.integers(0, 700, size=6000)
+        day = rng.integers(d("2010-01-01").toordinal(), d("2015-12-31").toordinal() + 1, size=6000)
+        code = rng.integers(0, 2, size=6000)
+        wide = Dataset(persons, "CLAIMS", pos, day, code, codes)
+        narrow = Dataset(persons, "CLAIMS", *(col.astype(np.int32) for col in (pos, day, code)), codes)
+        for name in ("offsets", "day", "code"):
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+        assert narrow == wide
+        rows = wide.input_rows[pos]
+        order = np.lexsort((day, rows))  # stable: by row, then day, then input order
+        assert np.array_equal(wide.offsets, np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=700)))))
+        assert np.array_equal(wide.day, day[order]) and np.array_equal(wide.code, code[order])
+
+    def test_load_events_peak_memory(self, tmp_path, pop5k):
+        # the block loop holds int32 parts and one block's scratch arrays at a
+        # time, and drops the parts before the dataset is built
+        dataset, _ = pop5k
+        write_persons(dataset.persons, str(tmp_path / "p.csv"))
+        write_events(dataset, str(tmp_path / "e.csv"))
+        persons = load_persons(str(tmp_path / "p.csv"))
+        tracemalloc.start()
+        try:
+            loaded = load_events(str(tmp_path / "e.csv"), persons, "CLAIMS")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (loaded.day.nbytes + loaded.code.nbytes + loaded.offsets.nbytes)
 
     def test_round_trip(self, tmp_path):
         persons = [make_person("p1"), make_person("p2", gender="M", source="CLAIMS")]

@@ -76,7 +76,7 @@ class TestForward:
         m = init_model(4, hp)
         for arr in m.arrays().values():
             arr[...] = 0.0
-        assert score_batch(m, [fv([0, 2])])[0] == 0.5
+        assert score_batch(m, fv([0, 2]))[0] == 0.5
 
     def test_hand_computed_toy(self):
         # V=2, d=2, h1=h2=1; scalar arithmetic written out is the oracle
@@ -97,7 +97,7 @@ class TestForward:
         a2 = max(z2, 0.0)
         z3 = a2 * -1.0 + 0.2
         expected = 1.0 / (1.0 + math.exp(-z3))
-        assert abs(score_batch(m, [x])[0] - expected) < 1e-12
+        assert abs(score_batch(m, x)[0] - expected) < 1e-12
 
     def test_empty_code_set_pools_to_zero(self):
         m = init_model(6, Hyperparams(embedding_dim=3, hidden1=4, hidden2=2, seed=5))
@@ -111,9 +111,9 @@ class TestForward:
     def test_index_out_of_range(self):
         m = init_model(3, Hyperparams(embedding_dim=2, hidden1=2, hidden2=2, seed=1))
         with pytest.raises(DataError, match="out of range"):
-            score_batch(m, [fv([5])])
+            score_batch(m, fv([5]))
         with pytest.raises(DataError, match="feature index -1 out of range"):
-            score_batch(m, [fv([0]), fv([2, -1])])
+            score_batch(m, FeatureMatrix.stack([fv([0]), fv([2, -1])]))
         with pytest.raises(DataError, match="out of range"):
             backward(m, fv([-1]), np.array([1.0]))
 
@@ -509,7 +509,7 @@ class TestSerialization:
         assert loaded.vocab_fingerprint == m.vocab_fingerprint
         for name in m.arrays():
             assert np.array_equal(getattr(loaded, name), getattr(m, name))
-        probe = [fv([0, 3]), fv([], demo=(0.1, 0.0, 0.0, 1.0))]
+        probe = FeatureMatrix.stack([fv([0, 3]), fv([], demo=(0.1, 0.0, 0.0, 1.0))])
         assert np.array_equal(score_batch(loaded, probe), score_batch(m, probe))
 
     def test_truncated_file_rejected(self, saved, tmp_path):

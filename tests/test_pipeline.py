@@ -265,8 +265,8 @@ class TestConfig:
         [
             ("cohort.kind", "FOO", "config key cohort.kind: bad value 'FOO'"),
             ("synth.source", "FOO", "config key synth.source: bad value 'FOO'"),
-            ("synth.year_max", "99999", "year_max <= 9999, got (2008, 99999)"),
-            ("synth.year_min", "0", "need 1 <= year_min"),
+            ("synth.year_max", "99999", "<= 9992 for loadable birth years, got (2008, 99999)"),
+            ("synth.year_min", "0", "need 33 <= year_min"),
             ("synth.year_min", "2020", "got (2020, 2019)"),
             ("synth.event_rate", "1e19", "event_rate must be in (0, 1000]"),
             ("synth.event_rate", "1000.5", "event_rate must be in (0, 1000]"),
