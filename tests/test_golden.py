@@ -5,6 +5,11 @@ pinned, each in a child process with every BLAS pool held to one thread:
 
 * `synth`: the persons, events and ground truth of a 1,200-person CLAIMS
   population (seed 42).
+* `synth-ehr`: the same files for a 1,200-person EHR population (seed 42).
+* `synth-edge`: the same files for 300 EHR persons (seed 7) with one rx
+  code, half an event per person-year and base logit 1.0. About two thirds
+  of its persons draw no active rx code and take the fallback one, 25 have
+  no event and 186 have an onset.
 * `train`: that population, two epochs.
 * `cohort` and `bench`: the same population and seed.
 * `cohort-age18`: the AGE18 cohort of the same population.
@@ -44,6 +49,16 @@ GOLDEN = {
         "persons.csv": "88b14cf0e1b6ea2d8e75b9ceeec0dbc5440e4cc511edbd60c17d04672c6978af",
         "events.csv": "806cfa8d1a13452efc0da4ec4b1cf17a8ed9a8a84289523c7f8a8ccf5920f6b6",
         "ground_truth.csv": "35dcd4f2afa72c70893067fe77f9572ccbb482fac21b2fe222dd962bc229996d",
+    },
+    "synth-ehr": {
+        "persons.csv": "e8833fe5c978f85bb791cb4ad59bf54e7ab2b1cd6ab3aea88658c11802f1c285",
+        "events.csv": "91bf8a2249246b379653c256640fa617146ea1f7b7b247d333d3d7db1274eac1",
+        "ground_truth.csv": "f06930e9ff601f0b2a216fa1f90bbdf8548fa8adf14d8a0d86ae134b6f657011",
+    },
+    "synth-edge": {
+        "persons.csv": "8fe724cc32798c216077e4d886f231b869af1752457cd925fbad4a7f359e40c3",
+        "events.csv": "052881ace780f718e63f534a9de4ae749b0516b5138acf0b97932d431455eb3b",
+        "ground_truth.csv": "8b38d2fc31f80ad022fcaf24ebe7ef9a5b2b4458cc422569f6d91226b2ff04af",
     },
     "train": {
         "cohort.csv": "e30c6bc676479b547c651639a07e0dc2bfe7f0a5490881172b8b88bbfc8fc40a",
@@ -96,9 +111,10 @@ def _config(path: Path, values: dict[str, object]) -> str:
     return str(path)
 
 
-def _synth(root: Path, name: str, persons: int, source: str = "CLAIMS") -> Path:
+def _synth(root: Path, name: str, persons: int, source: str = "CLAIMS", **keys: object) -> Path:
     out = root / name
-    cfg = _config(root / f"{name}.cfg", {"synth.n_persons": persons, "synth.source": source, "seed": 42})
+    values = {"synth.n_persons": persons, "synth.source": source, "seed": 42, **keys}
+    cfg = _config(root / f"{name}.cfg", values)
     _cli("synth", "--config", cfg, "--out", str(out))
     return out
 
@@ -116,7 +132,11 @@ def runs(tmp_path_factory):
     train_out = root / "train"
     cfg = _config(root / "train.cfg", {**_data(small), **two_epochs})
     _cli("train", "--config", cfg, "--out", str(train_out))
-    outs = {"synth": small, "train": train_out}
+    edge = _synth(
+        root, "edge300", 300, source="EHR",
+        **{"seed": 7, "synth.n_rx": 1, "synth.event_rate": 0.5, "synth.base_logit": 1.0},
+    )
+    outs = {"synth": small, "synth-ehr": ehr, "synth-edge": edge, "train": train_out}
     for mode in ("cohort", "bench"):
         outs[mode] = root / mode
         _cli(mode, "--config", cfg, "--out", str(outs[mode]))
