@@ -42,7 +42,12 @@ Every plain table (persons.csv, events.csv, phecode_map.csv,
 ground_truth.csv, cohort.csv, report.csv) has one dialect: UTF-8, comma
 separated, a fixed header line, LF or CRLF line ends (CRLF when written),
 no quoting. Two functions own it. `write_table` refuses a field that would
-need quoting (events.csv keeps its own writer, for speed). `_scan` checks
+need quoting. events.csv keeps its own writer, `write_events`, which makes
+the same check and builds WRITE_ROWS rows at a time as bytes, so its memory
+does not grow with the file: the rows' person ids, dates and codes are
+gathered from three padded byte tables (each person's id, each of the
+block's distinct days as `,YYYY-MM-DD,`, each code's `kind,system,code`
+and line end) side by side, and the padding is dropped. `_scan` checks
 a file's header, then reads it in blocks of BLOCK_BYTES. Array scans find
 a block's first line that is not blank and lacks exactly n - 1 commas (n
 columns), or holds a `"`, a lone carriage return or invalid UTF-8. The
@@ -90,12 +95,14 @@ EVENTS_HEADER = ["person_id", "date", "kind", "system", "code"]
 BIRTH_YEARS = (datetime.MINYEAR - 17, datetime.MAXYEAR - 19)
 
 BLOCK_BYTES = 1 << 20  # every plain table is read and parsed this many bytes at a time
+WRITE_ROWS = 1 << 16  # events.csv is built and written this many rows at a time
 
 # Exceeds every date ordinal (9999-12-31 is 3,652,059), so the per-event
 # key row * DAY_SPAN + ordinal sorts by (person row, date).
 DAY_SPAN = 1 << 22
 
 _CSV_SPECIAL = (",", '"', "\r", "\n")
+_CSV_SPECIAL_RE = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True, slots=True)
@@ -482,7 +489,7 @@ def _iso_days(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     text = np.ndarray((len(raw) - 9, 10), dtype=np.uint8, buffer=raw, strides=(1, 1))[lo]  # first ten bytes
     digit = text - np.uint8(48)  # wraps past 9 unless the byte is an ASCII digit
     ok = (hi - lo == 10) & (text[:, 4] == 45) & (text[:, 7] == 45) & (digit[:, _DIGITS] < 10).all(axis=1)
-    digit = digit.astype(np.int32)
+    # uint8 month and day wrap only where `ok` is false; only the year's digits widen
     year = digit[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
     month, day = digit[:, 5] * 10 + digit[:, 6], digit[:, 8] * 10 + digit[:, 9]
     return np.where(ok, days_from_civil(year, month, day), -1)
@@ -669,27 +676,50 @@ def _plain(text: str, name: str = "events.csv") -> str:
     return text
 
 
+def _plain_all(texts: list[str], name: str = "events.csv") -> None:
+    """`_plain` of every text, by one search of their concatenation."""
+    if _CSV_SPECIAL_RE.search("".join(texts)):
+        for text in texts:
+            _plain(text, name)
+
+
+def _text_table(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each text as rows of a zero-padded uint8 matrix,
+    and the mask of the bytes that belong to the text."""
+    encoded = [t.encode("utf-8") for t in texts]
+    length = np.array([len(b) for b in encoded], dtype=np.int64)
+    table = np.array(encoded, dtype=f"S{max(length.max(initial=0), 1)}")
+    return table.view(np.uint8).reshape(len(encoded), table.itemsize), np.arange(table.itemsize) < length[:, None]
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an int array, ascending, and each value's
+    position among them, through a presence map over the values' span."""
+    low = int(values.min())
+    present = np.zeros(int(values.max()) - low + 1, dtype=bool)
+    present[values - low] = True
+    return np.flatnonzero(present) + low, (np.cumsum(present, dtype=np.int32) - 1)[values - low]
+
+
 def write_events(d: "Dataset", path: str) -> None:
-    """events.csv from the columns, CRLF line ends, ordered like `d.events`."""
-    suffix = [
-        f"{_plain(c.kind.lower())},{_plain(c.system)},{_plain(c.code)}" for c in d.codes.entries
-    ]
-    days, day_index = np.unique(d.day, return_inverse=True)
-    date_text = iso_text(days).astype(str).tolist()
-    day_index = day_index.tolist()
-    code = d.code.tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(EVENTS_HEADER) + "\r\n")
-        for row, pid in enumerate(d.ids):
-            lo, hi = int(d.offsets[row]), int(d.offsets[row + 1])
-            if lo == hi:
-                continue
-            head = _plain(pid) + ","
-            fh.write(
-                "".join(
-                    f"{head}{date_text[day_index[i]]},{suffix[code[i]]}\r\n" for i in range(lo, hi)
-                )
-            )
+    """events.csv from the columns, CRLF line ends, ordered like `d.events`,
+    WRITE_ROWS rows at a time (see the module docstring)."""
+    tails = [(c.kind.lower(), c.system, c.code) for c in d.codes.entries]
+    _plain_all([field for tail in tails for field in tail])
+    _plain_all([pid for pid, n in zip(d.ids, np.diff(d.offsets).tolist()) if n])
+    heads, tails = _text_table(d.ids), _text_table([",".join(tail) + "\r\n" for tail in tails])
+    with open(path, "wb") as fh:
+        fh.write(",".join(EVENTS_HEADER).encode() + b"\r\n")
+        for lo in range(0, d.n_events, WRITE_ROWS):
+            hi = min(lo + WRITE_ROWS, d.n_events)
+            first, last = np.searchsorted(d.offsets, [lo, hi - 1], side="right") - 1
+            row = np.repeat(np.arange(first, last + 1), np.diff(np.clip(d.offsets[first : last + 2], lo, hi)))
+            days, day_at = _ranks(d.day[lo:hi])
+            dates = np.full((days.size, 12), 44, dtype=np.uint8)  # ",YYYY-MM-DD,"
+            dates[:, 1:11] = iso_text(days).view(np.uint8).reshape(-1, 10)
+            parts = [(heads, row), ((dates, np.ones(dates.shape, dtype=bool)), day_at), (tails, d.code[lo:hi])]
+            block, keep = (np.concatenate([table[k].take(at, axis=0) for table, at in parts], axis=1) for k in (0, 1))
+            fh.write(block[keep])
 
 
 class Dataset:

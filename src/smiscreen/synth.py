@@ -19,19 +19,35 @@ Source shift between CLAIMS-like and EHR-like outputs comes from partially
 disjoint code pools, different event rates, and different code-frequency
 tilts. All randomness is keyed by hash(seed, person_id), so generation is
 person-parallel and bit-reproducible regardless of scheduling.
+
+Generation runs over chunks of CHUNK_PERSONS persons, in two parts:
+  per person    the draws. Each person's Generator makes the same calls in
+                the same order, with the same bounds and sizes, because the
+                golden hashes and the ground-truth AUC pin every draw.
+  array passes  everything derived from the draws: event codes from the
+                active-set picks, event dates, the person columns, and each
+                person's distinct pre-onset code texts with their risk
+                weights, added one float at a time in code-text order as a
+                per-person loop would add them.
+The onset link then runs per person in Python floats (`math.exp`, `**`),
+since a vector exp may round differently and flip an onset, and a person
+with an onset continues their own stream for their SMI events.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
 from .datamodel import (
-    BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, read_table, table_rows,
+    BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, distinct, read_table, table_rows,
     write_table,
 )
 from .dates import civil_from_days, days_from_civil
@@ -45,10 +61,13 @@ MAX_EVENT_RATE = 1000  # events per person-year, about three a day
 AGE_COEF = 0.5  # applied to age/100 at the candidate onset date
 GENDER_COEF = {"F": 0.0, "M": 0.15, "U": 0.0}
 GENDER_PROBS = (0.48, 0.48, 0.04)
+GENDER_COEF_BY_POS = np.array([GENDER_COEF[g] for g in GENDERS])
+GENDER_CDF = (np.cumsum(GENDER_PROBS) / np.cumsum(GENDER_PROBS)[-1]).tolist()  # normalised as `choice` does
 AGE_AT_START_RANGE = (12, 50)  # uniform integer years, upper exclusive
 SPAN_DAYS_RANGE = (540, 2161)  # 18..72 months, upper exclusive
 TILT = {"CLAIMS": 0.55, "EHR": 0.40}
 SMI_EXTRA_EVENT_MEAN = 0.7  # extra SMI-coded events after the onset one
+CHUNK_PERSONS = 1024  # persons drawn before the array passes over their draws
 
 # how many pool codes carry planted risk weight in the default config
 FILLER_SIGNAL, FILLER_PROTECTIVE = 30, 20
@@ -245,6 +264,29 @@ def _sigmoid_scalar(z: float) -> float:
     return e / (1.0 + e)
 
 
+def draw_gender(gen: np.random.Generator) -> int:
+    """A gender position, drawn as `gen.choice(3, p=GENDER_PROBS)` draws it
+    (one `random()`, then the first cdf bin above it) without its checks."""
+    return bisect.bisect_right(GENDER_CDF, gen.random())
+
+
+class _Space(NamedTuple):
+    """What every person's draws and derived columns read."""
+
+    pi_dx: np.ndarray  # activation probabilities
+    pi_rx: np.ndarray
+    fallback_dx: np.ndarray  # the one active code of a person who draws none
+    fallback_rx: np.ndarray
+    cal_start: int  # date ordinal of the calendar's first day
+    total_days: int
+    spans: tuple[int, int]  # enrollment span bounds, upper exclusive
+    rx_base: int  # code id of the first rx code; dx codes come first
+    smi_base: int  # and of the first SMI code, after the rx codes
+    n_smi: int
+    text_rank: np.ndarray  # each code id's rank among the distinct code texts
+    weight: np.ndarray  # the risk weight of each code text, by rank
+
+
 def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     """Deterministic population draw; see the module docstring for the
     generative mechanism. Validates the config before touching anything."""
@@ -271,99 +313,136 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         + [Code("RX", "NDC", code) for code in pools.rx]
         + [Code("DX", system, code) for system, code in pools.smi]
     )
-    code_text = [c.code for c in codes.entries]
-    rx_base = n_dx
-    smi_base = n_dx + n_rx
+    texts = sorted({c.code for c in codes.entries})
+    rank = {text: r for r, text in enumerate(texts)}
+    space = _Space(
+        pi_dx, pi_rx, np.array([int(np.argmax(pi_dx))]), np.array([int(np.argmax(pi_rx))]),
+        cal_start, total_days, (min_span, max_span), n_dx, n_dx + n_rx, len(pools.smi),
+        np.array([rank[c.code] for c in codes.entries]),
+        np.array([cfg.risk_weights.get(text, 0.0) for text in texts]),
+    )
 
-    prefix = "c" if cfg.source == "CLAIMS" else "e"
-    ids: list[str] = []
-    person_columns: list[tuple[int, int, int, int]] = []  # age at start, gender, enrollment ordinals
-    person_parts: list[np.ndarray] = []
-    day_parts: list[np.ndarray] = []
-    code_parts: list[np.ndarray] = []
-    logits: dict[str, float] = {}
-    onsets: dict[str, datetime.date | None] = {}
-
-    for i in range(cfg.n_persons):
-        pid = f"{prefix}{i:06d}"
-        gen = rngmod.stream(cfg.seed, "person", pid)
-
-        span = int(gen.integers(min_span, max_span))
-        start_offset = int(gen.integers(0, total_days - span + 1))
-        day0 = cal_start + start_offset
-        age_at_start = int(gen.integers(*AGE_AT_START_RANGE))
-        gender_pos = int(gen.choice(3, p=GENDER_PROBS))
-        gender = GENDERS[gender_pos]
-
-        # persistently active codes; guarantee at least one per kind
-        active_dx = np.flatnonzero(gen.random(n_dx) < pi_dx)
-        if active_dx.size == 0:
-            active_dx = np.array([int(np.argmax(pi_dx))])
-        active_rx = np.flatnonzero(gen.random(n_rx) < pi_rx)
-        if active_rx.size == 0:
-            active_rx = np.array([int(np.argmax(pi_rx))])
-
-        span_years = span / 365.25
-        n_events = int(gen.poisson(cfg.event_rate * span_years))
-        offsets = gen.integers(0, span + 1, size=n_events)
-        is_dx = gen.random(n_events) < DX_FRACTION
-        n_dx_events = int(is_dx.sum())
-        dx_picks = active_dx[gen.integers(0, active_dx.size, size=n_dx_events)]
-        rx_picks = active_rx[gen.integers(0, active_rx.size, size=n_events - n_dx_events)]
-
-        candidate_offset = int(gen.integers(int(CANDIDATE_MIN_FRAC * span), span + 1))
-        u_onset = float(gen.random())
-
-        # the j-th dx (rx) event takes the j-th dx (rx) pick
-        event_codes = np.empty(n_events, dtype=np.int64)
-        event_codes[is_dx] = dx_picks
-        event_codes[~is_dx] = rx_base + rx_picks
-        pre_onset_codes = {code_text[c] for c in event_codes[offsets < candidate_offset].tolist()}
-
-        logit = cfg.base_logit + AGE_COEF * (age_at_start + candidate_offset / 365.25) / 100.0
-        logit += GENDER_COEF[gender]
-        # sorted: a set's order follows the per-process string hash seed
-        for code in sorted(pre_onset_codes):
-            logit += cfg.risk_weights.get(code, 0.0)
-        p_annual = cfg.smi_annual_rate_cap * _sigmoid_scalar(LINK_STEEPNESS * logit)
-        p_onset = 1.0 - (1.0 - p_annual) ** span_years
-
-        day_parts.append(day0 + offsets)
-        code_parts.append(event_codes)
-        n_person_events = n_events
-        onset_date: datetime.date | None = None
-        if u_onset < p_onset:
-            onset_date = datetime.date.fromordinal(day0 + candidate_offset)
-            n_smi = 1 + int(gen.poisson(SMI_EXTRA_EVENT_MEAN))
-            smi_offsets = [candidate_offset]
-            if n_smi > 1:
-                smi_offsets += [
-                    int(x) for x in gen.integers(candidate_offset, span + 1, size=n_smi - 1)
-                ]
-            smi_picks = gen.integers(0, len(pools.smi), size=len(smi_offsets))
-            day_parts.append(day0 + np.array(smi_offsets, dtype=np.int64))
-            code_parts.append(smi_base + smi_picks)
-            n_person_events += len(smi_offsets)
-        person_parts.append(np.full(n_person_events, i))
-
-        ids.append(pid)
-        person_columns.append((age_at_start, gender_pos, day0, day0 + span))
-        logits[pid] = logit
-        onsets[pid] = onset_date
-
+    chunks = [
+        _chunk(cfg, space, first, min(first + CHUNK_PERSONS, cfg.n_persons))
+        for first in range(0, cfg.n_persons, CHUNK_PERSONS)
+    ]
+    ids, logits, onsets, columns = zip(*chunks)
+    del chunks
+    ids, logits, onsets = (list(itertools.chain.from_iterable(part)) for part in (ids, logits, onsets))
+    age, gender_pos, start, end, pos, day, code = map(np.concatenate, zip(*columns))
+    del columns
     # valid by construction: `SynthConfig.validate` keeps every birth year loadable
-    age, gender_pos, start, end = np.array(person_columns, dtype=np.int64).reshape(-1, 4).T
     source = np.full(len(ids), SOURCES.index(cfg.source), dtype=np.int64)
     persons = Persons(ids, civil_from_days(start)[0] - age, gender_pos, start, end, source)
-    dataset = Dataset(
-        persons,
-        cfg.source,
-        np.concatenate(person_parts),
-        np.concatenate(day_parts),
-        np.concatenate(code_parts),
-        codes,
-    )
-    return dataset, GroundTruth(logits, onsets)
+    dataset = Dataset(persons, cfg.source, pos, day, code, codes)
+    return dataset, GroundTruth(dict(zip(ids, logits)), dict(zip(ids, onsets)))
+
+
+def _chunk(cfg: SynthConfig, s: _Space, first: int, stop: int) -> tuple[list, list, list, tuple]:
+    """Persons first..stop-1: their ids, latent logits and onset dates, and
+    the columns of their age at start, gender position and enrollment
+    ordinals, then of their events as int32 person positions, date ordinals
+    and code ids (the chunk's SMI events after the others).
+
+    The draws run person by person, each from its own stream, in a fixed
+    order; everything derived from them runs as array passes over the
+    chunk. Only a person with an onset draws again, after the passes."""
+    prefix = "c" if cfg.source == "CLAIMS" else "e"
+    ids: list[str] = []
+    gens: list[np.random.Generator] = []
+    scalars: list[tuple[int, int, int, int, int]] = []  # span, start offset, age, gender, candidate offset
+    u_onset: list[float] = []
+    active_dx: list[np.ndarray] = []
+    active_rx: list[np.ndarray] = []
+    offsets: list[np.ndarray] = []
+    is_dx: list[np.ndarray] = []
+    dx_picks: list[np.ndarray] = []
+    rx_picks: list[np.ndarray] = []
+    n_dx, n_rx = s.pi_dx.size, s.pi_rx.size
+    for i in range(first, stop):
+        pid = f"{prefix}{i:06d}"
+        gen = rngmod.stream(cfg.seed, "person", pid)
+        span = int(gen.integers(*s.spans))
+        start_offset = int(gen.integers(0, s.total_days - span + 1))
+        age = int(gen.integers(*AGE_AT_START_RANGE))
+        gender = draw_gender(gen)
+        # persistently active codes; guarantee at least one per kind
+        dx_codes = (gen.random(n_dx) < s.pi_dx).nonzero()[0]
+        if not dx_codes.size:
+            dx_codes = s.fallback_dx
+        rx_codes = (gen.random(n_rx) < s.pi_rx).nonzero()[0]
+        if not rx_codes.size:
+            rx_codes = s.fallback_rx
+        n_events = int(gen.poisson(cfg.event_rate * (span / 365.25)))
+        offsets.append(gen.integers(0, span + 1, size=n_events))
+        dx = gen.random(n_events) < DX_FRACTION
+        n_dx_events = int(np.count_nonzero(dx))  # a NumPy int size costs `integers` more
+        dx_picks.append(gen.integers(0, dx_codes.size, size=n_dx_events))
+        rx_picks.append(gen.integers(0, rx_codes.size, size=n_events - n_dx_events))
+        candidate = int(gen.integers(int(CANDIDATE_MIN_FRAC * span), span + 1))
+        u_onset.append(gen.random())
+        ids.append(pid)
+        gens.append(gen)
+        scalars.append((span, start_offset, age, gender, candidate))
+        active_dx.append(dx_codes)
+        active_rx.append(rx_codes)
+        is_dx.append(dx)
+
+    span, start_offset, age, gender, candidate = np.array(scalars, dtype=np.int64).T
+    day0 = s.cal_start + start_offset
+    person = np.repeat(np.arange(stop - first), [o.size for o in offsets])
+    offset = np.concatenate(offsets)
+    dx = np.concatenate(is_dx)
+    # the j-th dx (rx) event of a person takes their j-th dx (rx) pick
+    code = np.empty(offset.size, dtype=np.int64)
+    code[dx] = _picked(active_dx, dx_picks, person[dx])
+    code[~dx] = s.rx_base + _picked(active_rx, rx_picks, person[~dx])
+
+    logit = cfg.base_logit + AGE_COEF * (age + candidate / 365.25) / 100.0
+    logit += GENDER_COEF_BY_POS[gender]
+    # each person's distinct pre-onset code texts, their weights added one
+    # at a time in text order (a set's order follows the string hash seed)
+    pre = offset < candidate[person]
+    n_texts = s.weight.size
+    who, text = np.divmod(distinct(person[pre] * n_texts + s.text_rank[code[pre]]), n_texts)
+    nth = np.arange(who.size) - np.searchsorted(who, who)
+    for k in range(int(nth.max(initial=-1)) + 1):
+        at = nth == k
+        logit[who[at]] += s.weight[text[at]]
+
+    # the onset link in Python floats: a vector exp may round differently
+    cap = cfg.smi_annual_rate_cap
+    logits = logit.tolist()
+    onsets: list[datetime.date | None] = [None] * len(ids)
+    smi_person: list[int] = []
+    smi_offset: list[int] = []
+    smi_pick: list[int] = []
+    for j, (z, days, c, u) in enumerate(zip(logits, span.tolist(), candidate.tolist(), u_onset)):
+        p_annual = cap * _sigmoid_scalar(LINK_STEEPNESS * z)
+        if u < 1.0 - (1.0 - p_annual) ** (days / 365.25):
+            onsets[j] = datetime.date.fromordinal(int(day0[j]) + c)
+            gen = gens[j]
+            n_smi = 1 + int(gen.poisson(SMI_EXTRA_EVENT_MEAN))
+            smi_person += [j] * n_smi
+            smi_offset.append(c)
+            if n_smi > 1:
+                smi_offset += gen.integers(c, days + 1, size=n_smi - 1).tolist()
+            smi_pick += gen.integers(0, s.n_smi, size=n_smi).tolist()
+    del gens
+
+    person = np.concatenate([person, np.array(smi_person, dtype=np.int64)])
+    offset = np.concatenate([offset, np.array(smi_offset, dtype=np.int64)])
+    code = np.concatenate([code, s.smi_base + np.array(smi_pick, dtype=np.int64)])
+    events = (first + person, day0[person] + offset, code)
+    columns = (age, gender, day0, day0 + span, *(col.astype(np.int32) for col in events))
+    return ids, logits, onsets, columns
+
+
+def _picked(active: list[np.ndarray], picks: list[np.ndarray], owner: np.ndarray) -> np.ndarray:
+    """The codes picked: person p's picks index active[p], and `owner`
+    names the person of each pick in order."""
+    size = np.array([a.size for a in active])
+    return np.concatenate(active)[(np.cumsum(size) - size)[owner] + np.concatenate(picks)]
 
 
 def ground_truth_auc(gt: GroundTruth, labels: dict[str, int]) -> float:

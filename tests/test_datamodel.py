@@ -451,6 +451,32 @@ class TestDatasetAndValidation:
         again = Dataset.from_files(str(tmp_path / "p.csv"), str(tmp_path / "e.csv"))
         assert again == ds
 
+    @pytest.mark.parametrize("rows", [1, 3, 64, datamodel.WRITE_ROWS])
+    def test_write_events_follows_the_reference(self, tmp_path, monkeypatch, rows):
+        # ids and codes of mixed UTF-8 widths, a person with no events, dates
+        # at both calendar ends, and blocks that end inside a person
+        monkeypatch.setattr(datamodel, "WRITE_ROWS", rows)
+        ids = ["p1", "pé-22", "a-very-long-person-id-0003", "q4", "none"]
+        persons = [make_person(pid, birth_year=1, start="0001-01-01", end="9999-12-31") for pid in ids]
+        days = ["0001-01-01", "2012-02-29", "9999-12-31", "2012-02-29", "1970-06-15"]
+        codes = [("DX", "ICD10", "F32.9"), ("RX", "NDC", "55555-01"), ("DX", "ICD9", "É1"), ("dx", "ICD10", "Z")]
+        events = [
+            make_event(pid, days[(i + j) % 5], *codes[(i * j) % 4])
+            for i, pid in enumerate(ids[:4]) for j in range(3 + 2 * i)
+        ]
+        ds = make_dataset(persons, events)
+        write_events(ds, str(tmp_path / "e.csv"))
+        want = "".join(
+            f"{e.person_id},{e.date.isoformat()},{e.kind.lower()},{e.system},{e.code}\r\n" for e in ds.events
+        )
+        assert (tmp_path / "e.csv").read_bytes() == ("person_id,date,kind,system,code\r\n" + want).encode("utf-8")
+
+    @pytest.mark.parametrize("field", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_write_events_refuses_what_needs_quoting(self, tmp_path, field):
+        ds = make_dataset([make_person("p1")], [make_event("p1", "2012-01-01", code=field)])
+        with pytest.raises(DataError, match=re.escape(f"cannot write {field!r} to events.csv, which has no quoting")):
+            write_events(ds, str(tmp_path / "e.csv"))
+
     def test_synth_round_trip_bytes(self, tmp_path, pop5k):
         dataset, _ = pop5k
         write_persons(dataset.persons, str(tmp_path / "p.csv"))

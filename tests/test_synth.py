@@ -18,10 +18,12 @@ from smiscreen.errors import ConfigError, DataError
 from smiscreen.evaluation import benchmark2
 from smiscreen.phecode import TAG_AXIS1, TAG_SMI, map_event, phecode_tags
 from smiscreen.synth import (
+    GENDER_PROBS,
     GroundTruth,
     SynthConfig,
     VocabConfig,
     code_pools,
+    draw_gender,
     generate_population,
     ground_truth_auc,
     load_ground_truth,
@@ -64,6 +66,13 @@ class TestConfigValidation:
 
 
 class TestGeneration:
+    def test_gender_draw_is_generator_choice(self):
+        # same value, and the stream left where `choice` leaves it
+        for seed in range(1000):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert draw_gender(ours) == numpys.choice(3, p=GENDER_PROBS)
+            assert ours.random() == numpys.random()
+
     def test_zero_rate_sentinel_yields_no_onsets(self):
         cfg = SynthConfig.default("CLAIMS", 300, seed=9)
         cfg.risk_weights = {}
