@@ -101,8 +101,7 @@ WRITE_ROWS = 1 << 16  # events.csv is built and written this many rows at a time
 # key row * DAY_SPAN + ordinal sorts by (person row, date).
 DAY_SPAN = 1 << 22
 
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-_CSV_SPECIAL_RE = re.compile('[,"\r\n]')
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,8 +502,7 @@ def write_table(path: str, name: str, header: list[str], rows: Iterable[Sequence
         for row in rows:
             line = ",".join(map(str, row))
             if line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line:
-                for field in row:
-                    _plain(str(field), name)
+                _plain([str(field) for field in row], name)
             fh.write(line + "\r\n")
 
 
@@ -670,17 +668,12 @@ def write_persons(persons: Persons, path: str) -> None:
     write_table(path, "persons.csv", PERSONS_HEADER, rows)
 
 
-def _plain(text: str, name: str = "events.csv") -> str:
-    if any(ch in text for ch in _CSV_SPECIAL):
+def _plain(texts: list[str], name: str) -> None:
+    """Refuse the first text that would need quoting in `name`, by one
+    search of their concatenation."""
+    if _CSV_SPECIAL.search("".join(texts)):
+        text = next(t for t in texts if _CSV_SPECIAL.search(t))
         raise DataError(f"cannot write {text!r} to {name}, which has no quoting")
-    return text
-
-
-def _plain_all(texts: list[str], name: str = "events.csv") -> None:
-    """`_plain` of every text, by one search of their concatenation."""
-    if _CSV_SPECIAL_RE.search("".join(texts)):
-        for text in texts:
-            _plain(text, name)
 
 
 def _text_table(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -705,8 +698,8 @@ def write_events(d: "Dataset", path: str) -> None:
     """events.csv from the columns, CRLF line ends, ordered like `d.events`,
     WRITE_ROWS rows at a time (see the module docstring)."""
     tails = [(c.kind.lower(), c.system, c.code) for c in d.codes.entries]
-    _plain_all([field for tail in tails for field in tail])
-    _plain_all([pid for pid, n in zip(d.ids, np.diff(d.offsets).tolist()) if n])
+    _plain([field for tail in tails for field in tail], "events.csv")
+    _plain([pid for pid, n in zip(d.ids, np.diff(d.offsets).tolist()) if n], "events.csv")
     heads, tails = _text_table(d.ids), _text_table([",".join(tail) + "\r\n" for tail in tails])
     with open(path, "wb") as fh:
         fh.write(",".join(EVENTS_HEADER).encode() + b"\r\n")

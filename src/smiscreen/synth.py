@@ -316,10 +316,12 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     texts = sorted({c.code for c in codes.entries})
     rank = {text: r for r, text in enumerate(texts)}
     space = _Space(
-        pi_dx, pi_rx, np.array([int(np.argmax(pi_dx))]), np.array([int(np.argmax(pi_rx))]),
-        cal_start, total_days, (min_span, max_span), n_dx, n_dx + n_rx, len(pools.smi),
-        np.array([rank[c.code] for c in codes.entries]),
-        np.array([cfg.risk_weights.get(text, 0.0) for text in texts]),
+        pi_dx=pi_dx, pi_rx=pi_rx,
+        fallback_dx=np.array([int(np.argmax(pi_dx))]), fallback_rx=np.array([int(np.argmax(pi_rx))]),
+        cal_start=cal_start, total_days=total_days, spans=(min_span, max_span),
+        rx_base=n_dx, smi_base=n_dx + n_rx, n_smi=len(pools.smi),
+        text_rank=np.array([rank[c.code] for c in codes.entries]),
+        weight=np.array([cfg.risk_weights.get(text, 0.0) for text in texts]),
     )
 
     chunks = [

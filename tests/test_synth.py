@@ -12,6 +12,8 @@ import pytest
 
 from conftest import rebuild_from_columns, shared_feature_codes
 from mc_oracle import mc_prevalence
+from synth_reference import reference_population
+from smiscreen import synth
 from smiscreen.cohort import build_all_age_cohort
 from smiscreen.datamodel import write_events, write_persons
 from smiscreen.errors import ConfigError, DataError
@@ -79,6 +81,29 @@ class TestGeneration:
         cfg.base_logit = float("-inf")
         _, truth = generate_population(cfg)
         assert all(v is None for v in truth.onset_date.values())
+
+    @pytest.mark.parametrize(
+        "source,seed,changes",
+        [
+            ("CLAIMS", 5, {}),
+            ("EHR", 7, {"vocab": VocabConfig(n_rx=1), "event_rate": 0.5, "base_logit": 1.0}),  # empty active sets
+            ("CLAIMS", 11, {"base_logit": 3.0, "event_rate": 40.0, "year_range": (2010, 2010)}),  # short spans
+            ("EHR", 13, {"vocab": VocabConfig(n_shared_dx=400, n_specific_dx=0, n_rx=300), "base_logit": -1.0}),
+        ],
+    )
+    def test_array_passes_follow_the_per_person_loop(self, monkeypatch, source, seed, changes):
+        monkeypatch.setattr(synth, "CHUNK_PERSONS", 7)  # chunk boundaries fall between persons
+        cfg = SynthConfig.default(source, 150, seed=seed)
+        for key, value in changes.items():
+            setattr(cfg, key, value)
+        cfg.risk_weights = synth.default_risk_weights(cfg)
+        dataset, truth = generate_population(cfg)
+        want_dataset, want_truth = reference_population(cfg)
+        assert dataset == want_dataset
+        for name in ("offsets", "day", "code"):
+            assert np.array_equal(getattr(dataset, name), getattr(want_dataset, name)), name
+        assert truth.latent_logit == want_truth.latent_logit
+        assert truth.onset_date == want_truth.onset_date
 
     def test_dataset_passes_validation(self, pop5k):
         dataset = pop5k[0]
