@@ -124,7 +124,7 @@ class CohortBuildStats:
 
 def first_days(d: Dataset, m: PhecodeMap, bit: int) -> np.ndarray:
     """Each dataset row's first date ordinal with an event tagged `bit`, or -1."""
-    rows, pos = d.first_events((d.per_code(code_tags, m) & bit) != 0)
+    rows, pos = d.first_events((code_tags(m, d.codes.entries) & bit) != 0)
     days = np.full(len(d.ids), -1, dtype=np.int64)
     days[rows] = d.day[pos]
     return days

@@ -362,24 +362,16 @@ def _block_lines(name: str, n: int, raw: bytes, first_line: int) -> tuple[_Lines
     return _Lines(raw, first_line + lines, cut), problem, first_line + ends.size
 
 
-Block = tuple[np.ndarray, list[str]]
-
-
-def read_table(path: str, name: str, header: list[str]) -> Iterator[Block]:
-    """The plain table `name` at `path` block by block (see `_scan`): the
-    line numbers of a block's non-blank lines, and their fields, each
-    line's after the previous line's."""
+def read_table(path: str, name: str, header: list[str]) -> Iterator[tuple]:
+    """(line number, field 1, ..., field n) of each non-blank line of the
+    plain table `name` of n columns at `path`, read block by block (see
+    `_scan`), so a bad line raises after its block's good rows."""
+    n = len(header)
     for lines in _scan(path, name, header):
         lo = np.stack(lines.cut[:-1], axis=1).ravel() + 1
         hi = np.stack(lines.cut[1:], axis=1).ravel()
-        yield lines.numbers, _texts(lines.raw, lo, hi)
-
-
-def table_rows(block: Block, k: int) -> Iterator[tuple]:
-    """(line number, field 1, ..., field k) of each line of a block of
-    `read_table` of a table of `k` columns."""
-    lines, fields = block
-    return zip(lines.tolist(), *(fields[j::k] for j in range(k)))
+        fields = _texts(lines.raw, lo, hi)
+        yield from zip(lines.numbers.tolist(), *(fields[j::n] for j in range(n)))
 
 
 def _texts(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> list[str]:
@@ -775,7 +767,6 @@ class Dataset:
         self.offsets, self.day, self.code, self.codes = offsets, day, code, codes
         self._key: np.ndarray | None = None
         self._dx_key: np.ndarray | None = None
-        self._per_code: dict[tuple[Callable, int], tuple[object, np.ndarray]] = {}
 
     @classmethod
     def from_events(
@@ -859,18 +850,6 @@ class Dataset:
         first = np.ones(hits.size, dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
         return rows[first], hits[first]
-
-    def per_code(
-        self, build: Callable[[object, list[Code]], np.ndarray], owner: object
-    ) -> np.ndarray:
-        """`build(owner, codes)` over this dataset's code table, computed
-        once per owner: a phecode map's tag bits, a vocabulary's indices."""
-        slot = (build, id(owner))
-        hit = self._per_code.get(slot)
-        if hit is None:
-            # holding `owner` keeps its id from being reused while cached
-            hit = self._per_code[slot] = (owner, build(owner, self.codes.entries))
-        return hit[1]
 
     def replace_person_events(self, person_id: str, events: list[ClinicalEvent]) -> "Dataset":
         """Derived dataset with one person's events swapped out.

@@ -52,8 +52,9 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Compressed sparse rows: row i holds the vocabulary indices indices[indptr[i]:indptr[i + 1]],
-    sorted and unique as `featurize_split` builds them, and the demographics[i] vector."""
+    """Compressed sparse rows: row i holds the vocabulary indices indices[indptr[i]:indptr[i + 1]]
+    and the demographics[i] vector. Each row's indices strictly increase: `featurize_split`
+    builds them so, `rows` and `stack` keep them so, and the network refuses any other row."""
 
     indptr: np.ndarray  # (n + 1,) int64, indptr[0] == 0
     indices: np.ndarray  # int64 indices into the vocabulary
@@ -108,7 +109,7 @@ def intersect_vocabularies(a: Vocabulary, b: Vocabulary) -> Vocabulary:
 def featurize_split(c: Cohort, d: Dataset, v: Vocabulary) -> FeatureMatrix:
     """One row per example; out-of-vocabulary codes are skipped."""
     positions, owner = d.window_events(c.row, c.start, c.end)
-    index = d.per_code(_vocab_indices, v)[d.code[positions]]
+    index = _vocab_indices(v, d.codes.entries)[d.code[positions]]
     hit = index >= 0
     # sorted unique (example, index) keys: each row's indices come out sorted and unique
     keys = distinct(owner[hit] * len(v) + index[hit])

@@ -6,8 +6,10 @@ over each example's code set (zero vector when the set is empty), the
 ReLU feedforward layers, and a single sigmoid output unit.
 
 Gradients are exact analytic derivatives of the mean binary cross-entropy
-over a batch, a `FeatureMatrix`; the mean pool is a product with the
-averaging matrix A that `_forward` builds, so its chain rule is A.T @ d_pooled.
+over a batch, a `FeatureMatrix` whose rows' code indices strictly increase
+(`_averaging_matrix` refuses any other row with a DataError); the mean
+pool is a product with the averaging matrix A that `_forward` builds, so
+its chain rule is A.T @ d_pooled.
 Updates use adaptive moment estimation (decay 0.9/0.999, eps 1e-8).
 
 The forward pass, the gradients and the update compute in the dtype of the
@@ -163,18 +165,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _averaging_matrix(x: FeatureMatrix, vocab_size: int, dtype: np.dtype) -> np.ndarray:
-    """The order-free n×V mean-pool matrix of `x` in `dtype`: A[i, c] accumulates 1/k_i
-    for each of row i's k_i code indices, so a repeated index counts twice and an empty
-    row gives a zero row. The sums run in float64 over the nonzeros only and round once
-    into the zeroed matrix. The bounds check comes first: a negative index would wrap."""
+    """The n×V mean-pool matrix of `x` in `dtype`: A[i, c] is 1/k_i at each of row i's
+    k_i code indices, and an empty row gives a zero row. The float64 weight rounds once
+    into the zeroed matrix. A row whose indices do not strictly increase is refused
+    (the `FeatureMatrix` contract). The bounds check comes first: a negative index
+    would wrap, and an out-of-range one could make the keys look increasing."""
     bad = x.indices[(x.indices < 0) | (x.indices >= vocab_size)]
     if bad.size:
         raise DataError(f"feature index {int(bad[0])} out of range for V={vocab_size}")
     counts = np.diff(x.indptr)
     rows = np.repeat(np.arange(len(x)), counts)
-    keys, inverse = np.unique(rows * vocab_size + x.indices, return_inverse=True)
+    keys = rows * vocab_size + x.indices
+    unsorted = np.flatnonzero(keys[1:] <= keys[:-1])
+    if unsorted.size:
+        raise DataError(f"feature row {int(rows[unsorted[0] + 1])} is not sorted and unique")
     avg = np.zeros(len(x) * vocab_size, dtype=dtype)
-    avg[keys] = np.bincount(inverse, 1.0 / counts[rows])
+    avg[keys] = 1.0 / counts[rows]
     return avg.reshape(len(x), vocab_size)
 
 

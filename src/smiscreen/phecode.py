@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .datamodel import ClinicalEvent, Code, read_table, table_rows
+from .datamodel import ClinicalEvent, Code, read_table
 from .errors import DataError
 
 _PHECODE_RE = re.compile(r"[0-9]{1,4}(\.[0-9]{1,2})?")
@@ -105,22 +105,19 @@ class PhecodeMap:
 def parse_phecode_map(path: str) -> PhecodeMap:
     """Load a mapping CSV; identical duplicates collapse, conflicts reject."""
     entries: dict[tuple[str, str], Phecode] = {}
-    for block in read_table(path, "phecode_map.csv", MAP_HEADER):
-        for line, version, icd_code, phecode_raw in table_rows(block, 3):
-            where = f"{path}:{line}"
-            if version not in ICD_VERSIONS:
-                raise DataError(f"{where}: unknown icd_version {version!r}")
-            try:
-                phecode = Phecode.parse(phecode_raw)
-            except DataError as exc:
-                raise DataError(f"{where}: {exc}") from exc
-            key = (version, icd_code)
-            existing = entries.get(key)
-            if existing is not None and existing != phecode:
-                raise DataError(
-                    f"{where}: conflicting duplicate for ({version},{icd_code}): {existing} vs {phecode}"
-                )
-            entries[key] = phecode
+    for line, version, icd_code, phecode_raw in read_table(path, "phecode_map.csv", MAP_HEADER):
+        where = f"{path}:{line}"
+        if version not in ICD_VERSIONS:
+            raise DataError(f"{where}: unknown icd_version {version!r}")
+        try:
+            phecode = Phecode.parse(phecode_raw)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        key = (version, icd_code)
+        existing = entries.get(key)
+        if existing is not None and existing != phecode:
+            raise DataError(f"{where}: conflicting duplicate for ({version},{icd_code}): {existing} vs {phecode}")
+        entries[key] = phecode
     return PhecodeMap(entries)
 
 

@@ -47,8 +47,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .datamodel import (
-    BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, distinct, read_table, table_rows,
-    write_table,
+    BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, distinct, read_table, write_table,
 )
 from .dates import civil_from_days, days_from_civil
 from .errors import ConfigError, DataError
@@ -58,6 +57,7 @@ from .phecode import (
 
 DX_FRACTION = 0.78  # remaining events are medication fills
 MAX_EVENT_RATE = 1000  # events per person-year, about three a day
+MAX_POOL_CODES = 1_000_000  # per code pool; ICD-10-CM has about 70k codes
 AGE_COEF = 0.5  # applied to age/100 at the candidate onset date
 GENDER_COEF = {"F": 0.0, "M": 0.15, "U": 0.0}
 GENDER_PROBS = (0.48, 0.48, 0.04)
@@ -130,12 +130,12 @@ class SynthConfig:
             raise ConfigError(f"{years} {lo} <= year_min <= year_max <= {hi} for loadable birth years, "
                               f"got {self.year_range}")
         mapped = len(_mapped_base_codes(load_default_map()))
-        if self.vocab.n_shared_dx < mapped:
-            raise ConfigError(f"synth.n_shared_dx must be >= {mapped} to hold the mapped code pool")
-        if self.vocab.n_specific_dx < 0:
-            raise ConfigError("synth.n_specific_dx must be >= 0")
-        if self.vocab.n_rx < 1:
-            raise ConfigError("synth.n_rx must be >= 1")
+        if not mapped <= self.vocab.n_shared_dx <= MAX_POOL_CODES:
+            raise ConfigError(f"synth.n_shared_dx must be in [{mapped}, {MAX_POOL_CODES}] to hold the mapped code pool")
+        if not 0 <= self.vocab.n_specific_dx <= MAX_POOL_CODES:
+            raise ConfigError(f"synth.n_specific_dx must be in [0, {MAX_POOL_CODES}]")
+        if not 1 <= self.vocab.n_rx <= MAX_POOL_CODES:
+            raise ConfigError(f"synth.n_rx must be in [1, {MAX_POOL_CODES}]")
 
     @classmethod
     def default(cls, source: str, n_persons: int, seed: int = 42) -> "SynthConfig":
@@ -472,21 +472,20 @@ def write_ground_truth(gt: GroundTruth, path: str) -> None:
 def load_ground_truth(path: str) -> GroundTruth:
     logits: dict[str, float] = {}
     onsets: dict[str, datetime.date | None] = {}
-    for block in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
-        for line, pid, logit_raw, onset_raw in table_rows(block, 3):
-            where = f"{path}:{line}"
-            if pid in logits:
-                raise DataError(f"{where}: duplicate person_id {pid!r}")
-            try:
-                logit = float(logit_raw)
-            except ValueError:
-                logit = None
-            if logit is not None and not math.isfinite(logit):
-                raise DataError(f"{where}: non-finite latent_logit {logit_raw!r}")
-            if logit is None or not DECIMAL.fullmatch(logit_raw):
-                raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}")
-            logits[pid] = logit
-            onsets[pid] = onset = _date(onset_raw) if onset_raw else None
-            if onset_raw and onset is None:
-                raise DataError(f"{where}: unparseable date {onset_raw!r}")
+    for line, pid, logit_raw, onset_raw in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
+        where = f"{path}:{line}"
+        if pid in logits:
+            raise DataError(f"{where}: duplicate person_id {pid!r}")
+        try:
+            logit = float(logit_raw)
+        except ValueError:
+            logit = None
+        if logit is not None and not math.isfinite(logit):
+            raise DataError(f"{where}: non-finite latent_logit {logit_raw!r}")
+        if logit is None or not DECIMAL.fullmatch(logit_raw):
+            raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}")
+        logits[pid] = logit
+        onsets[pid] = onset = _date(onset_raw) if onset_raw else None
+        if onset_raw and onset is None:
+            raise DataError(f"{where}: unparseable date {onset_raw!r}")
     return GroundTruth(logits, onsets)

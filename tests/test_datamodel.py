@@ -24,7 +24,6 @@ from smiscreen.datamodel import (
     load_events,
     load_persons,
     read_table,
-    table_rows,
     write_events,
     write_persons,
     write_table,
@@ -911,9 +910,5 @@ class TestPlainTables:
         path = str(tmp_path / "t.csv")
         write_table(path, "t.csv", ["a", "b"], [["x", 1], ["", datetime.date(2010, 1, 2)]])
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\nx,1\r\n,2010-01-02\r\n"
-        rows = [
-            (f"{path}:{line}", row)
-            for block in read_table(path, "t.csv", ["a", "b"])
-            for line, *row in table_rows(block, 2)
-        ]
+        rows = [(f"{path}:{line}", row) for line, *row in read_table(path, "t.csv", ["a", "b"])]
         assert rows == [(f"{path}:2", ["x", "1"]), (f"{path}:3", ["", "2010-01-02"])]

@@ -294,6 +294,10 @@ class TestConfig:
             ("synth.n_shared_dx", "1"),
             ("synth.n_specific_dx", "-1"),
             ("synth.n_rx", "0"),
+            # pool sizes past any code system, which would build their code lists until memory ran out
+            ("synth.n_shared_dx", "10000000000"),
+            ("synth.n_specific_dx", "10000000000"),
+            ("synth.n_rx", "10000000000"),
         ],
     )
     def test_synth_check_names_its_key(self, tmp_path, capsys, key, value):
