@@ -10,20 +10,20 @@ A `Dataset` is the one event store, and it is built one way: from
 `Persons` columns plus unsorted event columns (each event's person
 position, date ordinal and code id). `Dataset.from_events`, `load_events`
 and `synth.generate_population` each produce those columns and call that
-constructor. Each rule has one predicate, so a file and an in-memory
-dataset are refused with the same text, after `path:line` or after the
-person id:
-  _person_problem      birth year in BIRTH_YEARS, gender, source,
-                       enroll_start <= enroll_end, birth year <= end year
-  _kind_problem        known kind (any case) with a system allowed for it;
-                       `CodeTable.id` gives -1 for a code it refuses
-  _enrollment_problem  event date within the person's enrollment
-Each rule is checked once, where the data comes in (synth builds its
-persons and events from a validated config). `load_persons` checks each
-line and `Persons.of` each `Person`. `load_events` checks each block, and
-`from_events` and `replace_person_events` the event views they bring in,
-through one array test, `_bad_events`. The constructor refuses only a
-repeated person id and a person whose source is not the dataset's.
+constructor. Each input rule is written once, as a mask over columns and
+a message, in one of two ordered tables, so a file line and a hand-built
+record are refused with the same text, after `path:line` or the person
+id; a row that breaks several rules takes the first one's text:
+  _PERSON_RULES  readable birth_year, then dates; birth year in BIRTH_YEARS,
+                 gender, source, enroll_start <= enroll_end, birth year <=
+                 end year (`load_persons` first refuses a repeated id)
+  _EVENT_RULES   known person, kind and system (`_kind_problem`), readable
+                 date, date within the person's enrollment
+Each rule is checked once, where the data comes in (synth builds from a
+validated config): by `load_persons` and `load_events` per block, by
+`Persons.of`, `from_events` and `replace_person_events` over the columns of
+their views. The constructor refuses only a repeated person id and a person
+whose source is not the dataset's.
 
 Persons and events are held as columns, never as one object per record.
 `Persons` holds ids, birth years, genders, enrollment ordinals and sources
@@ -74,8 +74,8 @@ import functools
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -176,34 +176,84 @@ class Persons:
 
     @classmethod
     def of(cls, persons: Iterable[Person]) -> "Persons":
-        """The columns of `Person` views; a view that `_person_problem`
-        refuses is a DataError naming its id."""
+        """The columns of `Person` views; the first view that a rule of
+        `_PERSON_RULES` refuses is a DataError naming its id."""
         persons = list(persons)
-        for p in persons:
-            problem = _person_problem(p)
-            if problem:
-                raise DataError(f"person {p.person_id!r}: {problem}")
-        rows = [
-            (p.birth_year, GENDERS.index(p.gender), p.enroll_start.toordinal(), p.enroll_end.toordinal(),
-             SOURCES.index(p.source))
-            for p in persons
-        ]
-        return cls([p.person_id for p in persons], *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+        low, high = BIRTH_YEARS  # a year outside them is held as high + 1, which fits int64
+        rows = [(p.birth_year if low <= p.birth_year <= high else high + 1, _GENDER_AT.get(p.gender, -1),
+                 p.enroll_start.toordinal(), p.enroll_end.toordinal(), _SOURCE_AT.get(p.source, -1)) for p in persons]
+        out = cls([p.person_id for p in persons], *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+        _refuse(_PERSON_RULES, out, lambda i: asdict(persons[i]), lambda i: f"person {persons[i].person_id!r}: ")
+        return out
 
 
-def _person_problem(p: Person) -> str | None:
-    """Why a person record is refused, or None if it is accepted."""
-    if not BIRTH_YEARS[0] <= p.birth_year <= BIRTH_YEARS[1]:
-        return f"birth_year {p.birth_year} outside {BIRTH_YEARS[0]}..{BIRTH_YEARS[1]}"
-    if p.gender not in GENDERS:
-        return f"unknown gender token {p.gender!r}"
-    if p.source not in SOURCES:
-        return f"unknown source token {p.source!r}"
-    if p.enroll_start > p.enroll_end:
-        return f"enroll_start {p.enroll_start} after enroll_end {p.enroll_end}"
-    if p.birth_year > p.enroll_end.year:
-        return f"birth_year {p.birth_year} after enrollment end {p.enroll_end}"
-    return None
+_GENDER_AT = {g: i for i, g in enumerate(GENDERS)}
+_SOURCE_AT = {s: i for i, s in enumerate(SOURCES)}
+_NO_YEAR = 1 << 40  # the birth_year column of a text that `_YEAR` refuses
+
+
+# The rules of persons.csv rows and `Person` views (see `_refuse`), in the
+# order that words a row breaking several, over `Persons` columns: a
+# birth_year text that `_YEAR` refuses reads as _NO_YEAR, a date text that
+# `_date` refuses as -1, an unknown gender or source as -1. `load_persons`
+# puts the repeated-id rule first; `Persons.of` leaves repeated ids to the
+# `Dataset` constructor.
+_PERSON_RULES = (
+    (lambda p: p.birth_year == _NO_YEAR, "unparseable birth_year {birth_year!r}"),
+    (lambda p: p.enroll_start < 0, "unparseable date {enroll_start!r}"),
+    (lambda p: p.enroll_end < 0, "unparseable date {enroll_end!r}"),
+    (
+        lambda p: (p.birth_year < BIRTH_YEARS[0]) | (p.birth_year > BIRTH_YEARS[1]),
+        f"birth_year {{birth_year}} outside {BIRTH_YEARS[0]}..{BIRTH_YEARS[1]}",
+    ),
+    (lambda p: p.gender < 0, "unknown gender token {gender!r}"),
+    (lambda p: p.source < 0, "unknown source token {source!r}"),
+    (lambda p: p.enroll_start > p.enroll_end, "enroll_start {enroll_start} after enroll_end {enroll_end}"),
+    (
+        lambda p: p.birth_year > civil_from_days(p.enroll_end)[0],
+        "birth_year {birth_year} after enrollment end {enroll_end}",
+    ),
+)
+
+
+# Event columns: each event's position in `persons`, date ordinal and code id
+_Events = NamedTuple("_Events", [("persons", Persons), ("pos", np.ndarray), ("day", np.ndarray), ("code", np.ndarray)])
+
+
+def _outside(e: _Events) -> np.ndarray:
+    """Whether each event is dated outside its person's enrollment."""
+    if not len(e.persons):  # every position is -1, which the first rule refuses
+        return np.zeros(e.pos.shape, dtype=bool)
+    return (e.day < e.persons.enroll_start[e.pos]) | (e.day > e.persons.enroll_end[e.pos])
+
+
+# The rules of events.csv rows and `ClinicalEvent` views (see `_refuse`), in
+# the order that words a row breaking several, over `_Events` columns: an
+# unknown id, a date text that `_date` refuses and a code that `CodeTable.id`
+# refuses read as -1
+_EVENT_RULES = (
+    (lambda e: e.pos < 0, "unknown person_id {person_id!r}"),
+    (lambda e: e.code < 0, lambda e, i, row: _kind_problem(row["kind"], row["system"])),
+    (lambda e: e.day < 0, "unparseable date {date!r}"),
+    (_outside, lambda e, i, row: (  # filled from the row and its person
+        "event for {person_id!r} dated {date} outside enrollment [{enroll_start}, {enroll_end}]"
+    ).format_map({**asdict(e.persons[int(e.pos[i])]), **row})),
+)
+
+
+def _refuse(rules: Sequence[tuple], columns: Any, row: Callable[[int], dict], prefix: Callable[[int], str]) -> None:
+    """Raise a DataError for the first row that a rule refuses. A rule is a
+    pair: refuses(columns), the mask of the rows it refuses, and its message
+    for row i, a template or problem(columns, i, fields) filled from
+    row(i), the row's fields by header name as it has them (a file's text,
+    a view's values). The error is prefix(i), then the message of the first
+    rule, in order, that refuses row i; no other row is worded."""
+    bad = functools.reduce(np.logical_or, (refuses(columns) for refuses, _ in rules))
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem, fields = next(problem for refuses, problem in rules if refuses(columns)[i]), row(i)
+        message = problem.format_map(fields) if isinstance(problem, str) else problem(columns, i, fields)
+        raise DataError(prefix(i) + message)
 
 
 def _kind_problem(kind: str, system: str) -> str | None:
@@ -215,13 +265,6 @@ def _kind_problem(kind: str, system: str) -> str | None:
     if system not in systems:
         return f"kind {kind!r} inconsistent with system {system!r}"
     return None
-
-
-def _enrollment_problem(p: Person, date: datetime.date) -> str | None:
-    """Why an event of `p` on `date` is refused, or None if it is accepted."""
-    if p.enroll_start <= date <= p.enroll_end:
-        return None
-    return f"event for {p.person_id!r} dated {date} outside enrollment [{p.enroll_start}, {p.enroll_end}]"
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -302,9 +345,9 @@ class _Lines(NamedTuple):
     numbers: np.ndarray
     cut: list[np.ndarray]
 
-    def text(self, i: int, j: int, k: int | None = None) -> str:
-        """Fields j to k - 1 (j alone by default) of line i, as written."""
-        return self.raw[self.cut[j][i] + 1 : self.cut[j + 1 if k is None else k][i]].decode("utf-8")
+    def fields(self, i: int, header: list[str]) -> dict[str, str]:
+        """The fields of line i by their `header` names, as written."""
+        return {name: self.raw[self.cut[j][i] + 1 : self.cut[j + 1][i]].decode("utf-8") for j, name in enumerate(header)}
 
 
 def _scan(path: str, name: str, header: list[str]) -> Iterator[_Lines]:
@@ -508,51 +551,35 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _person_row_problem(fields: list[str], seen: set[str]) -> str | None:
-    """Why a persons.csv row (its six fields) is refused, or None, when the
-    ids in `seen` came before it: the reference for which row
-    `load_persons`' array tests refuse."""
-    pid, birth_raw, gender, start_raw, end_raw, source = fields
-    if pid in seen:
-        return f"duplicate person_id {pid!r}"
-    if not _YEAR.fullmatch(birth_raw):
-        return f"unparseable birth_year {birth_raw!r}"
-    start, end = _date(start_raw), _date(end_raw)
-    if start is None or end is None:
-        return f"unparseable date {(start_raw if start is None else end_raw)!r}"
-    return _person_problem(Person(pid, int(birth_raw), gender, start, end, source))
-
-
 def load_persons(path: str) -> Persons:
-    """persons.csv as columns; its first malformed row or repeated id is a
-    DataError naming the line."""
+    """persons.csv as columns; its first row with a repeated id or that a
+    rule of `_PERSON_RULES` refuses is a DataError naming the line."""
     ids: list[str] = []
     seen: set[str] = set()
-    year_of = functools.cache(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else BIRTH_YEARS[1] + 1)
-    gender_of = {g.encode(): i for i, g in enumerate(GENDERS)}
-    source_of = {s.encode(): i for i, s in enumerate(SOURCES)}
+    year_of = functools.cache(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else _NO_YEAR)
+
+    def repeated(block: Persons) -> np.ndarray:
+        """Whether each id of the block last added to `ids` came before."""
+        if len(seen) == len(ids):
+            return np.zeros(len(block), dtype=bool)
+        first: dict[str, int] = {}
+        repeats = [first.setdefault(pid, i) != i for i, pid in enumerate(ids)]
+        return np.array(repeats[len(ids) - len(block) :], dtype=bool)
+
+    rules = ((repeated, "duplicate person_id {person_id!r}"), *_PERSON_RULES)
     parts = [(np.zeros(0, dtype=np.int64),) * 5]
     for lines in _scan(path, "persons.csv", PERSONS_HEADER):
         raw, cut = lines.raw, lines.cut
-        n0 = len(ids)
-        ids += _texts(raw, cut[0] + 1, cut[1])
-        seen.update(ids[n0:])
-        year = _map_fields(raw, cut[1] + 1, cut[2], year_of)
-        gender = _map_fields(raw, cut[2] + 1, cut[3], lambda key: gender_of.get(key, -1))
-        start, end = _iso_days(raw, cut[3] + 1, cut[4]), _iso_days(raw, cut[4] + 1, cut[5])
-        source = _map_fields(raw, cut[5] + 1, cut[6], lambda key: source_of.get(key, -1))
-        bad = (
-            (year < BIRTH_YEARS[0]) | (year > BIRTH_YEARS[1]) | (gender < 0) | (source < 0)
-            | (start < 0) | (end < 0) | (start > end) | (year > civil_from_days(end)[0])
+        block = Persons(
+            _texts(raw, cut[0] + 1, cut[1]), _map_fields(raw, cut[1] + 1, cut[2], year_of),
+            _map_fields(raw, cut[2] + 1, cut[3], lambda key: _GENDER_AT.get(key.decode("utf-8"), -1)),
+            _iso_days(raw, cut[3] + 1, cut[4]), _iso_days(raw, cut[4] + 1, cut[5]),
+            _map_fields(raw, cut[5] + 1, cut[6], lambda key: _SOURCE_AT.get(key.decode("utf-8"), -1)),
         )
-        if len(seen) < len(ids):  # an id repeats
-            first: dict[str, int] = {}
-            bad |= np.array([first.setdefault(pid, i) != i for i, pid in enumerate(ids)][n0:], dtype=bool)
-        if bad.any():
-            i = int(np.argmax(bad))
-            problem = _person_row_problem([lines.text(i, j) for j in range(6)], set(ids[: n0 + i]))
-            raise DataError(f"{path}:{lines.numbers[i]}: {problem}")
-        parts.append((year, gender, start, end, source))
+        ids += block.ids
+        seen.update(block.ids)
+        _refuse(rules, block, lambda i: lines.fields(i, PERSONS_HEADER), lambda i: f"{path}:{lines.numbers[i]}: ")
+        parts.append(block._columns())
     return Persons(ids, *(np.concatenate(cols) for cols in zip(*parts)))
 
 
@@ -577,47 +604,23 @@ class CodeTable:
         return cid
 
 
-def _bad_events(persons: Persons, pos: np.ndarray, day: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """Whether each event (position in `persons`, date ordinal, code id)
-    breaks a rule: -1 for an unknown person, a code `CodeTable.id` refused
-    or an unreadable date, or a day outside the person's enrollment."""
-    bad = (pos < 0) | (code < 0) | (day < 0)
-    if len(persons):  # else every position is -1
-        bad |= (day < persons.enroll_start[pos]) | (day > persons.enroll_end[pos])
-    return bad
+def _check_events(events: _Events, view: Callable[[int], ClinicalEvent]) -> None:
+    """Refuse the first event that a rule of `_EVENT_RULES` refuses, named
+    by its person (or as one that "events reference", if unknown); view(i)
+    is event i, built for the refused event alone, and its kind is worded
+    as stored, upper case."""
+    _refuse(_EVENT_RULES, events, lambda i: {**asdict(view(i)), "kind": view(i).kind.upper()},
+            lambda i: "events reference " if events.pos[i] < 0 else f"person {view(i).person_id!r}: ")
 
 
 def _view_columns(events: list[ClinicalEvent], persons: Persons, pos_of: dict, codes: CodeTable) -> np.ndarray:
     """The person positions (by `pos_of`), date ordinals and code ids (from
-    `codes`) of event views, as three int32 rows; the first event that
-    breaks a rule is a DataError naming its person."""
+    `codes`) of event views, as three int32 rows, after `_check_events`."""
     rows = [(pos_of.get(e.person_id, -1), e.date.toordinal(), codes.id(Code(e.kind.upper(), e.system, e.code)))
             for e in events]
     columns = np.array(rows, dtype=np.int32).reshape(-1, 3).T
-    bad = np.flatnonzero(_bad_events(persons, *columns))
-    if bad.size:
-        e, at = events[bad[0]], int(columns[0, bad[0]])
-        if at < 0:
-            raise DataError(f"events reference unknown person_id {e.person_id!r}")
-        problem = _kind_problem(e.kind.upper(), e.system) or _enrollment_problem(persons[at], e.date)
-        raise DataError(f"person {e.person_id!r}: {problem}")
+    _check_events(_Events(persons, *columns), events.__getitem__)
     return columns
-
-
-def _row_problem(pid: str, date_raw: str, rest: str, person: Person | None) -> str | None:
-    """Why an events.csv row ("kind,system,code" in `rest`) of `person`
-    (None for an unknown id) is refused, or None: the reference for which
-    row `load_events`' array tests refuse."""
-    if person is None:
-        return f"unknown person_id {pid!r}"
-    kind, system, _ = rest.split(",")
-    problem = _kind_problem(kind, system)
-    if problem:
-        return problem
-    date = _date(date_raw)
-    if date is None:
-        return f"unparseable date {date_raw!r}"
-    return _enrollment_problem(person, date)
 
 
 def load_events(path: str, persons: Persons, source: str) -> "Dataset":
@@ -637,12 +640,8 @@ def load_events(path: str, persons: Persons, source: str) -> "Dataset":
         pos = _map_fields(raw, cut[0] + 1, cut[1], lambda pid: index.get(pid.decode("utf-8"), -1))
         day = _iso_days(raw, cut[1] + 1, cut[2])
         code = _map_fields(raw, cut[2] + 1, cut[5], code_id)
-        bad = _bad_events(persons, pos, day, code)
-        if bad.any():
-            i = int(np.argmax(bad))
-            person = persons[int(pos[i])] if pos[i] >= 0 else None
-            problem = _row_problem(lines.text(i, 0), lines.text(i, 1), lines.text(i, 2, 5), person)
-            raise DataError(f"{path}:{lines.numbers[i]}: {problem}")
+        _refuse(_EVENT_RULES, _Events(persons, pos, day, code), lambda i: lines.fields(i, EVENTS_HEADER),
+                lambda i: f"{path}:{lines.numbers[i]}: ")
         parts.append(tuple(col.astype(np.int32) for col in (pos, day, code)))
         del lines, raw, cut, pos, day, code  # the next block is read without them
     pos, day, code = (np.concatenate(cols) for cols in zip(*parts))

@@ -10,10 +10,7 @@ import numpy as np
 import pytest
 
 from smiscreen.cohort import Cohort, ObservationWindow, build_all_age_cohort
-from smiscreen.datamodel import (
-    ClinicalEvent, CodeTable, Dataset, Person, Persons, _bad_events, _enrollment_problem,
-)
-from smiscreen.errors import DataError
+from smiscreen.datamodel import ClinicalEvent, CodeTable, Dataset, Person, Persons, _check_events, _Events
 from smiscreen.phecode import load_default_map
 from smiscreen.pipeline import SplitFractions, split_cohort
 from smiscreen.synth import SynthConfig, code_pools, generate_population
@@ -47,16 +44,13 @@ def make_dataset(persons, events, source: str = "CLAIMS") -> Dataset:
 def rebuild_from_columns(dataset: Dataset) -> Dataset:
     """A fresh dataset from `dataset`'s own columns, checked again in full,
     since the constructor checks neither persons nor events: each person by
-    `Persons.of`, each code by `CodeTable` and each event by `_bad_events`."""
+    `Persons.of`, each code by `CodeTable` and each event by the event rule
+    table, as event views are."""
     persons = Persons.of(dataset.persons)
     codes = CodeTable(dataset.codes.entries)
     pos = {pid: i for i, pid in enumerate(persons.ids)}
     person_pos = np.repeat([pos[pid] for pid in dataset.ids], np.diff(dataset.offsets))
-    bad = np.flatnonzero(_bad_events(persons, person_pos, dataset.day, dataset.code))
-    if bad.size:  # each code is known, so the event lies outside enrollment
-        e = dataset.events[bad[0]]
-        problem = _enrollment_problem(dataset.persons_by_id[e.person_id], e.date)
-        raise DataError(f"person {e.person_id!r}: {problem}")
+    _check_events(_Events(persons, person_pos, dataset.day, dataset.code), lambda i: dataset.events[i])
     return Dataset(persons, dataset.source, person_pos, dataset.day, dataset.code, codes)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import d, events_in_window, make_dataset, make_event, make_person, rebuild_from_columns
+from rule_reference import event_view_message, person_row_problem, person_view, row_problem
 from smiscreen import datamodel
 from smiscreen.cli import main
 from smiscreen.datamodel import (
@@ -20,7 +21,6 @@ from smiscreen.datamodel import (
     Persons,
     _date,
     _line_problem,
-    _row_problem,
     load_events,
     load_persons,
     read_table,
@@ -209,7 +209,7 @@ def reference_events(data: bytes, persons) -> Dataset:
 
 def reference_load(data: bytes, persons: Persons) -> Dataset | str:
     """events.csv read one line at a time: its dataset, or "line: message"
-    for its first bad line, by `_line_problem` and `_row_problem`."""
+    for its first bad line, by `_line_problem` and `row_problem`."""
     by_id = dict(zip(persons.ids, persons))
     events = []
     for number, line in enumerate(data.split(b"\n")[1:], start=2):
@@ -223,7 +223,7 @@ def reference_load(data: bytes, persons: Persons) -> Dataset | str:
         if text.count(",") != 4 or '"' in text or "\r" in text:
             return f"{number}: {_line_problem(line, 'events.csv', 5)}"
         pid, date, rest = text.split(",", 2)
-        problem = _row_problem(pid, date, rest, by_id.get(pid))
+        problem = row_problem(pid, date, rest, by_id.get(pid))
         if problem:
             return f"{number}: {problem}"
         events.append(ClinicalEvent(pid, _date(date), *rest.split(",")))
@@ -286,7 +286,7 @@ PERSON_VALUES = [
 
 class TestBytesToColumns:
     """persons.csv and events.csv are mapped from bytes; the per-field
-    references (`_date`, `_row_problem`, `_person_row_problem`) say what
+    references (`_date`, `row_problem`, `person_row_problem`) say what
     each field reads as and which line is refused first."""
 
     def test_dates_follow_the_reference(self):
@@ -319,6 +319,12 @@ class TestBytesToColumns:
             with pytest.raises(DataError) as exc:
                 load_events(str(path), persons, "CLAIMS")
             assert str(exc.value) == f"{path}:{want}"
+            pid, date, rest = BAD_EVENTS[bad].split(",", 2)
+            if _date(date) and rest.count(",") == 2:  # a record that a view can hold
+                view = ClinicalEvent(pid, _date(date), *rest.split(","))
+                with pytest.raises(DataError) as exc:
+                    reference_events(data, persons)
+                assert str(exc.value) == event_view_message(view, dict(zip(persons.ids, persons)).get(pid))
             return
         got = load_events(str(path), persons, "CLAIMS")
         assert got.ids == want.ids and got.codes.entries == want.codes.entries
@@ -343,11 +349,16 @@ class TestBytesToColumns:
         path.write_text(PERSONS_HEADER + "".join(",".join(fields) + "\r\n" for fields in rows), encoding="utf-8")
         seen: set[str] = set()
         for number, fields in enumerate(rows, start=2):
-            problem = datamodel._person_row_problem(fields, seen)
+            problem = person_row_problem(fields, seen)
             if problem:
                 with pytest.raises(DataError) as exc:
                     load_persons(str(path))
                 assert str(exc.value) == f"{path}:{number}: {problem}"
+                view = person_view(fields)
+                if view and fields[0] not in seen:  # a record that a view can hold; `of` keeps repeated ids
+                    with pytest.raises(DataError) as exc:
+                        Persons.of([*map(person_view, rows[: number - 2]), view])
+                    assert str(exc.value) == f"person {fields[0]!r}: {problem}"
                 return
             seen.add(fields[0])
         assert seed == 0
@@ -523,36 +534,46 @@ class TestDatasetAndValidation:
 
 
 P1 = make_person("p1", start="2010-01-01", end="2015-06-30")
-OUTSIDE = "event for 'p1' dated {} outside enrollment [2010-01-01, 2015-06-30]"
+OUTSIDE = "person 'p1': event for 'p1' dated {} outside enrollment [2010-01-01, 2015-06-30]"
+NAMED = "person 'p1': "  # the prefix of a view; a persons.csv line has `path:line: ` instead
 
-# (case, persons, events, problem text, persons.csv line load_persons reports
-# it on, or None when the rule is not one of load_persons'); the dataset
-# source is CLAIMS
+# (case, persons, events, the text construction refuses them with, the
+# persons.csv line load_persons reports it on, or None when the rule is not
+# one of load_persons'); the dataset source is CLAIMS
 VIOLATIONS = [
     ("duplicate id", [P1, P1], [], "duplicate person_id 'p1'", 3),
     (
         "enroll order",
         [make_person("p1", start="2016-01-01", end="2015-06-30")],
         [],
-        "enroll_start 2016-01-01 after enroll_end 2015-06-30",
+        NAMED + "enroll_start 2016-01-01 after enroll_end 2015-06-30",
         2,
     ),
-    ("birth year out of range", [make_person("p1", birth_year=-20)], [], "birth_year -20 outside -16..9980", 2),
+    ("birth year out of range", [make_person("p1", birth_year=-20)], [], NAMED + "birth_year -20 outside -16..9980", 2),
+    (  # past int64; persons.csv refuses its 21 digits as unparseable instead
+        "birth year out of int64",
+        [make_person("p1", birth_year=10**20)],
+        [],
+        NAMED + "birth_year 100000000000000000000 outside -16..9980",
+        None,
+    ),
     (
         "born after enrollment",
         [make_person("p1", birth_year=2016, end="2015-06-30")],
         [],
-        "birth_year 2016 after enrollment end 2015-06-30",
+        NAMED + "birth_year 2016 after enrollment end 2015-06-30",
         2,
     ),
-    ("unknown gender", [make_person("p1", gender="X")], [], "unknown gender token 'X'", 2),
-    ("source mismatch", [make_person("p1", source="EHR")], [], "source 'EHR' != dataset source 'CLAIMS'", None),
-    ("unknown kind", [P1], [make_event("p1", "2012-03-04", kind="LAB")], "unknown event kind 'LAB'", None),
+    ("unknown gender", [make_person("p1", gender="X")], [], NAMED + "unknown gender token 'X'", 2),
+    ("unknown source", [make_person("p1", source="ORACLE")], [], NAMED + "unknown source token 'ORACLE'", 2),
+    ("source mismatch", [make_person("p1", source="EHR")], [], NAMED + "source 'EHR' != dataset source 'CLAIMS'", None),
+    ("unknown person", [P1], [make_event("zz", "2012-03-04")], "events reference unknown person_id 'zz'", None),
+    ("unknown kind", [P1], [make_event("p1", "2012-03-04", kind="LAB")], NAMED + "unknown event kind 'LAB'", None),
     (
         "kind/system mismatch",
         [P1],
         [make_event("p1", "2012-03-04", kind="RX", system="ICD10")],
-        "kind 'RX' inconsistent with system 'ICD10'",
+        NAMED + "kind 'RX' inconsistent with system 'ICD10'",
         None,
     ),
     ("event before enrollment", [P1], [make_event("p1", "2009-12-31")], OUTSIDE.format("2009-12-31"), None),
@@ -562,21 +583,21 @@ VIOLATIONS = [
 
 @pytest.mark.parametrize("case,persons,events,problem,line", VIOLATIONS, ids=[v[0] for v in VIOLATIONS])
 def test_construction_refuses_violation(tmp_path, case, persons, events, problem, line):
-    named = (problem, f"person 'p1': {problem}")
     with pytest.raises(DataError) as exc:
         make_dataset(persons, events)
-    assert str(exc.value) in named
-    if events:
+    assert str(exc.value) == problem
+    if events and all(e.person_id == "p1" for e in events):  # another person's event is refused before
         clean = make_dataset([P1], [make_event("p1", "2012-01-01")])
         with pytest.raises(DataError) as exc:
             clean.replace_person_events("p1", events)
-        assert str(exc.value) in named
+        assert str(exc.value) == problem
     if line is not None:
         path = str(tmp_path / "p.csv")
         rows = ([p.person_id, p.birth_year, p.gender, p.enroll_start, p.enroll_end, p.source] for p in persons)
         write_table(path, "persons.csv", datamodel.PERSONS_HEADER, rows)  # as write_persons writes, unchecked
-        with pytest.raises(DataError, match=re.escape(f"{path}:{line}: {problem}")):
+        with pytest.raises(DataError) as exc:
             load_persons(path)
+        assert str(exc.value) == f"{path}:{line}: {problem.removeprefix(NAMED)}"
 
 
 def test_replacement_event_of_another_person_refused():
