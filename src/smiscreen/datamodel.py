@@ -59,8 +59,8 @@ first offending line in file order, whichever check it fails:
   events.csv:  person_id,date,kind,system,code
 dates are exactly YYYY-MM-DD (ASCII digits; the basic 20100101 and week
 2010-W01-1 forms are refused); kind is written lowercase (dx/rx) on disk.
-`read_table` decodes every field (phecode_map.csv, ground_truth.csv).
-persons.csv and events.csv are mapped from the block's bytes instead: dates by array
+`read_table` decodes every field (phecode_map.csv). persons.csv and
+events.csv are mapped from the block's bytes instead: dates by array
 arithmetic on their ten bytes, and every other field through an exact
 interner whose distinct values go through lookups or memos in first-seen
 order, once per block.
@@ -195,9 +195,9 @@ _NO_YEAR = 1 << 40  # the birth_year column of a text that `_YEAR` refuses
 # The rules of persons.csv rows and `Person` views (see `_refuse`), in the
 # order that words a row breaking several, over `Persons` columns: a
 # birth_year text that `_YEAR` refuses reads as _NO_YEAR, a date text that
-# `_date` refuses as -1, an unknown gender or source as -1. `load_persons`
-# puts the repeated-id rule first; `Persons.of` leaves repeated ids to the
-# `Dataset` constructor.
+# `_iso_days` refuses as -1, an unknown gender or source as -1.
+# `load_persons` puts _REPEATED_ID first; `Persons.of` leaves repeated ids
+# to the `Dataset` constructor.
 _PERSON_RULES = (
     (lambda p: p.birth_year == _NO_YEAR, "unparseable birth_year {birth_year!r}"),
     (lambda p: p.enroll_start < 0, "unparseable date {enroll_start!r}"),
@@ -216,6 +216,17 @@ _PERSON_RULES = (
 )
 
 
+def _repeated(p: Persons) -> np.ndarray:
+    """Whether each id of `p` equals an earlier one."""
+    first: dict[str, int] = {}
+    return np.array([first.setdefault(pid, i) != i for i, pid in enumerate(p.ids)], dtype=bool)
+
+
+# The repeated-id rule over `Persons` columns (see `_refuse`), which names
+# the first repeat in input order
+_REPEATED_ID = (_repeated, "duplicate person_id {person_id!r}")
+
+
 # Event columns: each event's position in `persons`, date ordinal and code id
 _Events = NamedTuple("_Events", [("persons", Persons), ("pos", np.ndarray), ("day", np.ndarray), ("code", np.ndarray)])
 
@@ -229,8 +240,8 @@ def _outside(e: _Events) -> np.ndarray:
 
 # The rules of events.csv rows and `ClinicalEvent` views (see `_refuse`), in
 # the order that words a row breaking several, over `_Events` columns: an
-# unknown id, a date text that `_date` refuses and a code that `CodeTable.id`
-# refuses read as -1
+# unknown id, a date text that `_iso_days` refuses and a code that
+# `CodeTable.id` refuses read as -1
 _EVENT_RULES = (
     (lambda e: e.pos < 0, "unknown person_id {person_id!r}"),
     (lambda e: e.code < 0, lambda e, i, row: _kind_problem(row["kind"], row["system"])),
@@ -267,27 +278,10 @@ def _kind_problem(kind: str, system: str) -> str | None:
     return None
 
 
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # A birth_year is written as `str` writes it: 0, or an optional minus and 1-9
 # ASCII digits without a leading zero. int() alone also takes "+1", "1_0",
 # " 1", "01", "-0" and non-ASCII digits, and may refuse over 4,300 digits.
 _YEAR = re.compile(r"0|-?[1-9][0-9]{0,8}")
-# A decimal number in ASCII: an optional minus, digits with an optional
-# fraction, an optional exponent; every finite float's repr matches. float()
-# alone also takes "1_0", " 1.5", "+1", "nan" and non-ASCII digits.
-DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
-
-
-def _date(text: str) -> datetime.date | None:
-    """The date `text` writes as exactly YYYY-MM-DD, or None. The pattern
-    comes first because `fromisoformat` accepts other forms on some Python
-    versions (20100101 and week dates from 3.11 on)."""
-    if _ISO_DATE.fullmatch(text):
-        try:
-            return datetime.date.fromisoformat(text)
-        except ValueError:
-            pass
-    return None
 
 
 def _line_problem(line: bytes, name: str, n: int) -> str:
@@ -518,8 +512,8 @@ _DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9])  # of YYYY-MM-DD
 
 
 def _iso_days(raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The date ordinal of each field raw[lo[i]:hi[i]] that `_date` reads
-    (exactly YYYY-MM-DD in ASCII digits, a day of the calendar), else -1."""
+    """The date ordinal of each field raw[lo[i]:hi[i]] that writes a day of
+    the calendar as exactly YYYY-MM-DD in ASCII digits, else -1."""
     text = np.ndarray((len(raw) - 9, 10), dtype=np.uint8, buffer=raw, strides=(1, 1))[lo]  # first ten bytes
     digit = text - np.uint8(48)  # wraps past 9 unless the byte is an ASCII digit
     ok = (hi - lo == 10) & (text[:, 4] == 45) & (text[:, 7] == 45) & (digit[:, _DIGITS] < 10).all(axis=1)
@@ -552,21 +546,11 @@ def distinct(values: np.ndarray) -> np.ndarray:
 
 
 def load_persons(path: str) -> Persons:
-    """persons.csv as columns; its first row with a repeated id or that a
-    rule of `_PERSON_RULES` refuses is a DataError naming the line."""
+    """persons.csv as columns; its first row that `_REPEATED_ID` or a rule
+    of `_PERSON_RULES` refuses is a DataError naming the line."""
     ids: list[str] = []
     seen: set[str] = set()
     year_of = functools.cache(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else _NO_YEAR)
-
-    def repeated(block: Persons) -> np.ndarray:
-        """Whether each id of the block last added to `ids` came before."""
-        if len(seen) == len(ids):
-            return np.zeros(len(block), dtype=bool)
-        first: dict[str, int] = {}
-        repeats = [first.setdefault(pid, i) != i for i, pid in enumerate(ids)]
-        return np.array(repeats[len(ids) - len(block) :], dtype=bool)
-
-    rules = ((repeated, "duplicate person_id {person_id!r}"), *_PERSON_RULES)
     parts = [(np.zeros(0, dtype=np.int64),) * 5]
     for lines in _scan(path, "persons.csv", PERSONS_HEADER):
         raw, cut = lines.raw, lines.cut
@@ -578,8 +562,13 @@ def load_persons(path: str) -> Persons:
         )
         ids += block.ids
         seen.update(block.ids)
-        _refuse(rules, block, lambda i: lines.fields(i, PERSONS_HEADER), lambda i: f"{path}:{lines.numbers[i]}: ")
         parts.append(block._columns())
+        rules, rows = _PERSON_RULES, block
+        if len(seen) < len(ids):  # an id repeats: check every row so far, as a repeat may be of an earlier block
+            rules, rows = (_REPEATED_ID, *_PERSON_RULES), Persons(ids, *(np.concatenate(c) for c in zip(*parts)))
+        at = len(rows) - len(block)  # row i of `rows` is row i - at of the block
+        _refuse(rules, rows, lambda i: lines.fields(i - at, PERSONS_HEADER),
+                lambda i: f"{path}:{lines.numbers[i - at]}: ")
     return Persons(ids, *(np.concatenate(cols) for cols in zip(*parts)))
 
 
@@ -739,11 +728,7 @@ class Dataset:
         self.ids = self._by_row.ids
         self.row_of = {pid: row for row, pid in enumerate(self.ids)}
         if len(self.row_of) < len(self.ids):
-            seen: set[str] = set()
-            for pid in persons.ids:
-                if pid in seen:
-                    raise DataError(f"duplicate person_id {pid!r}")
-                seen.add(pid)
+            _refuse((_REPEATED_ID,), persons, lambda i: {"person_id": persons.ids[i]}, lambda i: "")
         other = np.flatnonzero(persons.source != SOURCES.index(source))
         if other.size:
             p = persons[int(other[0])]

@@ -25,13 +25,12 @@ from importlib import resources
 
 import numpy as np
 
-from .datamodel import ClinicalEvent, Code, read_table
+from .datamodel import SYSTEMS_FOR_KIND, ClinicalEvent, Code, read_table
 from .errors import DataError
 
 _PHECODE_RE = re.compile(r"[0-9]{1,4}(\.[0-9]{1,2})?")
 
 MAP_HEADER = ["icd_version", "icd_code", "phecode"]
-ICD_VERSIONS = frozenset({"ICD9", "ICD10"})
 
 # code_tags bits, one per named group
 TAG_SMI = 1
@@ -107,7 +106,7 @@ def parse_phecode_map(path: str) -> PhecodeMap:
     entries: dict[tuple[str, str], Phecode] = {}
     for line, version, icd_code, phecode_raw in read_table(path, "phecode_map.csv", MAP_HEADER):
         where = f"{path}:{line}"
-        if version not in ICD_VERSIONS:
+        if version not in SYSTEMS_FOR_KIND["DX"]:  # the ICD systems that events.csv accepts
             raise DataError(f"{where}: unknown icd_version {version!r}")
         try:
             phecode = Phecode.parse(phecode_raw)

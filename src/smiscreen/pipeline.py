@@ -45,7 +45,7 @@ from .cohort import (
     prevalence,
     write_cohort,
 )
-from .datamodel import DECIMAL, SOURCES, Dataset, distinct, write_events, write_persons
+from .datamodel import SOURCES, Dataset, distinct, write_events, write_persons
 from .errors import ConfigError, DataError, DegenerateCohortError
 from .evaluation import (
     EvalReport,
@@ -126,11 +126,12 @@ class SplitFractions:
     test: float = 0.30
 
     def validate(self) -> None:
-        parts = (self.train, self.val, self.test)
-        if not all(0 < f < 1 for f in parts):  # also refuses NaN
-            raise ConfigError("split fractions must each lie in (0, 1)")
-        if abs(sum(parts) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(parts)}")
+        parts = {f"split.{name}": getattr(self, name) for name in ("train", "val", "test")}
+        for key, value in parts.items():
+            if not 0 < value < 1:  # also refuses NaN
+                raise ConfigError(f"{key} must lie in (0, 1), got {value}")
+        if abs(sum(parts.values()) - 1.0) > 1e-9:
+            raise ConfigError(f"{' + '.join(parts)} must sum to 1, got {sum(parts.values())}")
 
 
 @dataclass
@@ -171,6 +172,12 @@ def split_cohort(cohort: Cohort, fractions: SplitFractions, seed: int) -> SplitA
                 "try a different seed or a larger cohort"
             )
     return assignment
+
+
+# A decimal number in ASCII: an optional minus, digits with an optional
+# fraction, an optional exponent; every finite float's repr matches. float()
+# alone also takes "1_0", " 1.5", "+1", "nan" and non-ASCII digits.
+DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 def _finite_float(text: str) -> float:

@@ -46,9 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .datamodel import (
-    BIRTH_YEARS, DECIMAL, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, _date, distinct, read_table, write_table,
-)
+from .datamodel import BIRTH_YEARS, GENDERS, SOURCES, Code, CodeTable, Dataset, Persons, distinct, write_table
 from .dates import civil_from_days, days_from_civil
 from .errors import ConfigError, DataError
 from .phecode import (
@@ -117,7 +115,7 @@ class SynthConfig:
         """Refuse values the generator cannot use, naming their config keys."""
         if self.n_persons < 1:
             raise ConfigError("synth.n_persons must be >= 1")
-        if self.source not in ("CLAIMS", "EHR"):
+        if self.source not in SOURCES:
             raise ConfigError(f"synth.source: unknown source {self.source!r}")
         if not 0 < self.event_rate <= MAX_EVENT_RATE:
             raise ConfigError(f"synth.event_rate must be in (0, {MAX_EVENT_RATE}] events per person-year")
@@ -467,25 +465,3 @@ def write_ground_truth(gt: GroundTruth, path: str) -> None:
         [pid, repr(gt.latent_logit[pid]), gt.onset_date.get(pid) or ""] for pid in sorted(gt.latent_logit)
     )
     write_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER, rows)
-
-
-def load_ground_truth(path: str) -> GroundTruth:
-    logits: dict[str, float] = {}
-    onsets: dict[str, datetime.date | None] = {}
-    for line, pid, logit_raw, onset_raw in read_table(path, "ground_truth.csv", GROUND_TRUTH_HEADER):
-        where = f"{path}:{line}"
-        if pid in logits:
-            raise DataError(f"{where}: duplicate person_id {pid!r}")
-        try:
-            logit = float(logit_raw)
-        except ValueError:
-            logit = None
-        if logit is not None and not math.isfinite(logit):
-            raise DataError(f"{where}: non-finite latent_logit {logit_raw!r}")
-        if logit is None or not DECIMAL.fullmatch(logit_raw):
-            raise DataError(f"{where}: unparseable latent_logit {logit_raw!r}")
-        logits[pid] = logit
-        onsets[pid] = onset = _date(onset_raw) if onset_raw else None
-        if onset_raw and onset is None:
-            raise DataError(f"{where}: unparseable date {onset_raw!r}")
-    return GroundTruth(logits, onsets)

@@ -1,12 +1,29 @@
 """The person and event rules one record at a time, as scalar functions:
 what `datamodel._PERSON_RULES` and `datamodel._EVENT_RULES` must refuse,
-and with which text. Tests compare the rule tables with them."""
+and with which text, and the date reader they assume. Tests compare the
+rule tables and `datamodel._iso_days` with them."""
 
 from __future__ import annotations
 
 import datetime
+import re
 
-from smiscreen.datamodel import BIRTH_YEARS, GENDERS, SOURCES, _YEAR, ClinicalEvent, Person, _date, _kind_problem
+from smiscreen.datamodel import BIRTH_YEARS, GENDERS, SOURCES, _YEAR, ClinicalEvent, Person, _kind_problem
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _date(text: str) -> datetime.date | None:
+    """The date `text` writes as exactly YYYY-MM-DD, or None: what
+    `datamodel._iso_days` must read. The pattern comes first because
+    `fromisoformat` accepts other forms on some Python versions (20100101
+    and week dates from 3.11 on)."""
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return datetime.date.fromisoformat(text)
+        except ValueError:
+            pass
+    return None
 
 
 def person_problem(p: Person) -> str | None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import d, events_in_window, make_dataset, make_event, make_person, rebuild_from_columns
-from rule_reference import event_view_message, person_row_problem, person_view, row_problem
+from rule_reference import _date, event_view_message, person_row_problem, person_view, row_problem
 from smiscreen import datamodel
 from smiscreen.cli import main
 from smiscreen.datamodel import (
@@ -19,7 +19,6 @@ from smiscreen.datamodel import (
     CodeTable,
     Dataset,
     Persons,
-    _date,
     _line_problem,
     load_events,
     load_persons,
@@ -30,7 +29,6 @@ from smiscreen.datamodel import (
 )
 from smiscreen.errors import DataError
 from smiscreen.phecode import parse_phecode_map
-from smiscreen.synth import load_ground_truth
 
 PERSONS_HEADER = "person_id,birth_year,gender,enroll_start,enroll_end,source\n"
 EVENTS_HEADER = "person_id,date,kind,system,code\n"
@@ -63,6 +61,16 @@ class TestLoadPersons:
         )
         with pytest.raises(DataError, match="'p1'"):
             load_persons(path)
+
+    def test_repeat_of_an_earlier_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datamodel, "BLOCK_BYTES", 256)  # about six lines a block
+        rows = [f"p{i},1990,F,2010-01-01,2015-06-30,CLAIMS\n" for i in range(20)]
+        rows.insert(15, "p3,1991,M,2011-01-01,2014-06-30,CLAIMS\n")  # line 17 repeats line 5
+        rows.append("p99,1990,X,2010-01-01,2015-06-30,CLAIMS\n")  # and a later bad line does not win
+        path = write(tmp_path / "p.csv", PERSONS_HEADER + "".join(rows))
+        with pytest.raises(DataError) as exc:
+            load_persons(path)
+        assert str(exc.value) == f"{path}:17: duplicate person_id 'p3'"
 
     @pytest.mark.parametrize(
         "row",
@@ -542,6 +550,13 @@ NAMED = "person 'p1': "  # the prefix of a view; a persons.csv line has `path:li
 # one of load_persons'); the dataset source is CLAIMS
 VIOLATIONS = [
     ("duplicate id", [P1, P1], [], "duplicate person_id 'p1'", 3),
+    (  # the first repeat in input order, not the first id that has one
+        "first repeat named",
+        [make_person(pid) for pid in ("p2", "p1", "p1", "p2")],
+        [],
+        "duplicate person_id 'p1'",
+        4,
+    ),
     (
         "enroll order",
         [make_person("p1", start="2016-01-01", end="2015-06-30")],
@@ -777,7 +792,7 @@ class TestLoadErrors:
             load_events(path, load_persons(persons_csv), "CLAIMS")
 
 
-# Every plain table reads through `read_table`: name -> (loader, header, two good data rows)
+# Every plain table that is read in: name -> (loader, header, two good data rows)
 PLAIN_TABLES = {
     "persons.csv": (
         load_persons,
@@ -787,9 +802,6 @@ PLAIN_TABLES = {
     ),
     "phecode_map.csv": (
         parse_phecode_map, "icd_version,icd_code,phecode", b"ICD10,F20.0,295.1", b"ICD9,295.10,295.1"
-    ),
-    "ground_truth.csv": (
-        load_ground_truth, "person_id,latent_logit,onset_date", b"p1,0.5,2012-01-01", b"p2,-1.25,"
     ),
 }
 # (case, offending data line, message after "path:line: " for the table `name` of `n` columns)
@@ -811,7 +823,6 @@ LONG_TABLES = {
         "unknown gender token 'X'",
     ),
     "phecode_map.csv": ("ICD10,{key},295.1", "ICD11,F20.0,295.1", "unknown icd_version 'ICD11'"),
-    "ground_truth.csv": ("{key},0.5,2012-01-01", "q,1_0,", "unparseable latent_logit '1_0'"),
 }
 
 

@@ -3,8 +3,8 @@ code 0, 2, 3 or 4, never in an escaped exception, and a failing exit names
 the file or the config key at fault.
 
 A small population is synthesized and trained on once. Each case then
-mutates one input: persons.csv, events.csv, a phecode map or
-ground_truth.csv, vocabulary.txt, report.json, a config value, or a model
+mutates one input that the program reads: persons.csv, events.csv, a
+phecode map, vocabulary.txt, report.json, a config value, or a model
 header (re-checksummed, so only the header checks can catch it). The
 mutations are a flipped bit; an inserted comma, quote, carriage return,
 invalid UTF-8 byte or non-ASCII digit; truncation; a repeated line; and an
@@ -92,20 +92,6 @@ def _run_cli(argv: list[str]) -> tuple[object, str]:
     return code, err.getvalue().strip()
 
 
-def _load_ground_truth(path: str) -> tuple[object, str]:
-    """load_ground_truth with the CLI's exit code for a DataError."""
-    from smiscreen.errors import DataError
-    from smiscreen.synth import load_ground_truth
-
-    try:
-        load_ground_truth(path)
-    except DataError as exc:
-        return 3, f"data error: {exc}"
-    except Exception as exc:
-        return "EXC", f"{type(exc).__name__}: {exc}"
-    return 0, ""
-
-
 def _config(path: Path, mapping: dict[str, str]) -> str:
     path.write_text("".join(f"{k}={v}\n" for k, v in mapping.items()), encoding="utf-8")
     return str(path)
@@ -130,7 +116,6 @@ def build_workspace(root: Path) -> dict[str, Path]:
     files = {
         "persons.csv": root / "data" / "persons.csv",
         "events.csv": root / "data" / "events.csv",
-        "ground_truth.csv": root / "data" / "ground_truth.csv",
         "phecode_map.csv": root / "phecode_map.csv",
     }
     files["phecode_map.csv"].write_bytes((resources.files("smiscreen.data") / "phecode_map.csv").read_bytes())
@@ -149,8 +134,8 @@ def cases(files: dict[str, Path]) -> list[tuple[str, str, str, bytes]]:
     and "" for the others."""
     rng = random.Random(SEED)
     out = []
-    for target in ("persons.csv", "events.csv", "phecode_map.csv", "ground_truth.csv",
-                   "vocabulary.txt", "report.json", "model.bin", "config"):
+    for target in ("persons.csv", "events.csv", "phecode_map.csv", "vocabulary.txt", "report.json", "model.bin",
+                   "config"):
         for i in range(CASES_PER_FILE):
             kind = MUTATIONS[i % len(MUTATIONS)]
             key, lo, hi = "", 0, None
@@ -184,8 +169,6 @@ def run_case(root: Path, files: dict[str, Path], target: str, key: str, mutated:
         return (*_run_cli(["synth", "--config", str(path), "--out", out]), (str(path), key, *key.split(".")))
     path = work / target
     path.write_bytes(mutated)
-    if target == "ground_truth.csv":
-        return (*_load_ground_truth(str(path)), (str(path),))
     if target == "report.json":
         return (*_run_cli(["report", str(path), "--out", out]), (str(path),))
     if target in ("vocabulary.txt", "model.bin"):
@@ -216,7 +199,7 @@ def run_all(root: Path) -> list[tuple[str, object, str, bool]]:
 
 def test_mutated_inputs_exit_cleanly_and_name_the_culprit(tmp_path):
     results = run_all(tmp_path)
-    assert len(results) == 8 * CASES_PER_FILE
+    assert len(results) == 7 * CASES_PER_FILE
     bad = [r for r in results if r[1] not in (0, 2, 3, 4) or (r[1] != 0 and not r[3])]
     assert not bad, "\n".join(map(repr, bad))
     assert any(r[1] == 0 for r in results) and any(r[1] == 3 for r in results)

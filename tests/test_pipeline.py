@@ -272,6 +272,10 @@ class TestConfig:
             ("synth.event_rate", "1000.5", "event_rate must be in (0, 1000]"),
             # birth years down to 1 - 49, below what persons.csv loads
             ("synth.year_min,synth.year_max", "1,3", "year_max <= 9992 for loadable birth years, got (1, 3)"),
+            # a split check names the first bad key, or all three for their sum
+            ("split.train", "0", "split.train must lie in (0, 1), got 0.0"),
+            ("split.test,split.val", "0.3,1", "split.val must lie in (0, 1), got 1.0"),
+            ("split.train", "0.5", "split.train + split.val + split.test must sum to 1, got 0.8999999999999999"),
         ],
     )
     def test_bad_enum_or_year_exits_2(self, tmp_path, capsys, key, value, message):
