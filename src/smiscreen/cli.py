@@ -19,11 +19,22 @@ from . import pipeline
 from .errors import ConfigError, DataError, DegenerateCohortError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", help="global seed (overrides config)")
-    parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--threads", help="accepted so existing configs run; has no effect")
+# flag -> help text; each overrides the config key of its name, through that key's parser
+FLAGS = {
+    "seed": "global seed (overrides config)",
+    "out": "output directory (overrides config)",
+    "threads": "accepted so existing configs run; has no effect",
+}
+
+# subcommand -> (help text, run mode) for those that print report rows; the run mode is
+# looked up in `pipeline` on each run, so a wrapper set there (as by perfbench) is called
+REPORTS = {
+    "train": ("train and evaluate a single-source model with benchmarks", "run_single_source"),
+    "two-step": ("pretrain on pretrain.* data, fine-tune and evaluate on data.*", "run_two_step"),
+    "bench": ("evaluate the rule-based benchmarks only", "run_bench"),
+    "cross-eval": ("score data.* with a model trained elsewhere", "run_cross_eval"),
+    "use-case": ("fine-tune a base model on an AGE18 or SUBSTANCE cohort", "run_use_case"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,20 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("synth", "generate a synthetic population (persons/events/ground_truth CSVs)"),
         ("cohort", "build and write the configured cohort"),
-        ("train", "train and evaluate a single-source model with benchmarks"),
-        ("two-step", "pretrain on pretrain.* data, fine-tune and evaluate on data.*"),
-        ("bench", "evaluate the rule-based benchmarks only"),
+        *((name, help_text) for name, (help_text, _) in REPORTS.items()),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-
-    p = sub.add_parser("cross-eval", help="score data.* with a model trained elsewhere")
-    _add_common(p)
-    p.add_argument("--model-dir", required=True, help="directory holding model.bin and vocabulary.txt")
-
-    p = sub.add_parser("use-case", help="fine-tune a base model on an AGE18 or SUBSTANCE cohort")
-    _add_common(p)
-    p.add_argument("--model-dir", required=True, help="directory holding model.bin and vocabulary.txt")
+        p.add_argument("--config", help="flat key=value config file")
+        for flag, flag_help in FLAGS.items():
+            p.add_argument(f"--{flag}", help=flag_help)
+        if name in ("cross-eval", "use-case"):
+            p.add_argument("--model-dir", required=True, help="directory holding model.bin and vocabulary.txt")
 
     p = sub.add_parser("report", help="merge report.json files into one report.csv")
     p.add_argument("inputs", nargs="+", help="report.json paths")
@@ -57,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> pipeline.RunConfig:
     """The config file with the flags given laid over it, as unparsed text, so a
     flag's value passes the same key parser as the file's."""
-    flags = {"seed": args.seed, "out": args.out, "threads": args.threads}
-    overrides = {key: text for key, text in flags.items() if text is not None}
+    overrides = {key: text for key in FLAGS if (text := getattr(args, key)) is not None}
     return pipeline.RunConfig.from_file(args.config, overrides)
 
 
@@ -76,23 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "cohort":
             cohort = pipeline.run_cohort(cfg)
             print(f"wrote {len(cohort)} cohort rows to {cfg.out_dir}/cohort.csv")
-        elif args.command == "train":
-            reports = pipeline.run_single_source(cfg)
-            _print_reports(reports)
-        elif args.command == "cross-eval":
-            reports = pipeline.run_cross_eval(cfg, args.model_dir)
-            _print_reports(reports)
-        elif args.command == "two-step":
-            reports = pipeline.run_two_step(cfg)
-            _print_reports(reports)
-        elif args.command == "use-case":
-            reports = pipeline.run_use_case(cfg, args.model_dir)
-            _print_reports(reports)
-        elif args.command == "bench":
-            reports = pipeline.run_bench(cfg)
-            _print_reports(reports)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        else:
+            run = getattr(pipeline, REPORTS[args.command][1])
+            _print_reports(run(cfg, args.model_dir) if "model_dir" in args else run(cfg))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

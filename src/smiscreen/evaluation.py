@@ -153,6 +153,16 @@ def benchmark2(
     return int(benchmark_predictions(Cohort.of([ex], d), d, m, exclude_substance)["BENCH2"][0])
 
 
+def _report(test: ScoredSet, threshold: float | None, auc_value: float | None, **names) -> EvalReport:
+    """The report row of `test` under positive iff score >= threshold. A None
+    threshold marks 0/1 predictions: counted at 1.0 and stored as null."""
+    sens, spec, prev = confusion_at(test, 1.0 if threshold is None else threshold)
+    return EvalReport(
+        **names, auc=auc_value, threshold=threshold, sensitivity=sens, specificity=spec,
+        prevalence=prev, n_pos=test.n_pos, n_neg=test.n_neg,
+    )
+
+
 def evaluate_model(
     val: ScoredSet,
     test: ScoredSet,
@@ -164,19 +174,7 @@ def evaluate_model(
     """Threshold on validation, confusion and AUC on test."""
     test.require_both_classes("model evaluation")
     threshold, _, _ = youden_threshold(val)
-    sens, spec, prev = confusion_at(test, threshold)
-    return EvalReport(
-        method=method,
-        dataset=dataset,
-        cohort_kind=cohort_kind,
-        auc=auc(test),
-        threshold=threshold,
-        sensitivity=sens,
-        specificity=spec,
-        prevalence=prev,
-        n_pos=test.n_pos,
-        n_neg=test.n_neg,
-    )
+    return _report(test, threshold, auc(test), method=method, dataset=dataset, cohort_kind=cohort_kind)
 
 
 def evaluate_benchmark(
@@ -190,19 +188,7 @@ def evaluate_benchmark(
     """Binary predictor evaluation; AUC is not applicable and stays null."""
     s = ScoredSet(np.asarray(predictions, dtype=np.float64), labels)
     s.require_both_classes("benchmark evaluation")
-    sens, spec, prev = confusion_at(s, 1.0)  # predictions are exactly 0/1
-    return EvalReport(
-        method=method,
-        dataset=dataset,
-        cohort_kind=cohort_kind,
-        auc=None,
-        threshold=None,
-        sensitivity=sens,
-        specificity=spec,
-        prevalence=prev,
-        n_pos=s.n_pos,
-        n_neg=s.n_neg,
-    )
+    return _report(s, None, None, method=method, dataset=dataset, cohort_kind=cohort_kind)
 
 
 # (what a number must be, its test); each test also refuses NaN

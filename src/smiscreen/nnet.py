@@ -43,6 +43,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _PARAM_FIELDS = ("embedding", "w1", "b1", "w2", "b2", "w_out", "b_out")
+MAX_WIDTH = 4096  # widest layer a config may ask for; the paper's widest is the 300-wide embedding
 
 
 class ModelVersionError(DataError):
@@ -72,6 +73,9 @@ class Hyperparams:
         for name in ("embedding_dim", "hidden1", "hidden2", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"hyperparameter {name} must be >= 1")
+        for name in ("embedding_dim", "hidden1", "hidden2"):
+            if getattr(self, name) > MAX_WIDTH:
+                raise ConfigError(f"hyperparameter {name} must be <= {MAX_WIDTH}")
         if not 0 < self.learning_rate < float("inf"):  # also refuses NaN
             raise ConfigError("learning_rate must be positive and finite")
         if self.patience < 0:

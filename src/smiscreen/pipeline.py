@@ -305,6 +305,8 @@ class RunConfig:
             synth.seed = cfg.seed
             synth.validate()
             synth.risk_weights = default_risk_weights(synth)
+        if not cfg.out_dir:
+            raise ConfigError("out must name a directory, got ''")
         cfg.fractions.validate()
         cfg.hp.validate()
         if cfg.threads < 1:

@@ -69,6 +69,9 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_model(5, Hyperparams(learning_rate=0.0))
 
+    def test_widths_up_to_the_cap_pass(self):
+        Hyperparams(embedding_dim=4096, hidden1=4096, hidden2=4096).validate()
+
 
 class TestForward:
     def test_zero_network_gives_half(self):
@@ -575,6 +578,11 @@ HEADER_DAMAGE = [
         "embedding_dim != d",
         lambda h: h["hyperparams"].update(embedding_dim=7),
         "header hyperparam embedding_dim=7 != d=5",
+    ),
+    (
+        "embedding wider than the cap",
+        lambda h: (h.update(d=5000), h["hyperparams"].update(embedding_dim=5000)),
+        "header hyperparameter embedding_dim must be <= 4096",
     ),
 ]
 

@@ -310,6 +310,29 @@ class TestConfig:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["nnet.embedding_dim", "nnet.hidden1", "nnet.hidden2"])
+    @pytest.mark.parametrize("value", ["1000000000000000", "4097"])
+    def test_layer_wider_than_cap_exits_2_before_reading(self, tmp_path, capsys, key, value):
+        missing = {"data.persons": str(tmp_path / "nope.csv"), "data.events": str(tmp_path / "nope2.csv")}
+        cfg = write_config(tmp_path / "c.cfg", {**missing, key: value})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"hyperparameter {key[5:]} must be <= 4096" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["train", "synth"])
+    @pytest.mark.parametrize("how", ["flag", "key"])
+    def test_empty_out_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, mode, how):
+        monkeypatch.chdir(tmp_path)
+        keys = (
+            {"synth.n_persons": "50", "synth.source": "CLAIMS"} if mode == "synth"
+            else {"data.persons": "nope.csv", "data.events": "nope2.csv"}
+        )
+        cfg = write_config(tmp_path / "c.cfg", {**keys, "out": "" if how == "key" else "o"})
+        assert main([mode, "--config", cfg, *(["--out="] if how == "flag" else [])]) == 2
+        err = capsys.readouterr().err
+        assert "out must name a directory" in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -490,6 +513,38 @@ class TestCohortAndBenchCommands:
         rows = read_report(out / "report.json")["reports"]
         assert [r["method"] for r in rows] == ["BENCH1", "BENCH2"]
         assert all(r["auc"] is None for r in rows)
+
+
+def printed_row(row):
+    """The stdout line a report subcommand prints for one report.json row."""
+    auc_text = "NA" if row["auc"] is None else f"{row['auc']:.3f}"
+    return (
+        f"{row['method']:9s} {row['dataset']:8s} {row['cohort']:9s} "
+        f"auc={auc_text} sens={row['sensitivity']:.3f} spec={row['specificity']:.3f} "
+        f"prev={row['prevalence']:.4f} (n={row['n_pos']}+/{row['n_neg']}-)"
+    )
+
+
+class TestReportStdout:
+    @pytest.mark.parametrize("mode", ["train", "bench", "cross-eval"])
+    def test_one_line_per_report_row(self, workspace, tmp_path, capsys, mode):
+        data = workspace["data"]
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            {"data.persons": str(data / "persons.csv"), "data.events": str(data / "events.csv"),
+             "seed": "42", **SMALL_NNET, "nnet.max_epochs": "1"},
+        )
+        extra = ["--model-dir", str(workspace["train"])] if mode == "cross-eval" else []
+        capsys.readouterr()
+        assert main([mode, "--config", cfg, "--out", str(tmp_path / "o"), *extra]) == 0
+        printed = capsys.readouterr()
+        rows = read_report(tmp_path / "o" / "report.json")["reports"]
+        assert rows and printed.out.splitlines() == [printed_row(r) for r in rows]
+        assert printed.err == ""
+
+    def test_subcommands_in_help_order(self):
+        usage = build_parser().format_usage()
+        assert "{synth,cohort,train,two-step,bench,cross-eval,use-case,report}" in usage
 
 
 # The cohort filter chain every mode that builds a cohort writes into manifest.json counts
