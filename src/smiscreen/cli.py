@@ -70,8 +70,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            out_path = pipeline.run_report_merge(args.inputs, args.out)
-            print(f"wrote {out_path}")
+            out_dir = pipeline.RunConfig.from_mapping({"out": args.out}).out_dir  # refuses an empty --out as the others do
+            print(f"wrote {pipeline.run_report_merge(args.inputs, out_dir)}")
             return 0
         cfg = _config_from_args(args)
         if args.command == "synth":

@@ -73,7 +73,7 @@ import datetime
 import functools
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from typing import Any, NamedTuple
 
@@ -216,14 +216,15 @@ _PERSON_RULES = (
 )
 
 
-def _repeated(p: Persons) -> np.ndarray:
-    """Whether each id of `p` equals an earlier one."""
+def _repeated(p: Persons, seen: Container[str] = frozenset()) -> np.ndarray:
+    """Whether each id of `p` is in `seen` or equals an earlier one of `p`."""
     first: dict[str, int] = {}
-    return np.array([first.setdefault(pid, i) != i for i, pid in enumerate(p.ids)], dtype=bool)
+    return np.array([pid in seen or first.setdefault(pid, i) != i for i, pid in enumerate(p.ids)], dtype=bool)
 
 
 # The repeated-id rule over `Persons` columns (see `_refuse`), which names
-# the first repeat in input order
+# the first repeat in input order; `load_persons` binds `seen` to the ids of
+# its earlier blocks
 _REPEATED_ID = (_repeated, "duplicate person_id {person_id!r}")
 
 
@@ -548,8 +549,9 @@ def distinct(values: np.ndarray) -> np.ndarray:
 def load_persons(path: str) -> Persons:
     """persons.csv as columns; its first row that `_REPEATED_ID` or a rule
     of `_PERSON_RULES` refuses is a DataError naming the line."""
-    ids: list[str] = []
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # the ids of the blocks before, in order
+    repeated, message = _REPEATED_ID
+    rules = ((functools.partial(repeated, seen=seen), message), *_PERSON_RULES)
     year_of = functools.cache(lambda raw: int(raw) if _YEAR.fullmatch(raw.decode("utf-8")) else _NO_YEAR)
     parts = [(np.zeros(0, dtype=np.int64),) * 5]
     for lines in _scan(path, "persons.csv", PERSONS_HEADER):
@@ -560,16 +562,10 @@ def load_persons(path: str) -> Persons:
             _iso_days(raw, cut[3] + 1, cut[4]), _iso_days(raw, cut[4] + 1, cut[5]),
             _map_fields(raw, cut[5] + 1, cut[6], lambda key: _SOURCE_AT.get(key.decode("utf-8"), -1)),
         )
-        ids += block.ids
-        seen.update(block.ids)
+        _refuse(rules, block, lambda i: lines.fields(i, PERSONS_HEADER), lambda i: f"{path}:{lines.numbers[i]}: ")
+        seen.update(dict.fromkeys(block.ids))
         parts.append(block._columns())
-        rules, rows = _PERSON_RULES, block
-        if len(seen) < len(ids):  # an id repeats: check every row so far, as a repeat may be of an earlier block
-            rules, rows = (_REPEATED_ID, *_PERSON_RULES), Persons(ids, *(np.concatenate(c) for c in zip(*parts)))
-        at = len(rows) - len(block)  # row i of `rows` is row i - at of the block
-        _refuse(rules, rows, lambda i: lines.fields(i - at, PERSONS_HEADER),
-                lambda i: f"{path}:{lines.numbers[i - at]}: ")
-    return Persons(ids, *(np.concatenate(cols) for cols in zip(*parts)))
+    return Persons(list(seen), *(np.concatenate(cols) for cols in zip(*parts)))
 
 
 class CodeTable:

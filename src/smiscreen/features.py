@@ -10,6 +10,7 @@ vector. Everything is window-bounded: no event after window.end counts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -37,13 +38,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @functools.cached_property
     def index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {code: i for i, code in enumerate(self.entries)}
-            object.__setattr__(self, "_index", cached)
-        return cached
+        return {code: i for i, code in enumerate(self.entries)}
 
     def fingerprint(self) -> str:
         digest = hashlib.sha256("\n".join(self.entries).encode("utf-8"))

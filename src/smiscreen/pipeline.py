@@ -591,6 +591,8 @@ def run_bench(cfg: RunConfig) -> list[EvalReport]:
 
 
 def load_model_dir(model_dir: str) -> tuple[ModelParams, Hyperparams, Vocabulary]:
+    if not model_dir:
+        raise ConfigError("--model-dir must name a directory, got ''")
     with stage("load-model"):
         model, hp = load_model(os.path.join(model_dir, MODEL_FILE))
         vocab = load_vocabulary(os.path.join(model_dir, VOCAB_FILE))

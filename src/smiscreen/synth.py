@@ -21,14 +21,14 @@ tilts. All randomness is keyed by hash(seed, person_id), so generation is
 person-parallel and bit-reproducible regardless of scheduling.
 
 Generation runs over chunks of CHUNK_PERSONS persons, in two parts:
-  per person    the draws. Each person's Generator makes the same calls in
-                the same order, with the same bounds and sizes, because the
-                golden hashes and the ground-truth AUC pin every draw.
+  per person    the draws, kept as one record per person. Each person's
+                Generator makes the same calls in the same order, with the
+                same bounds and sizes: the golden hashes and the ground-truth
+                AUC pin every draw.
   array passes  everything derived from the draws: event codes from the
                 active-set picks, event dates, the person columns, and each
-                person's distinct pre-onset code texts with their risk
-                weights, added one float at a time in code-text order as a
-                per-person loop would add them.
+                person's distinct pre-onset code texts, whose risk weights one
+                ordered `np.add.at` adds in code-text order, as a loop would.
 The onset link then runs per person in Python floats (`math.exp`, `**`),
 since a vector exp may round differently and flip an onset, and a person
 with an onset continues their own stream for their SMI events.
@@ -348,20 +348,11 @@ def _chunk(cfg: SynthConfig, s: _Space, first: int, stop: int) -> tuple[list, li
     order; everything derived from them runs as array passes over the
     chunk. Only a person with an onset draws again, after the passes."""
     prefix = "c" if cfg.source == "CLAIMS" else "e"
-    ids: list[str] = []
-    gens: list[np.random.Generator] = []
-    scalars: list[tuple[int, int, int, int, int]] = []  # span, start offset, age, gender, candidate offset
-    u_onset: list[float] = []
-    active_dx: list[np.ndarray] = []
-    active_rx: list[np.ndarray] = []
-    offsets: list[np.ndarray] = []
-    is_dx: list[np.ndarray] = []
-    dx_picks: list[np.ndarray] = []
-    rx_picks: list[np.ndarray] = []
+    ids = [f"{prefix}{i:06d}" for i in range(first, stop)]
+    gens = [rngmod.stream(cfg.seed, "person", pid) for pid in ids]
     n_dx, n_rx = s.pi_dx.size, s.pi_rx.size
-    for i in range(first, stop):
-        pid = f"{prefix}{i:06d}"
-        gen = rngmod.stream(cfg.seed, "person", pid)
+    draws = []
+    for gen in gens:
         span = int(gen.integers(*s.spans))
         start_offset = int(gen.integers(0, s.total_days - span + 1))
         age = int(gen.integers(*AGE_AT_START_RANGE))
@@ -374,19 +365,15 @@ def _chunk(cfg: SynthConfig, s: _Space, first: int, stop: int) -> tuple[list, li
         if not rx_codes.size:
             rx_codes = s.fallback_rx
         n_events = int(gen.poisson(cfg.event_rate * (span / 365.25)))
-        offsets.append(gen.integers(0, span + 1, size=n_events))
+        offsets = gen.integers(0, span + 1, size=n_events)
         dx = gen.random(n_events) < DX_FRACTION
         n_dx_events = int(np.count_nonzero(dx))  # a NumPy int size costs `integers` more
-        dx_picks.append(gen.integers(0, dx_codes.size, size=n_dx_events))
-        rx_picks.append(gen.integers(0, rx_codes.size, size=n_events - n_dx_events))
+        dx_picks = gen.integers(0, dx_codes.size, size=n_dx_events)
+        rx_picks = gen.integers(0, rx_codes.size, size=n_events - n_dx_events)
         candidate = int(gen.integers(int(CANDIDATE_MIN_FRAC * span), span + 1))
-        u_onset.append(gen.random())
-        ids.append(pid)
-        gens.append(gen)
-        scalars.append((span, start_offset, age, gender, candidate))
-        active_dx.append(dx_codes)
-        active_rx.append(rx_codes)
-        is_dx.append(dx)
+        draws.append(((span, start_offset, age, gender, candidate), gen.random(), dx_codes, rx_codes,
+                      offsets, dx, dx_picks, rx_picks))
+    scalars, u_onset, active_dx, active_rx, offsets, is_dx, dx_picks, rx_picks = zip(*draws)
 
     span, start_offset, age, gender, candidate = np.array(scalars, dtype=np.int64).T
     day0 = s.cal_start + start_offset
@@ -400,15 +387,12 @@ def _chunk(cfg: SynthConfig, s: _Space, first: int, stop: int) -> tuple[list, li
 
     logit = cfg.base_logit + AGE_COEF * (age + candidate / 365.25) / 100.0
     logit += GENDER_COEF_BY_POS[gender]
-    # each person's distinct pre-onset code texts, their weights added one
-    # at a time in text order (a set's order follows the string hash seed)
+    # each person's distinct pre-onset code texts, their weights added one at a time in
+    # text order by the unbuffered `add.at` (a set's order follows the string hash seed)
     pre = offset < candidate[person]
     n_texts = s.weight.size
     who, text = np.divmod(distinct(person[pre] * n_texts + s.text_rank[code[pre]]), n_texts)
-    nth = np.arange(who.size) - np.searchsorted(who, who)
-    for k in range(int(nth.max(initial=-1)) + 1):
-        at = nth == k
-        logit[who[at]] += s.weight[text[at]]
+    np.add.at(logit, who, s.weight[text])
 
     # the onset link in Python floats: a vector exp may round differently
     cap = cfg.smi_annual_rate_cap
@@ -438,7 +422,7 @@ def _chunk(cfg: SynthConfig, s: _Space, first: int, stop: int) -> tuple[list, li
     return ids, logits, onsets, columns
 
 
-def _picked(active: list[np.ndarray], picks: list[np.ndarray], owner: np.ndarray) -> np.ndarray:
+def _picked(active: tuple[np.ndarray, ...], picks: tuple[np.ndarray, ...], owner: np.ndarray) -> np.ndarray:
     """The codes picked: person p's picks index active[p], and `owner`
     names the person of each pick in order."""
     size = np.array([a.size for a in active])

@@ -319,8 +319,9 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"hyperparameter {key[5:]} must be <= 4096" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("mode", ["train", "synth"])
-    @pytest.mark.parametrize("how", ["flag", "key"])
+    @pytest.mark.parametrize(
+        ("how", "mode"), [("flag", "synth"), ("flag", "train"), ("key", "synth"), ("key", "train"), ("flag", "report")]
+    )
     def test_empty_out_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, mode, how):
         monkeypatch.chdir(tmp_path)
         keys = (
@@ -328,7 +329,8 @@ class TestConfig:
             else {"data.persons": "nope.csv", "data.events": "nope2.csv"}
         )
         cfg = write_config(tmp_path / "c.cfg", {**keys, "out": "" if how == "key" else "o"})
-        assert main([mode, "--config", cfg, *(["--out="] if how == "flag" else [])]) == 2
+        argv = ["report", "nope.json"] if mode == "report" else [mode, "--config", cfg]
+        assert main([*argv, *(["--out="] if how == "flag" else [])]) == 2
         err = capsys.readouterr().err
         assert "out must name a directory" in err and "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["c.cfg"]
@@ -816,6 +818,22 @@ def test_invalid_utf8_vocabulary_exits_3(workspace, tmp_path, capsys):
     assert main(["cross-eval", *argv]) == 3
     err = capsys.readouterr().err
     assert f"{model_dir / 'vocabulary.txt'}:3: invalid UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["cross-eval", "use-case"])
+def test_empty_model_dir_exits_2_before_reading(workspace, tmp_path, capsys, monkeypatch, mode):
+    # a valid model in the working directory, which an empty --model-dir must not name
+    for name in ("model.bin", "vocabulary.txt"):
+        shutil.copy(workspace["train"] / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(
+        tmp_path / "c.cfg", {"data.persons": "nope.csv", "data.events": "nope2.csv", "cohort.kind": "SUBSTANCE",
+                             **SMALL_NNET},
+    )
+    assert main([mode, "--config", cfg, "--out", "o", "--model-dir="]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --model-dir must name a directory, got ''" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg", "model.bin", "vocabulary.txt"]
 
 
 # (arguments after the subcommand's --config/--out, extra config, path named)
