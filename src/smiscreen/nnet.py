@@ -72,14 +72,14 @@ class Hyperparams:
     def validate(self) -> None:
         for name in ("embedding_dim", "hidden1", "hidden2", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"hyperparameter {name} must be >= 1")
+                raise ConfigError(f"nnet.{name} must be >= 1")
         for name in ("embedding_dim", "hidden1", "hidden2"):
             if getattr(self, name) > MAX_WIDTH:
-                raise ConfigError(f"hyperparameter {name} must be <= {MAX_WIDTH}")
+                raise ConfigError(f"nnet.{name} must be <= {MAX_WIDTH}")
         if not 0 < self.learning_rate < float("inf"):  # also refuses NaN
-            raise ConfigError("learning_rate must be positive and finite")
+            raise ConfigError("nnet.learning_rate must be positive and finite")
         if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
+            raise ConfigError("nnet.patience must be >= 0")
 
 
 @dataclass

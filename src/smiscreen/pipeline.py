@@ -25,9 +25,10 @@ import contextlib
 import datetime as _datetime
 import json
 import math
+import operator
 import os
 import re
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -207,10 +208,10 @@ def _one_of(choices: Collection[str]) -> Callable[[str], str]:
     return parse
 
 
-# Every config key: the parser of its text value, then the RunConfig
-# attribute path it sets (an int indexes a tuple). `from_mapping` parses
-# through this table and `flat` echoes it into manifest.json.
-CONFIG_KEYS: dict[str, tuple] = {
+# Every config key: the parser of its text value, then the dotted RunConfig
+# attribute it sets. `from_mapping` parses through this table and `flat`
+# echoes it into manifest.json.
+CONFIG_KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "data.persons": (str, "persons_path"),
     "data.events": (str, "events_path"),
     "data.phecode_map": (str, "phecode_map_path"),
@@ -219,45 +220,29 @@ CONFIG_KEYS: dict[str, tuple] = {
     "out": (str, "out_dir"),
     "cohort.kind": (_one_of(COHORT_KINDS), "cohort_kind"),
     "cohort.controls_per_case": (_ascii_int, "controls_per_case"),
-    "split.train": (_finite_float, "fractions", "train"),
-    "split.val": (_finite_float, "fractions", "val"),
-    "split.test": (_finite_float, "fractions", "test"),
-    "nnet.embedding_dim": (_ascii_int, "hp", "embedding_dim"),
-    "nnet.hidden1": (_ascii_int, "hp", "hidden1"),
-    "nnet.hidden2": (_ascii_int, "hp", "hidden2"),
-    "nnet.learning_rate": (_finite_float, "hp", "learning_rate"),
-    "nnet.batch_size": (_ascii_int, "hp", "batch_size"),
-    "nnet.max_epochs": (_ascii_int, "hp", "max_epochs"),
-    "nnet.patience": (_ascii_int, "hp", "patience"),
-    "synth.n_persons": (_ascii_int, "synth", "n_persons"),
-    "synth.source": (_one_of(SOURCES), "synth", "source"),
-    "synth.event_rate": (_finite_float, "synth", "event_rate"),
-    "synth.base_logit": (_finite_float, "synth", "base_logit"),
-    "synth.rate_cap": (_finite_float, "synth", "smi_annual_rate_cap"),
-    "synth.n_shared_dx": (_ascii_int, "synth", "vocab", "n_shared_dx"),
-    "synth.n_specific_dx": (_ascii_int, "synth", "vocab", "n_specific_dx"),
-    "synth.n_rx": (_ascii_int, "synth", "vocab", "n_rx"),
-    "synth.year_min": (_ascii_int, "synth", "year_range", 0),
-    "synth.year_max": (_ascii_int, "synth", "year_range", 1),
+    "split.train": (_finite_float, "fractions.train"),
+    "split.val": (_finite_float, "fractions.val"),
+    "split.test": (_finite_float, "fractions.test"),
+    "nnet.embedding_dim": (_ascii_int, "hp.embedding_dim"),
+    "nnet.hidden1": (_ascii_int, "hp.hidden1"),
+    "nnet.hidden2": (_ascii_int, "hp.hidden2"),
+    "nnet.learning_rate": (_finite_float, "hp.learning_rate"),
+    "nnet.batch_size": (_ascii_int, "hp.batch_size"),
+    "nnet.max_epochs": (_ascii_int, "hp.max_epochs"),
+    "nnet.patience": (_ascii_int, "hp.patience"),
+    "synth.n_persons": (_ascii_int, "synth.n_persons"),
+    "synth.source": (_one_of(SOURCES), "synth.source"),
+    "synth.event_rate": (_finite_float, "synth.event_rate"),
+    "synth.base_logit": (_finite_float, "synth.base_logit"),
+    "synth.rate_cap": (_finite_float, "synth.smi_annual_rate_cap"),
+    "synth.n_shared_dx": (_ascii_int, "synth.vocab.n_shared_dx"),
+    "synth.n_specific_dx": (_ascii_int, "synth.vocab.n_specific_dx"),
+    "synth.n_rx": (_ascii_int, "synth.vocab.n_rx"),
+    "synth.year_min": (_ascii_int, "synth.year_min"),
+    "synth.year_max": (_ascii_int, "synth.year_max"),
     "seed": (_ascii_int, "seed"),
     "threads": (_ascii_int, "threads"),
 }
-
-
-def _get_path(obj: object, path: Sequence[str | int]) -> object:
-    for name in path:
-        obj = obj[name] if isinstance(name, int) else getattr(obj, name)
-    return obj
-
-
-def _set_path(obj: object, path: Sequence[str | int], value: object) -> None:
-    *head, name = path
-    if isinstance(name, int):  # an item of a tuple field: rebuild the tuple
-        items = list(_get_path(obj, head))
-        items[name] = value
-        *head, name = head
-        value = tuple(items)
-    setattr(_get_path(obj, head), name, value)
 
 
 @dataclass
@@ -290,12 +275,13 @@ class RunConfig:
         for key, text in flat.items():
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            parse, *path = CONFIG_KEYS[key]
+            parse, path = CONFIG_KEYS[key]
             try:
                 value = parse(text)
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: bad value {text!r}") from exc
-            _set_path(cfg, path, value)
+            owner, _, name = path.rpartition(".")
+            setattr(operator.attrgetter(owner)(cfg) if owner else cfg, name, value)
         cfg.hp.seed = cfg.seed
         if (synth := cfg.synth) is not None:
             if synth.n_persons is None or synth.source is None:
@@ -320,13 +306,13 @@ class RunConfig:
         phecode map shown as <packaged>, plus `nnet.seed`; the pretrain.*
         keys only when set and the synth.* keys only when synth is."""
         out: dict[str, object] = {"nnet.seed": self.hp.seed}
-        for key, (_, *path) in CONFIG_KEYS.items():
+        for key, (_, path) in CONFIG_KEYS.items():
             if key.startswith("synth.") and self.synth is None:
                 continue
-            value = _get_path(self, path)
+            value = operator.attrgetter(path)(self)
             if key.startswith("pretrain.") and not value:
                 continue
-            out[key] = (value or "<packaged>") if path == ["phecode_map_path"] else value
+            out[key] = (value or "<packaged>") if path == "phecode_map_path" else value
         return out
 
 

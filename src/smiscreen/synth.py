@@ -108,7 +108,8 @@ class SynthConfig:
     base_logit: float = -4.9
     smi_annual_rate_cap: float = 0.25
     event_rate: float = 9.0  # mean events per person-year
-    year_range: tuple[int, int] = (2008, 2019)
+    year_min: int = 2008
+    year_max: int = 2019
     seed: int = 42
 
     def validate(self) -> None:
@@ -124,9 +125,9 @@ class SynthConfig:
         years = "synth.year_min, synth.year_max: need"
         # birth year = enrollment start year - AGE_AT_START_RANGE, and persons.csv must load it back
         lo, hi = BIRTH_YEARS[0] + AGE_AT_START_RANGE[1] - 1, BIRTH_YEARS[1] + AGE_AT_START_RANGE[0]
-        if not lo <= self.year_range[0] <= self.year_range[1] <= hi:
+        if not lo <= self.year_min <= self.year_max <= hi:
             raise ConfigError(f"{years} {lo} <= year_min <= year_max <= {hi} for loadable birth years, "
-                              f"got {self.year_range}")
+                              f"got {(self.year_min, self.year_max)}")
         mapped = len(_mapped_base_codes(load_default_map()))
         if not mapped <= self.vocab.n_shared_dx <= MAX_POOL_CODES:
             raise ConfigError(f"synth.n_shared_dx must be in [{mapped}, {MAX_POOL_CODES}] to hold the mapped code pool")
@@ -300,7 +301,7 @@ def generate_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         n_rx, _frequency_order(n_rx, cfg.source, "rx"), tilt, MEAN_ACTIVE_RX
     )
 
-    cal_start, cal_end = days_from_civil(cfg.year_range, (1, 12), (1, 31)).tolist()
+    cal_start, cal_end = days_from_civil((cfg.year_min, cfg.year_max), (1, 12), (1, 31)).tolist()
     total_days = cal_end - cal_start
     max_span = min(SPAN_DAYS_RANGE[1], total_days + 1)
     min_span = min(SPAN_DAYS_RANGE[0], max_span - 1)

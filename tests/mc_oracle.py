@@ -61,8 +61,8 @@ def mc_prevalence(cfg: SynthConfig, n_draws: int, seed: int, chunk: int = 50_000
     w_rx = np.array([cfg.risk_weights.get(code, 0.0) for code in pools.rx])
     gender_coef = np.array([GENDER_COEF[g] for g in ("F", "M", "U")])
 
-    cal_start = datetime.date(cfg.year_range[0], 1, 1)
-    cal_end = datetime.date(cfg.year_range[1], 12, 31)
+    cal_start = datetime.date(cfg.year_min, 1, 1)
+    cal_end = datetime.date(cfg.year_max, 12, 31)
     total_days = (cal_end - cal_start).days
     max_span = min(SPAN_DAYS_RANGE[1], total_days + 1)
     min_span = min(SPAN_DAYS_RANGE[0], max_span - 1)

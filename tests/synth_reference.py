@@ -27,7 +27,7 @@ def reference_population(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         n_dx, _frequency_order(n_dx, cfg.source, "dx"), tilt, MEAN_ACTIVE_DX, dx_frequency_damp(pools)
     )
     pi_rx = activation_probs(n_rx, _frequency_order(n_rx, cfg.source, "rx"), tilt, MEAN_ACTIVE_RX)
-    cal_start, cal_end = days_from_civil(cfg.year_range, (1, 12), (1, 31)).tolist()
+    cal_start, cal_end = days_from_civil((cfg.year_min, cfg.year_max), (1, 12), (1, 31)).tolist()
     total_days = cal_end - cal_start
     max_span = min(SPAN_DAYS_RANGE[1], total_days + 1)
     min_span = min(SPAN_DAYS_RANGE[0], max_span - 1)

@@ -567,7 +567,7 @@ HEADER_DAMAGE = [
     (
         "learning rate NaN",
         lambda h: h["hyperparams"].update(learning_rate=float("nan")),
-        "header learning_rate must be positive and finite",
+        "header nnet.learning_rate must be positive and finite",
     ),
     (
         "batch size not an int",
@@ -582,7 +582,7 @@ HEADER_DAMAGE = [
     (
         "embedding wider than the cap",
         lambda h: (h.update(d=5000), h["hyperparams"].update(embedding_dim=5000)),
-        "header hyperparameter embedding_dim must be <= 4096",
+        "header nnet.embedding_dim must be <= 4096",
     ),
 ]
 

@@ -1,5 +1,6 @@
 """Config parsing, splits, CLI subcommands, and end-to-end run modes."""
 
+import contextlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import d, make_dataset, make_event, make_person
 from nnet_checks import rewrite_header
+from smiscreen import pipeline
 from smiscreen.cli import _config_from_args, build_parser, main
 from smiscreen.cohort import ALL_AGE, Cohort, CohortExample, ObservationWindow, build_all_age_cohort
 from smiscreen.errors import ConfigError, DegenerateCohortError
@@ -317,7 +319,24 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.cfg", {**missing, key: value})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"hyperparameter {key[5:]} must be <= 4096" in err and "Traceback" not in err
+        assert f"{key} must be <= 4096" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key,value,bound",
+        [
+            ("nnet.patience", "-1", ">= 0"),
+            ("nnet.learning_rate", "0", "positive and finite"),
+            ("nnet.embedding_dim", "0", ">= 1"),
+            ("nnet.batch_size", "0", ">= 1"),
+            ("nnet.max_epochs", "0", ">= 1"),
+        ],
+    )
+    def test_nnet_bound_names_its_key_before_reading(self, tmp_path, capsys, key, value, bound):
+        missing = {"data.persons": str(tmp_path / "nope.csv"), "data.events": str(tmp_path / "nope2.csv")}
+        cfg = write_config(tmp_path / "c.cfg", {**missing, key: value})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be {bound}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         ("how", "mode"), [("flag", "synth"), ("flag", "train"), ("key", "synth"), ("key", "train"), ("flag", "report")]
@@ -436,6 +455,21 @@ class TestTrainCommand:
         env = {name: os.environ.get(name) for name in THREAD_ENV}
         assert manifest["blas_thread_env"] == env
         assert manifest["blas_pinned"] is (importable or all(v == "1" for v in env.values()))
+
+    def test_threadpoolctl_pins_training_and_scoring(self, workspace, tmp_path, monkeypatch):
+        calls = []
+
+        @contextlib.contextmanager
+        def threadpool_limits(*, limits):
+            calls.append(limits)
+            yield
+
+        monkeypatch.setattr(pipeline, "threadpool_limits", threadpool_limits)
+        out = tmp_path / "pinned"
+        assert main(["train", "--config", workspace["train_cfg"], "--out", str(out)]) == 0
+        assert calls == [1, 1]  # training, then scoring VAL and TEST
+        assert json.loads((out / "manifest.json").read_text())["blas_pinned"] is True
+        assert (out / "model.bin").read_bytes() == (workspace["train"] / "model.bin").read_bytes()
 
     def test_artifacts_written(self, workspace):
         out = workspace["train"]

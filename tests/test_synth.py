@@ -46,7 +46,7 @@ class TestConfigValidation:
             ("event_rate", 0.0),
             ("smi_annual_rate_cap", 0.0),
             ("smi_annual_rate_cap", 1.0),
-            ("year_range", (2019, 2008)),
+            ("year_min", 2020),
             ("event_rate", 1000.5),
         ],
     )
@@ -86,7 +86,7 @@ class TestGeneration:
         [
             ("CLAIMS", 5, {}),
             ("EHR", 7, {"vocab": VocabConfig(n_rx=1), "event_rate": 0.5, "base_logit": 1.0}),  # empty active sets
-            ("CLAIMS", 11, {"base_logit": 3.0, "event_rate": 40.0, "year_range": (2010, 2010)}),  # short spans
+            ("CLAIMS", 11, {"base_logit": 3.0, "event_rate": 40.0, "year_min": 2010, "year_max": 2010}),  # short spans
             ("EHR", 13, {"vocab": VocabConfig(n_shared_dx=400, n_specific_dx=0, n_rx=300), "base_logit": -1.0}),
         ],
     )
